@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -68,7 +67,7 @@ def _get(cfg, key, path, default=_MISSING):
     return cfg[key]
 
 
-def _num(cfg, key, path, default=_MISSING, lo=None, hi=None):
+def _num(cfg, key, path, default=_MISSING, lo=None, hi=None, gt=None):
     val = _get(cfg, key, path, default)
     if val is default and default is not _MISSING:
         return val
@@ -77,6 +76,8 @@ def _num(cfg, key, path, default=_MISSING, lo=None, hi=None):
     val = float(val)
     if lo is not None and val < lo:
         raise errors.ConfigError(_join(path, key), f"must be >= {lo}, got {val}")
+    if gt is not None and val <= gt:
+        raise errors.ConfigError(_join(path, key), f"must be > {gt}, got {val}")
     if hi is not None and val > hi:
         raise errors.ConfigError(_join(path, key), f"must be <= {hi}, got {val}")
     return val
@@ -104,7 +105,7 @@ def _str(cfg, key, path, default=_MISSING, choices=None):
     return val
 
 
-def _vec(cfg, key, path, default=_MISSING):
+def _vec(cfg, key, path, default=_MISSING, size=None):
     val = _get(cfg, key, path, default)
     if val is default and default is not _MISSING:
         return val
@@ -112,6 +113,8 @@ def _vec(cfg, key, path, default=_MISSING):
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
     ):
         raise errors.ConfigError(_join(path, key), "expected a list of numbers")
+    if size is not None and len(val) != size:
+        raise errors.ConfigError(_join(path, key), f"expected {size} components, got {len(val)}")
     return np.asarray(val, dtype=float)
 
 
@@ -134,15 +137,22 @@ def _input_signal(desc, path, rows):
     raise errors.ConfigError(path, "expected a matrix or a starts/values object")
 
 
-def build_target(desc, path="target"):
+def build_target(desc, dim, path="target"):
+    """Target set in the dim-dimensional state (or chart) coordinates."""
     kind = _str(desc, "type", path, choices=("hyperplane", "halfspace", "ball", "point"))
     if kind == "hyperplane":
-        return Hyperplane(axis=_int(desc, "axis", path, 0, lo=0), level=_num(desc, "level", path, 0.0))
+        axis = _int(desc, "axis", path, 0, lo=0)
+        if axis >= dim:
+            raise errors.ConfigError(_join(path, "axis"), f"must be < {dim} (the state dimension), got {axis}")
+        return Hyperplane(axis=axis, level=_num(desc, "level", path, 0.0))
     if kind == "halfspace":
-        return HalfSpace(normal=_vec(desc, "normal", path), offset=_num(desc, "offset", path, 0.0))
+        normal = _vec(desc, "normal", path, size=dim)
+        if not np.any(normal):
+            raise errors.ConfigError(_join(path, "normal"), "must be nonzero")
+        return HalfSpace(normal=normal, offset=_num(desc, "offset", path, 0.0))
     if kind == "ball":
-        return Ball(center=_vec(desc, "center", path), radius=_num(desc, "radius", path, lo=0.0))
-    return Point(location=_vec(desc, "location", path))
+        return Ball(center=_vec(desc, "center", path, size=dim), radius=_num(desc, "radius", path, lo=0.0))
+    return Point(location=_vec(desc, "location", path, size=dim))
 
 
 def build_system(desc, path="system"):
@@ -169,7 +179,7 @@ def build_system(desc, path="system"):
     return sys_, np.full(n, 3.0 / np.sqrt(n)), {"type": "point", "location": [0.0] * n}
 
 
-def build_solve_options(cfg, path, seed, workers, integrator):
+def build_solve_options(cfg, path, seed, integrator):
     final = IntegratorOptions(**integrator)
     inner = IntegratorOptions(
         rtol=max(integrator["rtol"], 1e-7),
@@ -182,10 +192,9 @@ def build_solve_options(cfg, path, seed, workers, integrator):
         multi_starts=_int(cfg, "multi_starts", path, 8, lo=1),
         max_iters=_int(cfg, "max_iters", path, 40, lo=1),
         penalty_rounds=_int(cfg, "penalty_rounds", path, 4, lo=1),
-        w_max=_num(cfg, "w_max", path, 50.0, lo=0.0),
+        w_max=_num(cfg, "w_max", path, 50.0, gt=0.0),
         polish=bool(_get(cfg, "polish", path, True)),
         seed=seed,
-        workers=workers,
         inner=inner,
         final=final,
     )
@@ -302,7 +311,7 @@ def _task_barrier_sweep(config, sys_, tgt, y0, opts, outdir, seed):
     entries = []
     failures = 0
     if kind == "envelope":
-        t_span = _num(cfg, "t_max", "sweep", 5.0, lo=0.0)
+        t_span = _num(cfg, "t_max", "sweep", 5.0, gt=0.0)
         cells = _int(cfg, "cells", "sweep", 6, lo=1)
         for k in range(samples):
             rng = np.random.default_rng([seed, k])
@@ -417,18 +426,14 @@ def run(config: dict, out_dir=None, seed=None, tol_overrides=None) -> int:
     seed = seed if seed is not None else _int(config, "seed", "", 0, lo=0)
     outdir = Path(out_dir if out_dir is not None else _str(config, "output_dir", "", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("RELAXTOC_WORKERS", "1"))
 
     sys_, default_y0, default_tgt = build_system(_get(config, "system", "", {"example": "toy-integrator"}))
-    tgt_desc = _get(config, "target", "", default_tgt)
-    tgt = build_target(tgt_desc)
-    y0 = _vec(config, "y0", "", None)
+    tgt = build_target(_get(config, "target", "", default_tgt), sys_.dim_state)
+    y0 = _vec(config, "y0", "", None, size=sys_.dim_state)
     y0 = default_y0 if y0 is None else y0
-    if y0.size != sys_.dim_state:
-        raise errors.ConfigError("y0", f"expected {sys_.dim_state} components, got {y0.size}")
 
     integrator = _integrator_overrides(_get(config, "integrator", "", {}), "integrator", tol_overrides)
-    opts = build_solve_options(_get(config, "solver", "", {}), "solver", seed, workers, integrator)
+    opts = build_solve_options(_get(config, "solver", "", {}), "solver", seed, integrator)
     return _TASK_RUNNERS[task](config, sys_, tgt, y0, opts, outdir, seed)
 
 

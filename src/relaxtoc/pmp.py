@@ -407,6 +407,11 @@ def _cell_switching_vector(sys, adj, a, b):
     return q
 
 
+def polishable(sys: ControlSystem) -> bool:
+    """True for the systems bang_polish accepts: affine with a ball or box control set."""
+    return sys.affine is not None and isinstance(sys.control_set, (BallSet, BoxSet))
+
+
 def bang_polish(
     sys: ControlSystem,
     tgt: TargetSet,
@@ -428,9 +433,9 @@ def bang_polish(
     system is not affine with a ball or box control set, or the input
     schedule fails to produce a certified hit.
     """
-    cs = sys.control_set
-    if sys.affine is None or not isinstance(cs, (BallSet, BoxSet)):
+    if not polishable(sys):
         return None
+    cs = sys.control_set
     opts = opts or IntegratorOptions()
     n_cells, n_atoms = schedule.weights.shape
     sched = schedule

@@ -2,36 +2,42 @@
 
 Decision variables are the horizon w together with the per-cell atoms and
 weights of a relaxed schedule on a fixed grid over [0, 1]; the state follows
-x' = w f(w s, x, sigma(s)).  The objective
+x' = w f(w s, x, sigma(s)).  The returned w is always defined by a tight
+re-integration of the winning schedule against the physical system, never
+by an optimizer's iterate.
+
+Affine systems with a ball or box control set are solved by seed -> certify
+-> polish: the warm start and the greedy seed are certified by tight
+re-integration, and the best of them is finished by the maximum-condition
+fixed point from the verification module, which replaces each cell by the
+argmax of the cell-averaged switching vector and keeps the result only when
+the certified hit time does not get worse.  The hit time is flat in the
+control to first order at the optimum, so that fixed point lands where
+descent would crawl.
+
+Every other system (finite control sets, non-affine dynamics), polish=False,
+and a seed that yields no certified hit fall back to multi-start projected
+gradient descent on
 
     J = time_weight * w + penalty * d(x(1), Q_alpha)^2
 
-is minimized by projected gradient descent with Armijo backtracking and
-penalty continuation; gradients come from one backward pass of the adjoint
-augmented with the running integrals that make up the w/atom/weight
-sensitivities.  An early hit at s_h < 1 contracts w to w * s_h directly.
-The returned w is always defined by a tight re-integration of the winning
-schedule against the physical system, never by the optimizer's iterate.
-
-The singular target makes indirect shooting ill-conditioned, so the descent
-never relies on the maximum principle to find the basin.  Once a certified
-hit exists, though, descent alone crawls (the hit time is flat in the
-control to first order at the optimum): for affine systems the winner is
-finished by the maximum-condition fixed point from the verification module,
-which replaces each cell by the argmax of the cell-averaged switching
-vector and keeps the result only when the certified hit time improves.
+with Armijo backtracking and penalty continuation; gradients come from one
+backward pass of the adjoint augmented with the running integrals that make
+up the w/atom/weight sensitivities.  An early hit at s_h < 1 contracts w to
+w * s_h directly.  The singular target makes indirect shooting
+ill-conditioned, so the descent never relies on the maximum principle to
+find the basin.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from . import errors
+from . import errors, pmp
 from ._rk import integrate_plain
 from .dynamics import (
     BallSet,
@@ -61,7 +67,6 @@ class SolveOptions:
     w_min: float = 1e-6
     w_max: float = 50.0
     seed: int = 0
-    workers: int = 1
     polish: bool = True
     polish_rounds: int = 30
     inner: IntegratorOptions = field(
@@ -430,9 +435,7 @@ def _finalize_candidate(sys, tgt_a, y0, w, atoms, weights, grid, opts):
     traj = integrate_forward(sys, phys, y0, tgt=tgt_a, t_max=t_max, opts=opts.final)
     if traj.hit.status != HIT_TARGET:
         return None
-    w_cert = traj.hit.time
-    sched_phys = sched_unit.scaled_grid(w)
-    return w_cert, sched_phys, traj
+    return traj.hit.time, phys, traj
 
 
 def classicalize(result: SolveResult) -> ClassicalSchedule:
@@ -446,6 +449,51 @@ def classicalize(result: SolveResult) -> ClassicalSchedule:
     return ClassicalSchedule(grid=sched.grid.copy(), values=np.stack(values))
 
 
+def _best_candidate(outcomes):
+    """Lowest (w, terminal distance, schedule hash) among certified outcomes."""
+    certified = [out for out in outcomes if out is not None]
+    if not certified:
+        return None
+    return min(
+        certified,
+        key=lambda out: (
+            out[0],
+            out[2].hit.terminal_distance,
+            hashlib.sha256(out[1].hash_bytes()).hexdigest(),
+        ),
+    )
+
+
+def _seed_candidates(sys, tgt_a, y0, init, greedy, opts):
+    """Certify seeds without descent: the warm start at its own physical span,
+    the greedy seed at the hit time its probe reports."""
+    outcomes = [] if init is None else [_recertify(sys, tgt_a, y0, init, opts)]
+    w, hit = _probe_w(sys, tgt_a, y0, greedy, opts)
+    if hit:
+        outcomes.append(
+            _finalize_candidate(sys, tgt_a, y0, w, greedy.atoms, greedy.weights, greedy.grid, opts)
+        )
+    return outcomes
+
+
+def _descent_candidates(sys, tgt_a, y0, seeds, opts):
+    """Multi-start projected gradient from the seeds plus random starts."""
+    seeds = list(seeds)
+    idx = 1
+    while len(seeds) < max(opts.multi_starts, 1):
+        seeds.append(_random_schedule(sys, opts, idx))
+        idx += 1
+    outcomes = []
+    for sched0 in seeds[: max(opts.multi_starts, 1)]:
+        best = _optimize_seed(sys, tgt_a, y0, sched0, opts)
+        if best is not None:
+            w, atoms, weights, _d = best
+            outcomes.append(
+                _finalize_candidate(sys, tgt_a, y0, w, atoms, weights, sched0.grid, opts)
+            )
+    return outcomes
+
+
 def solve_alpha(
     sys: ControlSystem,
     tgt: TargetSet,
@@ -456,10 +504,13 @@ def solve_alpha(
 ) -> SolveResult:
     """Minimize the hit time of the alpha-inflated target over relaxed controls.
 
-    Multi-start projected gradient on the unit-time transcription; the winner
-    is certified by tight re-integration.  init, when given, is a schedule in
-    physical time used as the first seed.  Raises Infeasible when no seed
-    yields a certified hit.
+    Affine systems with a ball or box control set take the certified seed and
+    polish it by the maximum condition; everything else, polish=False, and a
+    seed without a certified hit take multi-start projected gradient.  init,
+    when given, is a schedule in physical time used as the first seed.  The
+    result's reason names the certifying path: "seed", "seed+polish",
+    "descent" or "descent+polish".  Raises Infeasible when no seed yields a
+    certified hit.
     """
     opts = opts or SolveOptions()
     y0 = np.asarray(y0, dtype=float)
@@ -475,76 +526,50 @@ def solve_alpha(
         span = float(init.grid[-1] - init.grid[0])
         seeds.append(init.scaled_grid(1.0 / span) if span > 0 else init)
     seeds.append(_greedy_schedule(sys, tgt_a, y0, opts))
-    idx = 1
-    while len(seeds) < max(opts.multi_starts, 1):
-        seeds.append(_random_schedule(sys, opts, idx))
-        idx += 1
-    seeds = seeds[: max(opts.multi_starts, 1)]
 
-    def run_one(sched0):
-        best = _optimize_seed(sys, tgt_a, y0, sched0, opts)
-        if best is None:
-            return None
-        w, atoms, weights, _d = best
-        return _finalize_candidate(sys, tgt_a, y0, w, atoms, weights, sched0.grid, opts)
-
-    if opts.workers > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            outcomes = list(pool.map(run_one, seeds))
-    else:
-        outcomes = [run_one(s) for s in seeds]
-
-    candidates = []
-    for out in outcomes:
-        if out is None:
-            continue
-        w_cert, sched_phys, traj = out
-        key = (
-            w_cert,
-            traj.hit.terminal_distance,
-            hashlib.sha256(sched_phys.hash_bytes()).hexdigest(),
-        )
-        candidates.append((key, w_cert, sched_phys, traj))
-    if not candidates:
+    best = None
+    if opts.polish and pmp.polishable(sys):
+        best = _best_candidate(_seed_candidates(sys, tgt_a, y0, init, seeds[-1], opts))
+        path = "seed"
+    if best is None:
+        best = _best_candidate(_descent_candidates(sys, tgt_a, y0, seeds, opts))
+        path = "descent"
+    if best is None:
         raise errors.Infeasible(
             "no multi-start seed produced a certified target hit within the horizon"
         )
-    candidates.sort(key=lambda c: c[0])
-    _, w_cert, sched_phys, traj = candidates[0]
+    w_cert, sched_phys, traj = best
 
-    if opts.polish and sys.chart is None:
-        from .pmp import bang_polish
-
-        polished = bang_polish(
+    if opts.polish:
+        polished = pmp.bang_polish(
             sys, tgt_a, sched_phys, y0, rounds=opts.polish_rounds, opts=opts.final
         )
-        if polished is not None and polished[0] <= w_cert + 1e-12 * (1.0 + w_cert):
+        if (
+            polished is not None
+            and polished[1] is not sched_phys
+            and polished[0] <= w_cert + 1e-12 * (1.0 + w_cert)
+        ):
             w_cert, sched_phys, traj = polished
+            path += "+polish"
 
-    classical = None
-    if sys.affine is not None and sys.control_set.is_convex:
-        try:
-            best_res = SolveResult(
-                w=w_cert, schedule=sched_phys, classical=None, trajectory=traj,
-                alpha=alpha, converged=True, reason="hit-verified",
-                terminal_distance=traj.hit.terminal_distance, system=sys, target=tgt_a,
-            )
-            classical = classicalize(best_res)
-        except errors.Error:
-            classical = None
-
-    return SolveResult(
+    result = SolveResult(
         w=w_cert,
         schedule=sched_phys,
-        classical=classical,
+        classical=None,
         trajectory=traj,
         alpha=alpha,
         converged=True,
-        reason="hit-verified",
+        reason=path,
         terminal_distance=traj.hit.terminal_distance,
         system=sys,
         target=tgt_a,
     )
+    if sys.affine is not None and sys.control_set.is_convex:
+        try:
+            result.classical = classicalize(result)
+        except errors.Error:
+            pass
+    return result
 
 
 def alpha_ladder(
@@ -591,7 +616,14 @@ def alpha_ladder(
             redo = _recertify(sys, tgt.with_alpha(alphas[k - 1]), y0, results[k].schedule, opts)
             if redo is not None and redo[0] < ws[k - 1]:
                 w_new, sched_new, traj_new = redo
-                results[k - 1] = replace_result(results[k - 1], w_new, sched_new, traj_new)
+                results[k - 1] = replace(
+                    results[k - 1],
+                    w=w_new,
+                    schedule=sched_new,
+                    trajectory=traj_new,
+                    reason="ladder-repair",
+                    terminal_distance=traj_new.hit.terminal_distance,
+                )
                 ws[k - 1] = w_new
 
     w_star = ws[-1]
@@ -620,18 +652,3 @@ def _recertify(sys, tgt_a, y0, sched_phys, opts):
     if traj.hit.status != HIT_TARGET:
         return None
     return traj.hit.time, sched_phys, traj
-
-
-def replace_result(res: SolveResult, w, sched, traj) -> SolveResult:
-    return SolveResult(
-        w=w,
-        schedule=sched,
-        classical=res.classical,
-        trajectory=traj,
-        alpha=res.alpha,
-        converged=True,
-        reason="ladder-repair",
-        terminal_distance=traj.hit.terminal_distance,
-        system=res.system,
-        target=res.target,
-    )

@@ -80,6 +80,40 @@ def test_config_errors_name_the_field(tmp_path):
     assert exc.value.path == "sweep.h_sign"
 
 
+def test_bad_horizon_and_target_dimension_name_the_field(tmp_path, capsys):
+    # each used to escape as a traceback from deep inside the solver
+    with pytest.raises(errors.ConfigError) as exc:
+        cli.run(_toy_config(solver={"w_max": 0}), out_dir=tmp_path)
+    assert exc.value.path == "solver.w_max"
+
+    quench = copy.deepcopy(cli.list_examples()["quenching-ex1"]["default_config"])
+    quench["target"] = {"type": "hyperplane", "axis": 5, "level": 1.0}
+    with pytest.raises(errors.ConfigError) as exc:
+        cli.run(quench, out_dir=tmp_path)
+    assert exc.value.path == "target.axis"
+
+    with pytest.raises(errors.ConfigError) as exc:
+        cli.run(_toy_config(target={"type": "point", "location": [1.0, 1.0]}), out_dir=tmp_path)
+    assert exc.value.path == "target.location"
+
+    with pytest.raises(errors.ConfigError) as exc:
+        cli.run(_toy_config(target={"type": "halfspace", "normal": [0.0]}), out_dir=tmp_path)
+    assert exc.value.path == "target.normal"
+
+    sweep = copy.deepcopy(cli.list_examples()["blowup-ex2"]["default_config"])
+    sweep["sweep"]["t_max"] = 0.0
+    with pytest.raises(errors.ConfigError) as exc:
+        cli.run(sweep, out_dir=tmp_path)
+    assert exc.value.path == "sweep.t_max"
+
+    for name, cfg in (("w_max.json", _toy_config(solver={"w_max": 0})), ("axis.json", quench)):
+        path = tmp_path / name
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_ladder_csv_agrees_with_json(tmp_path):
     cfg = _toy_config(task="ladder")
     cfg["ladder"] = {"alpha0": 0.4, "ratio": 0.5, "k_max": 3}

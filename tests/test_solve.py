@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relaxtoc.barrier import build_barrier_table, xi_lower_time, xi_upper_time
-from relaxtoc.dynamics import make_blowup_system
+from relaxtoc.dynamics import FiniteSet, make_blowup_system, make_integrator_system
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
 from relaxtoc.relaxed import RelaxedSchedule
 from relaxtoc.solve import (
@@ -85,6 +85,8 @@ def test_blowup_solve_lands_in_barrier_bracket(blowup_sys_g1):
     y0 = 4.0
     res = solve_alpha(blowup_sys_g1, Point(location=[0.0]), [y0], alpha, opts=SMALL)
     assert res.converged and res.trajectory.hit.status == HIT_TARGET
+    # chart systems take the seed -> polish route too
+    assert res.reason.startswith("seed")
     table = build_barrier_table(2.0, 1.0)
     fast = xi_upper_time(table, y0) - xi_upper_time(table, 1.0 / alpha)
     slow = xi_lower_time(table, y0) - xi_lower_time(table, 1.0 / alpha)
@@ -181,3 +183,30 @@ def test_result_serializes(quench_solution):
     d = res.to_json_dict()
     assert d["w"] == res.w and d["alpha"] == 0.25
     assert d["converged"] is True
+
+
+def test_quench_solve_takes_seed_route(quench_solution):
+    res, _ = quench_solution
+    assert res.reason in ("seed", "seed+polish")
+
+
+def test_finite_control_set_falls_back_to_descent(toy_target):
+    # a finite control set has no closed-form polish: the multi-start
+    # descent certifies the answer, here the exact 1 - alpha
+    sys_ = make_integrator_system(1, control_set=FiniteSet(points=[[-1.0], [1.0]]))
+    res = solve_alpha(sys_, toy_target, [0.0], 0.25, opts=SMALL)
+    assert res.reason == "descent"
+    assert res.trajectory.hit.status == HIT_TARGET
+    assert res.w == pytest.approx(0.75, abs=1e-3)
+
+
+def test_descent_without_polish_is_no_better(quench_sys, quench_target, quench_y0, quench_solution):
+    # polish=False takes the descent route; its certified hit cannot beat
+    # the seed -> polish answer beyond the integration tolerance
+    routed, opts = quench_solution
+    res = solve_alpha(
+        quench_sys, quench_target, quench_y0, 0.25, opts=replace(opts, polish=False, multi_starts=1)
+    )
+    assert res.reason == "descent"
+    assert res.trajectory.hit.status == HIT_TARGET
+    assert res.w >= routed.w - 1e-8 * (1.0 + routed.w)
