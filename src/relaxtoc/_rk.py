@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import errors
+
 # Classic DOPRI5 tableau; the first-same-as-last stage doubles as the next k1.
 C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 A = [
@@ -40,6 +42,7 @@ def step(rhs, t, y, f, h):
 
 
 def error_norm(err, y0, y1, rtol, atol):
+    """RMS of the embedded error estimate over the mixed tolerance scale."""
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
@@ -119,16 +122,15 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
             while True:
                 n_steps += 1
                 if n_steps > max_steps:
-                    raise RuntimeError("step budget exhausted in plain integration")
+                    raise errors.IntegrationFailed("step budget exhausted in plain integration")
                 t_new = t + direction * h
                 y_new, f_new, err = step(rhs, t, y, f, direction * h)
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+                err_norm = error_norm(err, y, y_new, rtol, atol)
                 if err_norm <= 1.0:
                     break
                 h *= next_factor(err_norm)
                 if h < 1e-15 * max(1.0, abs(t)):
-                    raise RuntimeError("step underflow in plain integration")
+                    raise errors.IntegrationFailed("step underflow in plain integration")
             if rec_times:
                 while rec_times and (rec_times[0] - t_new) * direction <= 0.0:
                     tr = rec_times.pop(0)

@@ -391,7 +391,7 @@ def blowup_lower_bound_check(
     knots = tuple(k for k in set(h_knots) | set(g_knots) if s < k < T)
     try:
         y_T = integrate_plain(rhs, s, T, y_s, rtol=rtol, atol=atol, knots=knots)
-    except RuntimeError as exc:
+    except errors.IntegrationFailed as exc:
         raise errors.OutOfRange(f"damped solution left the integrable range: {exc}")
     r_T = float(np.linalg.norm(y_T))
     lhs = r_T ** (-alpha)

@@ -67,7 +67,7 @@ def _get(cfg, key, path, default=_MISSING):
     return cfg[key]
 
 
-def _num(cfg, key, path, default=_MISSING, lo=None, hi=None, gt=None):
+def _num(cfg, key, path, default=_MISSING, lo=None, hi=None, gt=None, lt=None):
     val = _get(cfg, key, path, default)
     if val is default and default is not _MISSING:
         return val
@@ -80,6 +80,8 @@ def _num(cfg, key, path, default=_MISSING, lo=None, hi=None, gt=None):
         raise errors.ConfigError(_join(path, key), f"must be > {gt}, got {val}")
     if hi is not None and val > hi:
         raise errors.ConfigError(_join(path, key), f"must be <= {hi}, got {val}")
+    if lt is not None and val >= lt:
+        raise errors.ConfigError(_join(path, key), f"must be < {lt}, got {val}")
     return val
 
 
@@ -201,15 +203,16 @@ def build_solve_options(cfg, path, seed, integrator):
 
 
 def _integrator_overrides(cfg, path, overrides):
-    out = {
-        "rtol": _num(cfg, "rtol", path, 1e-9, lo=0.0),
-        "atol": _num(cfg, "atol", path, 1e-11, lo=0.0),
+    """Tolerances from the config with the command-line overrides laid over
+    them; an override passes the same checks as the field it replaces."""
+    if not isinstance(cfg, dict):
+        raise errors.ConfigError(path, "expected an object")
+    cfg = {**cfg, **{key: val for key, val in (overrides or {}).items() if val is not None}}
+    return {
+        "rtol": _num(cfg, "rtol", path, 1e-9, gt=0.0),
+        "atol": _num(cfg, "atol", path, 1e-11, gt=0.0),
         "hit_tol": _num(cfg, "hit_tol", path, 1e-8, lo=0.0),
     }
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            out[key] = float(val)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +252,7 @@ def _task_ladder(config, sys_, tgt, y0, opts, outdir, seed):
         tgt,
         y0,
         alpha0=alpha0,
-        ratio=_num(lad_cfg, "ratio", "ladder", 0.5),
+        ratio=_num(lad_cfg, "ratio", "ladder", 0.5, gt=0.0, lt=1.0),
         k_max=_int(lad_cfg, "k_max", "ladder", 8, lo=1),
         opts=opts,
     )
@@ -366,7 +369,7 @@ def _task_monotonicity_sweep(config, sys_, tgt, y0, opts, outdir, seed):
     cfg = _get(config, "sweep", "", {})
     case = _str(cfg, "case", "sweep", "i", choices=("i", "ii"))
     samples = _int(cfg, "samples", "sweep", 50, lo=1)
-    horizon = _num(cfg, "horizon", "sweep", 0.3, lo=0.0)
+    horizon = _num(cfg, "horizon", "sweep", 0.3, gt=0.0)
     g_amp = _num(cfg, "g_amp", "sweep", 0.2, lo=0.0)
     h_amp = _num(cfg, "h_amp", "sweep", 0.2, lo=0.0)
     h_sign = _int(cfg, "h_sign", "sweep", -1 if case == "i" else 1)
@@ -374,7 +377,7 @@ def _task_monotonicity_sweep(config, sys_, tgt, y0, opts, outdir, seed):
         raise errors.ConfigError("sweep.h_sign", "case i needs h <= 0 (start below the singular line)")
     if case == "ii" and h_sign < 0:
         raise errors.ConfigError("sweep.h_sign", "case ii needs h >= 0 (start above the singular line)")
-    y_start = _vec(cfg, "y0", "sweep", None)
+    y_start = _vec(cfg, "y0", "sweep", None, size=2)
     if y_start is None:
         y_start = np.array([0.0, 0.5]) if case == "i" else np.array([2.0, 0.5])
 

@@ -60,10 +60,6 @@ class BallSet:
             n = 1.0
         return (self.radius / n) * v
 
-    @property
-    def span(self) -> float:
-        return 2.0 * self.radius
-
 
 @dataclass(frozen=True, eq=False)
 class BoxSet:
@@ -100,10 +96,6 @@ class BoxSet:
         pick = rng.integers(0, 2, size=self.dim).astype(bool)
         return np.where(pick, self.upper, self.lower).astype(float)
 
-    @property
-    def span(self) -> float:
-        return float(np.max(self.upper - self.lower))
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteSet:
@@ -132,18 +124,6 @@ class FiniteSet:
 
     def boundary_sample(self, rng):
         return self.points[int(rng.integers(0, len(self.points)))].copy()
-
-    @property
-    def span(self) -> float:
-        if len(self.points) < 2:
-            return 1.0
-        return float(
-            max(
-                np.linalg.norm(a - b)
-                for i, a in enumerate(self.points)
-                for b in self.points[i + 1 :]
-            )
-        )
 
 
 ControlSet = Union[BallSet, BoxSet, FiniteSet]
@@ -289,6 +269,11 @@ class ControlSystem:
         """Raise SingularState when y is numerically on the singular set."""
         if self.singular_set is not None and self.singular_set.distance(y) < SINGULAR_GUARD:
             raise errors.SingularState(f"state within {SINGULAR_GUARD:.0e} of the singular set")
+
+    def target_coords(self, y) -> np.ndarray:
+        """y in the coordinates targets are read in: its chart image when there is a chart."""
+        y = _vec(y)
+        return self.chart.to_chart(y) if self.chart is not None else y
 
 
 def eval_field(sys: ControlSystem, t: float, y, u) -> np.ndarray:

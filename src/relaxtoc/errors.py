@@ -41,6 +41,10 @@ class SingularStall(Error):
     """Integration stalled at the singular set where a status cannot be returned."""
 
 
+class IntegrationFailed(Error):
+    """Adaptive integration ran out of its step budget or its step size underflowed."""
+
+
 class Infeasible(Error):
     """No admissible trajectory reaching the target was found."""
 

@@ -344,11 +344,10 @@ def integrate_forward(
                 h_try = min(h_try, h_appr)
         n_steps += 1
         if n_steps > opts.max_steps:
-            raise RuntimeError("forward integration exceeded the step budget")
+            raise errors.IntegrationFailed("forward integration exceeded the step budget")
         try:
             s_new, f_new, err = _rk.step(rhs, t, state, f, h_try)
-            scale = opts.atol + opts.rtol * np.maximum(np.abs(state), np.abs(s_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            err_norm = _rk.error_norm(err, state, s_new, opts.rtol, opts.atol)
             failed = not np.all(np.isfinite(s_new))
         except _StageFailure:
             err_norm = np.inf
@@ -583,6 +582,7 @@ def integrate_adjoint(
         rtol=opts.rtol,
         atol=opts.atol * seed_norm,
         knots=knots,
+        max_steps=opts.max_steps,
         record=rec,
     )
     order = np.argsort(ts)

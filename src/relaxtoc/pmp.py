@@ -30,18 +30,14 @@ from .integrate import (
     HIT_TARGET,
     IntegratorOptions,
     Trajectory,
+    _resolve_cell,
     integrate_adjoint,
     integrate_forward,
 )
-from .relaxed import ClassicalSchedule, RelaxedSchedule, relaxed_field
+from .relaxed import RelaxedSchedule, relaxed_field
 from .target import Ball, HalfSpace, Hyperplane, Point, TargetSet, transformed_transversality_residual
 
 DEFAULT_DELTAS = (1e-2, 1e-3, 1e-4)
-
-
-@dataclass(frozen=True)
-class FromNormalCone:
-    """Marker: derive the terminal covector from the target's normal cone."""
 
 
 class HamiltonianMax(NamedTuple):
@@ -56,18 +52,33 @@ def hamiltonian(sys: ControlSystem, t: float, y, psi, u) -> float:
     return float(psi @ eval_field(sys, t, y, u))
 
 
-def _cell_of(control, sys, t):
-    if control is None:
-        return np.zeros((1, sys.dim_control)), np.ones(1)
-    if isinstance(control, ClassicalSchedule):
-        return control.value_at(t)[None, :], np.ones(1)
-    return control.cell_at(t)
-
-
 def relaxed_hamiltonian(sys: ControlSystem, t: float, y, psi, atoms, weights) -> float:
     """<psi, averaged field of the cell>; linear in the measure."""
     psi = np.asarray(psi, dtype=float)
     return float(psi @ relaxed_field(sys, t, y, atoms, weights))
+
+
+def polishable(sys: ControlSystem) -> bool:
+    """True for the systems bang_polish accepts: affine with a ball or box control set."""
+    return sys.affine is not None and isinstance(sys.control_set, (BallSet, BoxSet))
+
+
+def _linear_argmax(cs, q, tiny):
+    """(u, <q, u>, degenerate) for a maximizer u of <q, u> over a ball or box.
+
+    The ball answer is rho q / |q| and the box answer the componentwise sign
+    rule (the midpoint where a component of q is zero).  degenerate means q
+    is within tiny of zero, where every control maximizes; the ball then
+    answers with its center.
+    """
+    if isinstance(cs, BallSet):
+        qn = float(np.linalg.norm(q))
+        if qn <= tiny or cs.radius == 0.0:
+            return np.zeros(cs.dim), 0.0, qn <= tiny
+        return (cs.radius / qn) * q, cs.radius * qn, False
+    mid = 0.5 * (cs.lower + cs.upper)
+    u = np.where(q > 0.0, cs.upper, np.where(q < 0.0, cs.lower, mid))
+    return u, float(q @ u), float(np.max(np.abs(q))) <= tiny
 
 
 def max_hamiltonian(sys: ControlSystem, t: float, y, psi) -> HamiltonianMax:
@@ -91,27 +102,16 @@ def max_hamiltonian(sys: ControlSystem, t: float, y, psi) -> HamiltonianMax:
         tie = len(vals) > 1 and vals[best] - vals[int(order[1])] <= 1e-12 * (1.0 + abs(vals[best]))
         return HamiltonianMax(vals[best], np.array(cs.points[best], dtype=float), tie)
 
-    if sys.affine is None:
+    if not polishable(sys):
         raise errors.UnsupportedControlSet(
             "closed-form argmax needs an affine system with a ball or box control set"
         )
     g = np.asarray(sys.affine.drift(t, y), dtype=float)
     B = np.atleast_2d(np.asarray(sys.affine.input_matrix(t), dtype=float))
-    q = B.T @ psi
     base = float(psi @ g)
     scale = 1e-12 * (1.0 + float(np.linalg.norm(psi))) * max(1.0, float(np.linalg.norm(B)))
-
-    if isinstance(cs, BallSet):
-        qn = float(np.linalg.norm(q))
-        if qn <= scale or cs.radius == 0.0:
-            return HamiltonianMax(base, np.zeros(cs.dim), qn <= scale)
-        u_star = (cs.radius / qn) * q
-        return HamiltonianMax(base + cs.radius * qn, u_star, False)
-    if isinstance(cs, BoxSet):
-        mid = 0.5 * (cs.lower + cs.upper)
-        u_star = np.where(q > 0.0, cs.upper, np.where(q < 0.0, cs.lower, mid))
-        return HamiltonianMax(base + float(q @ u_star), u_star, float(np.max(np.abs(q))) <= scale)
-    raise errors.UnsupportedControlSet(f"no closed-form argmax for {type(cs).__name__}")
+    u_star, gain, degenerate = _linear_argmax(cs, B.T @ psi, scale)
+    return HamiltonianMax(base + gain, u_star, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -131,36 +131,6 @@ def _psi_at(ts, psis, t):
     j = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
     th = (t - ts[j]) / (ts[j + 1] - ts[j])
     return (1.0 - th) * psis[j] + th * psis[j + 1]
-
-
-def support_condition_mass(schedule, sys: ControlSystem, trajectory: Trajectory,
-                           adjoint: AdjointTrajectory, tol_H: Optional[float] = None) -> float:
-    """Time-averaged weight carried by atoms strictly off the argmax set.
-
-    Zero means the support condition holds at tolerance; weight lambda parked
-    on a strictly suboptimal atom for the whole horizon comes back as lambda.
-    The default tolerance is 1e-6 * (1 + sup |max H|), relative because H
-    scales with both psi and the field.
-    """
-    mids, lens, ts, psis = _sample_grid(adjoint)
-    if len(mids) == 0:
-        return 0.0
-    rows = []
-    sup_h = 0.0
-    for t, dt in zip(mids, lens):
-        y = trajectory.interp(t)
-        psi = _psi_at(ts, psis, t)
-        atoms, weights = _cell_of(schedule, sys, t)
-        h_max = max_hamiltonian(sys, t, y, psi).value
-        h_atoms = [float(psi @ np.asarray(sys.field(t, y, u), dtype=float)) for u in atoms]
-        rows.append((dt, weights, h_atoms, h_max))
-        sup_h = max(sup_h, abs(h_max))
-    tol = tol_H if tol_H is not None else 1e-6 * (1.0 + sup_h)
-    mass = 0.0
-    for dt, weights, h_atoms, h_max in rows:
-        off = sum(lam for lam, hv in zip(weights, h_atoms) if hv < h_max - tol)
-        mass += dt * off
-    return float(mass / np.sum(lens))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +171,22 @@ def normal_cone_seed(tgt: TargetSet, z_end, z_prev) -> np.ndarray:
             raise errors.ZeroTerminalCovector("no approach direction at the exit point")
         return direction
     raise errors.UnsupportedControlSet(f"no normal-cone seed rule for {type(tgt).__name__}")
+
+
+def exit_covector(sys: ControlSystem, tgt: TargetSet, traj: Trajectory, t_end: float) -> np.ndarray:
+    """Normal-cone covector at y(t_end), in state coordinates.
+
+    The last stored sample before t_end fixes the approach side.  Chart
+    systems read the target in chart coordinates, so the chart seed is
+    pulled back through the chart Jacobian.
+    """
+    y_end = traj.interp(t_end)
+    j = int(np.searchsorted(traj.times, t_end)) - 1
+    y_prev = traj.states[max(j, 0)]
+    seed = normal_cone_seed(tgt, sys.target_coords(y_end), sys.target_coords(y_prev))
+    if sys.chart is None:
+        return seed
+    return sys.chart.gradient_jacobian(y_end) @ seed
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +262,6 @@ def _unpack_triple(triple):
     return float(w), traj, schedule
 
 
-def _target_coords(sys, y):
-    return sys.chart.to_chart(y) if sys.chart is not None else np.asarray(y, dtype=float)
-
-
-def _seed_to_state_coords(sys, y_end, seed_z):
-    if sys.chart is None:
-        return seed_z
-    return sys.chart.gradient_jacobian(y_end) @ seed_z
-
-
 def verify(
     sys: ControlSystem,
     tgt: TargetSet,
@@ -299,10 +275,14 @@ def verify(
 
     triple is (w, trajectory, schedule) or any object exposing those fields;
     the trajectory must have hit the target.  adjoint_seed is an explicit
-    terminal covector, or FromNormalCone()/None to derive one from the target
-    geometry at the exit point.  Point targets and chart-read targets are
-    seeded at the pre-terminal family T - delta * T, delta from deltas, and
-    the |psi| trend is reported in terminal_decay.
+    terminal covector, or None to derive one from the target geometry at the
+    exit point.  Point targets and chart-read targets are seeded at the
+    pre-terminal family T - delta * T, delta from deltas, and the |psi| trend
+    is reported in terminal_decay.  The support-violation mass is the
+    time-averaged weight on atoms whose H falls short of max H by more than
+    1e-6 * (1 + sup |max H|), relative because H scales with both psi and the
+    field: weight lambda parked on a strictly suboptimal atom for the whole
+    horizon comes back as lambda.
     """
     w, traj, schedule = _unpack_triple(triple)
     if traj.hit is None or traj.hit.status != HIT_TARGET:
@@ -310,17 +290,13 @@ def verify(
     # the reported hit time extrapolates past the last stored sample; the
     # adjoint can only be seeded on the sampled range
     t_bar = min(float(traj.hit.time), float(traj.times[-1]))
-    explicit = adjoint_seed is not None and not isinstance(adjoint_seed, FromNormalCone)
+    explicit = adjoint_seed is not None
     family = (isinstance(tgt, Point) or sys.chart is not None) and not explicit
 
     def seed_at(t_end):
         if explicit:
             return np.asarray(adjoint_seed, dtype=float)
-        y_end = traj.interp(t_end)
-        j = int(np.searchsorted(traj.times, t_end)) - 1
-        y_prev = traj.states[max(j, 0)]
-        seed_z = normal_cone_seed(tgt, _target_coords(sys, y_end), _target_coords(sys, y_prev))
-        return _seed_to_state_coords(sys, y_end, seed_z)
+        return exit_covector(sys, tgt, traj, t_end)
 
     decay = None
     if family:
@@ -339,7 +315,7 @@ def verify(
     # transversality at the exit point actually used for seeding
     t_end = adjoint.seed_time
     y_end = traj.interp(t_end)
-    z_end = _target_coords(sys, y_end)
+    z_end = sys.target_coords(y_end)
     psi_end = np.asarray(adjoint.psis[-1], dtype=float)
     q_star = tgt.project(z_end)
     if sys.chart is None:
@@ -356,14 +332,17 @@ def verify(
     degenerate_time = 0.0
     agree_time = 0.0
     live_time = 0.0
+    rows = []
     for t, dt in zip(mids, lens):
         y = traj.interp(t)
         psi = _psi_at(ts, psis, t)
-        atoms, weights = _cell_of(schedule, sys, t)
+        atoms, weights = _resolve_cell(schedule, sys, t)
         best = max_hamiltonian(sys, t, y, psi)
         h_cand = relaxed_hamiltonian(sys, t, y, psi, atoms, weights)
         residual = max(residual, best.value - h_cand)
         sup_h = max(sup_h, abs(best.value))
+        h_atoms = [float(psi @ np.asarray(sys.field(t, y, u), dtype=float)) for u in atoms]
+        rows.append((dt, weights, h_atoms, best.value))
         if best.degenerate:
             degenerate_time += dt
             continue
@@ -374,11 +353,14 @@ def verify(
         ):
             agree_time += dt
 
-    mass = support_condition_mass(schedule, sys, traj, adjoint)
+    tol_h = 1e-6 * (1.0 + sup_h)
+    mass = 0.0
+    for dt, weights, h_atoms, h_max in rows:
+        mass += dt * sum(lam for lam, hv in zip(weights, h_atoms) if hv < h_max - tol_h)
     return PmpReport(
         hamiltonian_residual=max(0.0, float(residual)),
         hamiltonian_scale=1.0 + float(sup_h),
-        support_violation_mass=mass,
+        support_violation_mass=float(mass / total),
         transversality_residual=float(transversality),
         terminal_adjoint_norm=float(terminal_norm),
         nontriviality=adjoint.norm_at_zero(),
@@ -407,11 +389,6 @@ def _cell_switching_vector(sys, adj, a, b):
     return q
 
 
-def polishable(sys: ControlSystem) -> bool:
-    """True for the systems bang_polish accepts: affine with a ball or box control set."""
-    return sys.affine is not None and isinstance(sys.control_set, (BallSet, BoxSet))
-
-
 def bang_polish(
     sys: ControlSystem,
     tgt: TargetSet,
@@ -425,7 +402,8 @@ def bang_polish(
 
     Alternates a forward pass, a backward costate sweep seeded in the target's
     normal cone at the exit, and per-cell replacement of the control by the
-    argmax of the cell-averaged switching vector B^T psi.  Descent methods
+    argmax of the cell-averaged switching vector B^T psi (a cell where that
+    vector vanishes keeps its control).  Descent methods
     stall on this last stretch (the hit time is flat in the control to first
     order at the optimum), while the fixed point lands on the extremal of the
     piecewise-constant class directly.  Stops at the first non-improving
@@ -445,7 +423,7 @@ def bang_polish(
         t_max = w_ref * 1.2 + 100.0 * opts.hit_tol
         try:
             traj = integrate_forward(sys, sched, y0, tgt=tgt, t_max=t_max, opts=opts)
-        except (errors.Error, RuntimeError):
+        except errors.Error:
             break
         if traj.hit.status != HIT_TARGET:
             break
@@ -456,16 +434,10 @@ def bang_polish(
         if not improved:
             break
         t_end = min(w, float(traj.times[-1]))
-        y_end = traj.interp(t_end)
-        j = int(np.searchsorted(traj.times, t_end)) - 1
-        seed_z = normal_cone_seed(
-            tgt, _target_coords(sys, y_end), _target_coords(sys, traj.states[max(j, 0)])
-        )
+        seed = exit_covector(sys, tgt, traj, t_end)
         try:
-            adj = integrate_adjoint(
-                sys, traj, sched, _seed_to_state_coords(sys, y_end, seed_z), t_end=t_end, opts=opts
-            )
-        except (errors.Error, RuntimeError):
+            adj = integrate_adjoint(sys, traj, sched, seed, t_end=t_end, opts=opts)
+        except errors.Error:
             break
         grid = np.linspace(0.0, w, n_cells + 1)
         atoms = np.array(sched.atoms[:n_cells], dtype=float, copy=True)
@@ -474,15 +446,9 @@ def bang_polish(
             if b <= a:
                 continue
             q = _cell_switching_vector(sys, adj, a, b)
-            qn = float(np.linalg.norm(q))
-            if isinstance(cs, BallSet):
-                if qn <= 1e-14 * (b - a) or cs.radius == 0.0:
-                    continue
-                u_i = (cs.radius / qn) * q
-            else:
-                mid = 0.5 * (cs.lower + cs.upper)
-                u_i = np.where(q > 0.0, cs.upper, np.where(q < 0.0, cs.lower, mid))
-            atoms[i, :, :] = u_i
+            u_i, _, degenerate = _linear_argmax(cs, q, 1e-14 * (b - a))
+            if not degenerate:
+                atoms[i, :, :] = u_i
         sched = RelaxedSchedule(grid=grid, atoms=atoms, weights=np.array(sched.weights, copy=True))
     return best
 
@@ -567,9 +533,7 @@ def quenching_conclusions(
                 psis = np.asarray(adjoint.psis, dtype=float)
                 norms.append(float(np.linalg.norm(_psi_at(ts, psis, t_end))))
                 continue
-            y_e = traj.interp(t_end)
-            j = int(np.searchsorted(traj.times, t_end)) - 1
-            seed = normal_cone_seed(tgt, y_e, traj.states[max(j, 0)])
+            seed = exit_covector(sys, tgt, traj, t_end)
             sweep = integrate_adjoint(sys, traj, schedule, seed, t_end=t_end, opts=opts)
             norms.append(sweep.norm_at_end())
     ratios = tuple(b / a for a, b in zip(norms, norms[1:]) if a > 0.0)

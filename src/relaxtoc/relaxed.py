@@ -9,8 +9,6 @@ renormalized on construction so the simplex invariant holds exactly.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,22 +74,6 @@ class ClassicalSchedule:
             "grid": [float(t) for t in self.grid],
             "values": [[float(v) for v in row] for row in self.values],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ClassicalSchedule":
-        if d.get("kind") != "classical":
-            raise ValueError("not a classical schedule dict")
-        return cls(grid=_vec(d["grid"]), values=_vec(d["values"]))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_lo", "t_hi"] + [f"u{j}" for j in range(self.dim_control)])
-            for j in range(self.cells):
-                w.writerow(
-                    [f"{self.grid[j]:.17g}", f"{self.grid[j + 1]:.17g}"]
-                    + [f"{v:.17g}" for v in self.values[j]]
-                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,41 +162,6 @@ class RelaxedSchedule:
             "atoms": [[[float(v) for v in atom] for atom in block] for block in self.atoms],
             "weights": [[float(w) for w in row] for row in self.weights],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RelaxedSchedule":
-        if d.get("kind") != "relaxed":
-            raise ValueError("not a relaxed schedule dict")
-        return cls(grid=_vec(d["grid"]), atoms=_vec(d["atoms"]), weights=_vec(d["weights"]))
-
-    def write_csv(self, path) -> None:
-        K, m = self.n_atoms, self.dim_control
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = ["t_lo", "t_hi"]
-            for i in range(K):
-                header += [f"atom{i}_u{j}" for j in range(m)] + [f"weight{i}"]
-            w.writerow(header)
-            for c in range(self.cells):
-                row = [f"{self.grid[c]:.17g}", f"{self.grid[c + 1]:.17g}"]
-                for i in range(K):
-                    row += [f"{v:.17g}" for v in self.atoms[c, i]]
-                    row += [f"{self.weights[c, i]:.17g}"]
-                w.writerow(row)
-
-
-def schedule_to_json(schedule, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(schedule.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def schedule_from_json(path):
-    with open(path) as fh:
-        d = json.load(fh)
-    if d.get("kind") == "relaxed":
-        return RelaxedSchedule.from_json_dict(d)
-    return ClassicalSchedule.from_json_dict(d)
 
 
 def to_dirac(schedule: ClassicalSchedule) -> RelaxedSchedule:

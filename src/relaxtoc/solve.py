@@ -19,7 +19,7 @@ Every other system (finite control sets, non-affine dynamics), polish=False,
 and a seed that yields no certified hit fall back to multi-start projected
 gradient descent on
 
-    J = time_weight * w + penalty * d(x(1), Q_alpha)^2
+    J = w + penalty * d(x(1), Q_alpha)^2
 
 with Armijo backtracking and penalty continuation; gradients come from one
 backward pass of the adjoint augmented with the running integrals that make
@@ -51,6 +51,14 @@ from .integrate import HIT_TARGET, MAX_TIME, IntegratorOptions, Trajectory, inte
 from .relaxed import ClassicalSchedule, RelaxedSchedule, filippov_select, project_simplex
 from .target import TargetSet
 
+# descent constants: first penalty and its growth per continuation round,
+# relative gradient and step floors, and the smallest horizon a step may take
+PENALTY0 = 10.0
+PENALTY_GROWTH = 10.0
+GRAD_TOL = 1e-7
+STEP_TOL = 1e-10
+W_MIN = 1e-6
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -58,17 +66,10 @@ class SolveOptions:
     n_atoms: int = 3
     multi_starts: int = 8
     max_iters: int = 40
-    penalty0: float = 10.0
-    penalty_growth: float = 10.0
     penalty_rounds: int = 4
-    time_weight: float = 1.0
-    grad_tol: float = 1e-7
-    step_tol: float = 1e-10
-    w_min: float = 1e-6
     w_max: float = 50.0
     seed: int = 0
     polish: bool = True
-    polish_rounds: int = 30
     inner: IntegratorOptions = field(
         default_factory=lambda: IntegratorOptions(rtol=1e-7, atol=1e-9)
     )
@@ -125,19 +126,15 @@ class LadderTrace:
         }
 
 
-def _chart_point(sys, y):
-    return sys.chart.to_chart(np.asarray(y, dtype=float)) if sys.chart is not None else np.asarray(y, dtype=float)
-
-
 def initial_distance(sys: ControlSystem, tgt: TargetSet, y0) -> float:
     """Distance from the start to the (possibly inflated) target, measured in
     chart coordinates for compactified systems."""
-    return float(tgt.distance(_chart_point(sys, y0)))
+    return float(tgt.distance(sys.target_coords(y0)))
 
 
 def _target_direction(sys, tgt_a, y0):
     """Unit covector along which motion decreases the target distance."""
-    x = _chart_point(sys, y0)
+    x = sys.target_coords(y0)
     gap = tgt_a.project(x) - x
     d = float(np.linalg.norm(gap))
     if d == 0.0:
@@ -199,7 +196,7 @@ def _probe_w(sys, tgt_a, y0, sched_unit, opts):
         return min(tr.hit.time, opts.w_max), True
     if tr.hit.status == MAX_TIME:
         return opts.w_max, False
-    return max(0.9 * tr.hit.time, 10.0 * opts.w_min), False
+    return max(0.9 * tr.hit.time, 10.0 * W_MIN), False
 
 
 def objective_gradient(
@@ -208,11 +205,10 @@ def objective_gradient(
     schedule: RelaxedSchedule,
     w: float,
     y0,
-    time_weight: float = 1.0,
     penalty: float = 1.0,
     opts: Optional[IntegratorOptions] = None,
 ):
-    """Value and gradient of J = time_weight*w + penalty*d(x(w), Q)^2.
+    """Value and gradient of J = w + penalty*d(x(w), Q)^2.
 
     `schedule` lives on a unit grid; the trajectory must not hit the target
     before time 1 in rescaled time.  Returns (value, grad) with grad a dict
@@ -225,14 +221,11 @@ def objective_gradient(
         raise errors.SingularStall(
             f"trajectory ended with status {traj.hit.status!r} before s = 1"
         )
-    value, grad = _gradient_from_trajectory(
-        sys, tgt, schedule, w, traj, time_weight, penalty, opts
-    )
-    return value, grad
+    return _gradient_from_trajectory(sys, tgt, schedule, w, traj, penalty, opts)
 
 
 def _terminal_seed(sys, tgt, y1, penalty):
-    x1 = _chart_point(sys, y1)
+    x1 = sys.target_coords(y1)
     d = float(tgt.distance(x1))
     gap = x1 - tgt.project(x1)
     lam = 2.0 * penalty * gap
@@ -241,7 +234,7 @@ def _terminal_seed(sys, tgt, y1, penalty):
     return d, lam
 
 
-def _gradient_from_trajectory(sys, tgt, schedule, w, traj, time_weight, penalty, opts):
+def _gradient_from_trajectory(sys, tgt, schedule, w, traj, penalty, opts):
     n = sys.dim_state
     m = sys.dim_control
     grid = schedule.grid
@@ -251,7 +244,7 @@ def _gradient_from_trajectory(sys, tgt, schedule, w, traj, time_weight, penalty,
 
     y1 = traj.final_state
     d_term, lam = _terminal_seed(sys, tgt, y1, penalty)
-    value = time_weight * w + penalty * d_term * d_term
+    value = w + penalty * d_term * d_term
 
     d_atoms = np.zeros((N, K, m))
     d_weights = np.zeros((N, K))
@@ -307,7 +300,7 @@ def _gradient_from_trajectory(sys, tgt, schedule, w, traj, time_weight, penalty,
         q[n:] = 0.0
 
     grad = {
-        "d_w": time_weight + i_w,
+        "d_w": 1.0 + i_w,
         "d_atoms": d_atoms,
         "d_weights": d_weights,
         "terminal_distance": d_term,
@@ -315,20 +308,20 @@ def _gradient_from_trajectory(sys, tgt, schedule, w, traj, time_weight, penalty,
     return value, grad
 
 
-def _eval_objective(sys, tgt_a, sched_unit, w, y0, time_weight, penalty, opts):
+def _eval_objective(sys, tgt_a, sched_unit, w, y0, penalty, opts):
     """(J, d_term, s_hit or None). Early hits report the scaled hit time."""
     scaled = time_scaled(sys, w)
     traj = integrate_forward(scaled, sched_unit, y0, tgt=tgt_a, t_max=1.0, opts=opts)
     if traj.hit.status == HIT_TARGET:
         s_h = min(traj.hit.time, 1.0)
         if s_h < 1.0 - 1e-9:
-            return time_weight * w * s_h, traj.hit.terminal_distance, s_h, traj
+            return w * s_h, traj.hit.terminal_distance, s_h, traj
         d = traj.hit.terminal_distance
-        return time_weight * w + penalty * d * d, d, None, traj
+        return w + penalty * d * d, d, None, traj
     if traj.hit.status != MAX_TIME:
         return np.inf, np.inf, None, traj
-    d = float(tgt_a.distance(_chart_point(sys, traj.final_state)))
-    return time_weight * w + penalty * d * d, d, None, traj
+    d = float(tgt_a.distance(sys.target_coords(traj.final_state)))
+    return w + penalty * d * d, d, None, traj
 
 
 def _pack(w, atoms, weights):
@@ -345,7 +338,7 @@ def _unpack(theta, shape_a, shape_w):
 
 def _project_params(theta, sys, opts, shape_a, shape_w, freeze_atoms):
     w, atoms, weights = _unpack(theta, shape_a, shape_w)
-    w = float(np.clip(w, opts.w_min, opts.w_max))
+    w = float(np.clip(w, W_MIN, opts.w_max))
     if not freeze_atoms:
         atoms = np.stack(
             [
@@ -363,28 +356,25 @@ def _optimize_seed(sys, tgt_a, y0, sched0, opts):
     shape_a = sched0.atoms.shape
     shape_w = sched0.weights.shape
     freeze_atoms = isinstance(sys.control_set, FiniteSet)
-    tw = opts.time_weight
 
     w, hit0 = _probe_w(sys, tgt_a, y0, sched0, opts)
     atoms = sched0.atoms.copy()
     weights = sched0.weights.copy()
 
-    penalty = opts.penalty0
+    penalty = PENALTY0
     eta = 0.5
     best = None
 
     for _round in range(opts.penalty_rounds):
         sched = RelaxedSchedule(grid=grid, atoms=atoms, weights=weights)
-        J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, tw, penalty, opts.inner)
+        J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, penalty, opts.inner)
         while s_h is not None:
-            w = max(w * s_h, opts.w_min)
-            J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, tw, penalty, opts.inner)
+            w = max(w * s_h, W_MIN)
+            J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, penalty, opts.inner)
         for _it in range(opts.max_iters):
             if not np.isfinite(J):
                 break
-            _, grad = _gradient_from_trajectory(
-                sys, tgt_a, sched, w, traj, tw, penalty, opts.inner
-            )
+            _, grad = _gradient_from_trajectory(sys, tgt_a, sched, w, traj, penalty, opts.inner)
             g = _pack(grad["d_w"], grad["d_atoms"], grad["d_weights"])
             theta = _pack(w, atoms, weights)
             accepted = False
@@ -394,23 +384,17 @@ def _optimize_seed(sys, tgt_a, y0, sched0, opts):
                 )
                 step = trial - theta
                 step_norm = float(np.linalg.norm(step))
-                if step_norm <= opts.step_tol * (1.0 + float(np.linalg.norm(theta))):
+                if step_norm <= STEP_TOL * (1.0 + float(np.linalg.norm(theta))):
                     break
                 w_t, atoms_t, weights_t = _unpack(trial, shape_a, shape_w)
                 sched_t = RelaxedSchedule(grid=grid, atoms=atoms_t, weights=weights_t)
-                J_t, d_t, s_h, traj_t = _eval_objective(
-                    sys, tgt_a, sched_t, w_t, y0, tw, penalty, opts.inner
-                )
+                J_t, d_t, s_h, traj_t = _eval_objective(sys, tgt_a, sched_t, w_t, y0, penalty, opts.inner)
                 if s_h is not None:
-                    w_t = max(w_t * s_h, opts.w_min)
-                    J_t, d_t, s_h2, traj_t = _eval_objective(
-                        sys, tgt_a, sched_t, w_t, y0, tw, penalty, opts.inner
-                    )
+                    w_t = max(w_t * s_h, W_MIN)
+                    J_t, d_t, s_h2, traj_t = _eval_objective(sys, tgt_a, sched_t, w_t, y0, penalty, opts.inner)
                     if s_h2 is not None:
-                        w_t = max(w_t * s_h2, opts.w_min)
-                        J_t, d_t, _, traj_t = _eval_objective(
-                            sys, tgt_a, sched_t, w_t, y0, tw, penalty, opts.inner
-                        )
+                        w_t = max(w_t * s_h2, W_MIN)
+                        J_t, d_t, _, traj_t = _eval_objective(sys, tgt_a, sched_t, w_t, y0, penalty, opts.inner)
                 if J_t <= J - 1e-4 * step_norm * step_norm / max(eta, 1e-16):
                     w, atoms, weights = w_t, atoms_t, weights_t
                     sched, J, d_term, traj = sched_t, J_t, d_t, traj_t
@@ -420,9 +404,9 @@ def _optimize_seed(sys, tgt_a, y0, sched0, opts):
                 eta *= 0.4
             if not accepted:
                 break
-            if float(np.linalg.norm(g)) <= opts.grad_tol * (1.0 + abs(J)):
+            if float(np.linalg.norm(g)) <= GRAD_TOL * (1.0 + abs(J)):
                 break
-        penalty *= opts.penalty_growth
+        penalty *= PENALTY_GROWTH
         best = (w, atoms.copy(), weights.copy(), d_term)
     return best
 
@@ -541,9 +525,7 @@ def solve_alpha(
     w_cert, sched_phys, traj = best
 
     if opts.polish:
-        polished = pmp.bang_polish(
-            sys, tgt_a, sched_phys, y0, rounds=opts.polish_rounds, opts=opts.final
-        )
+        polished = pmp.bang_polish(sys, tgt_a, sched_phys, y0, opts=opts.final)
         if (
             polished is not None
             and polished[1] is not sched_phys

@@ -231,11 +231,6 @@ class Point(TargetSet):
         return max(0.0, -worst)
 
 
-def transversality_residual(tgt: TargetSet, q_star, psi, boundary_tol: float = 1e-6) -> float:
-    """Module-level alias for tgt.transversality_residual."""
-    return tgt.transversality_residual(q_star, psi, boundary_tol=boundary_tol)
-
-
 def transformed_transversality_residual(
     tgt: TargetSet, chart_jacobian, q_star, psi, boundary_tol: float = 1e-6
 ) -> float:
@@ -245,7 +240,7 @@ def transformed_transversality_residual(
     entry (i, j) = dG_j / dy_i; the covector transported to chart coordinates
     is phi = chart_jacobian^{-1} psi, and the residual is evaluated against
     the target expressed in chart coordinates.  The identity chart reduces to
-    transversality_residual.
+    TargetSet.transversality_residual.
     """
     jac = np.asarray(chart_jacobian, dtype=float)
     psi = _vec(psi)

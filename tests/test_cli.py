@@ -106,12 +106,32 @@ def test_bad_horizon_and_target_dimension_name_the_field(tmp_path, capsys):
         cli.run(sweep, out_dir=tmp_path)
     assert exc.value.path == "sweep.t_max"
 
-    for name, cfg in (("w_max.json", _toy_config(solver={"w_max": 0})), ("axis.json", quench)):
-        path = tmp_path / name
+    mono = {
+        "schema_version": 1,
+        "task": "monotonicity-sweep",
+        "system": {"example": "quenching-ex1"},
+        "sweep": {"case": "i", "horizon": 0.0},
+    }
+    mono_y0 = copy.deepcopy(mono)
+    mono_y0["sweep"] = {"case": "i", "y0": [0.0, 0.5, 1.0]}
+    # a command-line tolerance override is checked as the field it replaces
+    cases = [
+        ("w_max", _toy_config(solver={"w_max": 0}), [], "solver.w_max"),
+        ("axis", quench, [], "target.axis"),
+        ("ratio", _toy_config(task="ladder", ladder={"alpha0": 0.4, "ratio": 1.0}), [], "ladder.ratio"),
+        ("horizon", mono, [], "sweep.horizon"),
+        ("y0", mono_y0, [], "sweep.y0"),
+        ("rtol", _toy_config(integrator={"rtol": 0.0}), [], "integrator.rtol"),
+        ("atol", _toy_config(integrator={"atol": 0.0}), [], "integrator.atol"),
+        ("rtol-flag", _toy_config(), ["--rtol", "0"], "integrator.rtol"),
+        ("atol-flag", _toy_config(), ["--atol", "0"], "integrator.atol"),
+    ]
+    for name, cfg, flags, field in cases:
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
+        assert err.startswith(f"config error: {field}:") and "Traceback" not in err
 
 
 def test_ladder_csv_agrees_with_json(tmp_path):

@@ -135,6 +135,17 @@ def test_statuses_max_time_and_stall(toy_sys, quench_sys):
     assert abs(stalled.times[-1] - QUENCH_FREE_HIT) <= 1e-4
 
 
+def test_step_budget_raises_a_package_error(quench_sys, quench_short):
+    # a run out of steps is an integration failure, not a status and not a
+    # bare RuntimeError, so the command line reports it as exit 2
+    tight = IntegratorOptions(max_steps=5)
+    with pytest.raises(errors.IntegrationFailed):
+        integrate_forward(quench_sys, None, np.array([0.0, 0.5]), tgt=None, t_max=0.5, opts=tight)
+    control, traj = quench_short
+    with pytest.raises(errors.IntegrationFailed):
+        integrate_adjoint(quench_sys, traj, control, np.array([0.3, 0.9]), opts=tight)
+
+
 def test_status_diverged_in_chart(blowup_free_g1):
     traj = integrate_forward(blowup_free_g1, None, np.array([1.0]), tgt=None, t_max=2.0)
     assert traj.hit.status == DIVERGED

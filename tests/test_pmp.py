@@ -194,6 +194,26 @@ def test_verify_on_exact_extremal(toy_extremal):
         assert n == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.2])
+def test_verify_measures_weight_off_the_argmax(lam):
+    # weight lam on the strictly suboptimal atom -1 for the whole horizon:
+    # the support mass is lam, and max H - H = 1 - (1 - 2 lam) = 2 lam
+    sys = make_integrator_system(1)
+    tgt = Point(location=[1.0])
+    sched = RelaxedSchedule(
+        grid=[0.0, 1.0, 2.0],
+        atoms=np.array([[[1.0], [-1.0]]] * 2),
+        weights=np.array([[1.0 - lam, lam]] * 2),
+    )
+    traj = integrate_forward(
+        sys, sched, [0.0], tgt=tgt, t_max=3.0, opts=IntegratorOptions(hit_tol=1e-9)
+    )
+    assert traj.hit.status == HIT_TARGET
+    report = verify(sys, tgt, (traj.hit.time, traj, sched))
+    assert report.support_violation_mass == pytest.approx(lam, rel=1e-12)
+    assert report.hamiltonian_residual == pytest.approx(2.0 * lam, rel=1e-9)
+
+
 def test_verify_report_serializes(toy_extremal):
     sys, tgt, sched, traj = toy_extremal
     report = verify(sys, tgt, (traj.hit.time, traj, sched))
