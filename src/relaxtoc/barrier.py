@@ -21,7 +21,7 @@ the positive root of theta^p - theta - M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import errors
 from ._rk import integrate_plain
-from .dynamics import PiecewiseConstant
+from .dynamics import BallSet, ControlSystem, PiecewiseConstant, quench_drift, quench_drift_jacobian
 from .integrate import HIT_TARGET, MAX_TIME, IntegratorOptions, integrate_forward
 from .target import Hyperplane
 
@@ -437,16 +437,13 @@ class MonotonicityVerdict:
 
 
 def _quench_forced_system(g_fn, h_fn, knots):
-    from .dynamics import BallSet, ControlSystem
-
     def field(t, y, u):
-        base = np.array([y[1] / (1.0 - y[0]), y[0] + y[1]])
         extra = np.broadcast_to(g_fn(t), (2,)).astype(float).copy()
         extra[0] += float(h_fn(t))
-        return base + extra
+        return quench_drift(t, y) + extra
 
     def jacobian(t, y, u):
-        return np.array([[y[1] / (1.0 - y[0]) ** 2, 1.0], [1.0 / (1.0 - y[0]), 1.0]])
+        return quench_drift_jacobian(t, y)
 
     return ControlSystem(
         name="quenching-forced",

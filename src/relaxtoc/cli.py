@@ -46,6 +46,7 @@ from .target import Ball, HalfSpace, Hyperplane, Point
 
 SCHEMA_VERSION = 1
 TASKS = ("solve", "ladder", "verify", "barrier-sweep", "monotonicity-sweep")
+SOLVER_FIELDS = ("n_cells", "n_atoms", "multi_starts", "w_max")
 _MISSING = object()
 
 
@@ -170,18 +171,26 @@ def build_system(desc, path="system"):
         return sys_, np.array([0.0, 0.5]), {"type": "hyperplane", "axis": 0, "level": 1.0}
     n = _int(desc, "n", path, 1, lo=1)
     B = _input_signal(_get(desc, "B", path, None), f"{path}.B", n)
+    p = _num(desc, "p", path, 2.0, gt=1.0)
     sys_ = make_blowup_system(
         n=n,
-        p=_num(desc, "p", path, 2.0),
+        p=p,
         B=B,
         rho0=_num(desc, "rho0", path, 1.0, lo=0.0),
-        gamma=_num(desc, "gamma", path, None),
+        gamma=_num(desc, "gamma", path, None, lo=p - 1.0),
         r1=_num(desc, "r1", path, None),
     )
     return sys_, np.full(n, 3.0 / np.sqrt(n)), {"type": "point", "location": [0.0] * n}
 
 
 def build_solve_options(cfg, path, seed, integrator):
+    if not isinstance(cfg, dict):
+        raise errors.ConfigError(path, "expected an object")
+    unknown = sorted(set(cfg) - set(SOLVER_FIELDS))
+    if unknown:
+        raise errors.ConfigError(
+            _join(path, unknown[0]), f"unknown field, expected one of {list(SOLVER_FIELDS)}"
+        )
     final = IntegratorOptions(**integrator)
     inner = IntegratorOptions(
         rtol=max(integrator["rtol"], 1e-7),
@@ -192,10 +201,7 @@ def build_solve_options(cfg, path, seed, integrator):
         n_cells=_int(cfg, "n_cells", path, 12, lo=1),
         n_atoms=_int(cfg, "n_atoms", path, 3, lo=1),
         multi_starts=_int(cfg, "multi_starts", path, 8, lo=1),
-        max_iters=_int(cfg, "max_iters", path, 40, lo=1),
-        penalty_rounds=_int(cfg, "penalty_rounds", path, 4, lo=1),
         w_max=_num(cfg, "w_max", path, 50.0, gt=0.0),
-        polish=bool(_get(cfg, "polish", path, True)),
         seed=seed,
         inner=inner,
         final=final,

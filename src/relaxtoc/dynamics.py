@@ -12,7 +12,7 @@ finite differences of field in y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -349,29 +349,31 @@ def _affine_system(
     )
 
 
+def quench_drift(t, y) -> np.ndarray:
+    """Uncontrolled quenching field (y2/(1 - y1), y1 + y2), singular on y1 = 1."""
+    return np.array([y[1] / (1.0 - y[0]), y[0] + y[1]])
+
+
+def quench_drift_jacobian(t, y) -> np.ndarray:
+    """Jacobian of quench_drift in gradient layout."""
+    one = 1.0 - y[0]
+    return np.array([[y[1] / one**2, 1.0], [1.0 / one, 1.0]])
+
+
 def make_quenching_system(B=None, rho0: float = 1.0) -> ControlSystem:
     """Planar system y1' = y2/(1 - y1) + (Bu)_1, y2' = y1 + y2 + (Bu)_2.
 
     The field is singular on the line y1 = 1, which is also the target of the
     associated time-optimal problem; |u| <= rho0.
     """
-    Bsig = _input_matrix(B, 2, 2)
-
-    def drift(t, y):
-        return np.array([y[1] / (1.0 - y[0]), y[0] + y[1]])
-
-    def drift_jac(t, y):
-        one = 1.0 - y[0]
-        return np.array([[y[1] / one**2, 1.0], [1.0 / one, 1.0]])
-
     return _affine_system(
         name="quenching-ex1",
         kind="quenching",
         n=2,
         m=2,
-        drift=drift,
-        drift_jacobian=drift_jac,
-        Bsig=Bsig,
+        drift=quench_drift,
+        drift_jacobian=quench_drift_jacobian,
+        Bsig=_input_matrix(B, 2, 2),
         control_set=BallSet(radius=float(rho0), dim=2),
         singular_set=Hyperplane(axis=0, level=1.0),
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _rk, errors
 from .dynamics import ControlSystem
-from .relaxed import ClassicalSchedule, RelaxedSchedule
+from .relaxed import ClassicalSchedule
 from .target import HalfSpace, Hyperplane
 
 HIT_TARGET = "hit-target"

@@ -37,7 +37,18 @@ from .integrate import (
 from .relaxed import RelaxedSchedule, relaxed_field
 from .target import Ball, HalfSpace, Hyperplane, Point, TargetSet, transformed_transversality_residual
 
-DEFAULT_DELTAS = (1e-2, 1e-3, 1e-4)
+# relative pre-terminal offsets T - delta * T of the adjoint seed family
+DELTAS = (1e-2, 1e-3, 1e-4)
+# relative distance within which a cell's mean control agrees with the argmax
+AGREEMENT_TOL = 1e-3
+# bang_polish stops after POLISH_ROUNDS sweeps, or at the first sweep that
+# does not cut w by POLISH_W_TOL (relative)
+POLISH_ROUNDS = 30
+POLISH_W_TOL = 1e-12
+# quenching conclusions: relative tolerance on the sign of y2(T), and the
+# largest admitted ratio of consecutive covector norms on the delta family
+SIGN_TOL = 1e-7
+DECAY_RATIO = 0.7
 
 
 class HamiltonianMax(NamedTuple):
@@ -267,8 +278,6 @@ def verify(
     tgt: TargetSet,
     triple,
     adjoint_seed=None,
-    deltas=DEFAULT_DELTAS,
-    agreement_tol: float = 1e-3,
     opts: Optional[IntegratorOptions] = None,
 ) -> PmpReport:
     """Measure the maximum-principle residuals of a candidate triple.
@@ -277,7 +286,7 @@ def verify(
     the trajectory must have hit the target.  adjoint_seed is an explicit
     terminal covector, or None to derive one from the target geometry at the
     exit point.  Point targets and chart-read targets are seeded at the
-    pre-terminal family T - delta * T, delta from deltas, and the |psi| trend
+    pre-terminal family T - delta * T, delta from DELTAS, and the |psi| trend
     is reported in terminal_decay.  The support-violation mass is the
     time-averaged weight on atoms whose H falls short of max H by more than
     1e-6 * (1 + sup |max H|), relative because H scales with both psi and the
@@ -302,11 +311,11 @@ def verify(
     if family:
         norms = []
         adjoint = None
-        for d in deltas:
+        for d in DELTAS:
             t_end = t_bar * (1.0 - d)
             adjoint = integrate_adjoint(sys, traj, schedule, seed_at(t_end), t_end=t_end, opts=opts)
             norms.append(adjoint.norm_at_end())
-        decay = tuple((d * t_bar, n) for d, n in zip(deltas, norms))
+        decay = tuple((d * t_bar, n) for d, n in zip(DELTAS, norms))
         terminal_norm = norms[-1]
     else:
         adjoint = integrate_adjoint(sys, traj, schedule, seed_at(t_bar), t_end=t_bar, opts=opts)
@@ -348,7 +357,7 @@ def verify(
             continue
         live_time += dt
         u_mean = weights @ atoms
-        if float(np.linalg.norm(u_mean - best.control)) <= agreement_tol * (
+        if float(np.linalg.norm(u_mean - best.control)) <= AGREEMENT_TOL * (
             1.0 + float(np.linalg.norm(best.control))
         ):
             agree_time += dt
@@ -394,9 +403,7 @@ def bang_polish(
     tgt: TargetSet,
     schedule: RelaxedSchedule,
     y0,
-    rounds: int = 30,
     opts: Optional[IntegratorOptions] = None,
-    w_tol: float = 1e-12,
 ):
     """Refine a certified schedule by iterating the maximum condition.
 
@@ -418,7 +425,7 @@ def bang_polish(
     n_cells, n_atoms = schedule.weights.shape
     sched = schedule
     best = None
-    for _ in range(max(rounds, 1)):
+    for _ in range(POLISH_ROUNDS):
         w_ref = best[0] if best is not None else float(sched.grid[-1])
         t_max = w_ref * 1.2 + 100.0 * opts.hit_tol
         try:
@@ -428,7 +435,7 @@ def bang_polish(
         if traj.hit.status != HIT_TARGET:
             break
         w = float(traj.hit.time)
-        improved = best is None or w < best[0] - w_tol * (1.0 + w)
+        improved = best is None or w < best[0] - POLISH_W_TOL * (1.0 + w)
         if best is None or w < best[0]:
             best = (w, sched, traj)
         if not improved:
@@ -490,54 +497,39 @@ class QuenchingConclusions:
 
 def quenching_conclusions(
     triple,
-    adjoint: Optional[AdjointTrajectory] = None,
-    sys: Optional[ControlSystem] = None,
-    tgt: Optional[TargetSet] = None,
-    deltas=DEFAULT_DELTAS,
-    sign_tol: float = 1e-7,
-    decay_ratio: float = 0.7,
+    *,
+    sys: ControlSystem,
+    tgt: TargetSet,
     opts: Optional[IntegratorOptions] = None,
 ) -> QuenchingConclusions:
     """Check the optimal-quenching conclusions on a candidate triple.
 
     The trajectory should approach the true singular line (tiny or zero
-    inflation), since both conclusions concern the singular limit.  When an
-    adjoint is supplied its samples near the hit time are reused; otherwise a
-    fresh backward sweep is run for every pre-terminal time T - delta * T.
+    inflation), since both conclusions concern the singular limit; a fresh
+    backward sweep is run for every pre-terminal time T - delta * T.
     """
     w, traj, schedule = _unpack_triple(triple)
-    sys = sys if sys is not None else getattr(triple, "system", None)
-    if sys is None:
-        raise ValueError("quenching_conclusions needs the control system (pass sys=...)")
     if sys.kind != "quenching":
         raise errors.NotQuenchingSystem(f"system kind is {sys.kind!r}, not 'quenching'")
     if traj.hit is None or traj.hit.status != HIT_TARGET:
         raise errors.NotHit("conclusions need a trajectory that reaches the singular line")
-    tgt = tgt if tgt is not None else getattr(triple, "target", None)
-    if tgt is None:
-        tgt = sys.singular_set
 
     t_bar = min(float(traj.hit.time), float(traj.times[-1]))
     y_end = traj.states[-1]
     y2_terminal = float(y_end[1])
     scale = 1.0 + float(np.linalg.norm(y_end))
-    sign_ok = y2_terminal >= -sign_tol * scale
-    decay_skipped = y2_terminal <= sign_tol * scale
+    sign_ok = y2_terminal >= -SIGN_TOL * scale
+    decay_skipped = y2_terminal <= SIGN_TOL * scale
 
     norms = []
     if not decay_skipped:
-        for d in deltas:
+        for d in DELTAS:
             t_end = t_bar * (1.0 - d)
-            if adjoint is not None and adjoint.seed_time >= t_end:
-                ts = np.asarray(adjoint.times, dtype=float)
-                psis = np.asarray(adjoint.psis, dtype=float)
-                norms.append(float(np.linalg.norm(_psi_at(ts, psis, t_end))))
-                continue
             seed = exit_covector(sys, tgt, traj, t_end)
             sweep = integrate_adjoint(sys, traj, schedule, seed, t_end=t_end, opts=opts)
             norms.append(sweep.norm_at_end())
     ratios = tuple(b / a for a, b in zip(norms, norms[1:]) if a > 0.0)
-    decay_ok = decay_skipped or (len(ratios) == len(norms) - 1 and all(r < decay_ratio for r in ratios))
+    decay_ok = decay_skipped or (len(ratios) == len(norms) - 1 and all(r < DECAY_RATIO for r in ratios))
     return QuenchingConclusions(
         ok=bool(sign_ok and decay_ok),
         y2_terminal=y2_terminal,

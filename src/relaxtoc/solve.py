@@ -15,9 +15,9 @@ the certified hit time does not get worse.  The hit time is flat in the
 control to first order at the optimum, so that fixed point lands where
 descent would crawl.
 
-Every other system (finite control sets, non-affine dynamics), polish=False,
-and a seed that yields no certified hit fall back to multi-start projected
-gradient descent on
+Every other system (finite control sets, non-affine dynamics) and a seed
+that yields no certified hit fall back to multi-start projected gradient
+descent on
 
     J = w + penalty * d(x(1), Q_alpha)^2
 
@@ -39,22 +39,18 @@ import numpy as np
 
 from . import errors, pmp
 from ._rk import integrate_plain
-from .dynamics import (
-    BallSet,
-    BoxSet,
-    ControlSystem,
-    FiniteSet,
-    control_jacobian,
-    time_scaled,
-)
+from .dynamics import ControlSystem, FiniteSet, control_jacobian, time_scaled
 from .integrate import HIT_TARGET, MAX_TIME, IntegratorOptions, Trajectory, integrate_forward
 from .relaxed import ClassicalSchedule, RelaxedSchedule, filippov_select, project_simplex
 from .target import TargetSet
 
-# descent constants: first penalty and its growth per continuation round,
-# relative gradient and step floors, and the smallest horizon a step may take
+# descent constants: continuation rounds, first penalty and its growth per
+# round, iterations per round, relative gradient and step floors, and the
+# smallest horizon a step may take
+PENALTY_ROUNDS = 4
 PENALTY0 = 10.0
 PENALTY_GROWTH = 10.0
+MAX_ITERS = 40
 GRAD_TOL = 1e-7
 STEP_TOL = 1e-10
 W_MIN = 1e-6
@@ -65,11 +61,8 @@ class SolveOptions:
     n_cells: int = 12
     n_atoms: int = 3
     multi_starts: int = 8
-    max_iters: int = 40
-    penalty_rounds: int = 4
     w_max: float = 50.0
     seed: int = 0
-    polish: bool = True
     inner: IntegratorOptions = field(
         default_factory=lambda: IntegratorOptions(rtol=1e-7, atol=1e-9)
     )
@@ -155,15 +148,8 @@ def _bang_atom(sys, t, y, direction, rng):
         scores = [float(direction @ sys.field(t, y, p)) for p in cs.points]
         return np.asarray(cs.points[int(np.argmax(scores))], dtype=float)
     fu = control_jacobian(sys, t, y, cs.project(np.zeros(sys.dim_control)))
-    g = fu.T @ direction
-    if isinstance(cs, BallSet):
-        ng = float(np.linalg.norm(g))
-        if ng <= 1e-14 or cs.radius == 0.0:
-            return cs.project(cs.boundary_sample(rng))
-        return cs.radius * g / ng
-    if isinstance(cs, BoxSet):
-        return np.where(g >= 0.0, cs.upper, cs.lower).astype(float)
-    return cs.project(cs.boundary_sample(rng))
+    u, _, degenerate = pmp._linear_argmax(cs, fu.T @ direction, 1e-14)
+    return cs.project(cs.boundary_sample(rng)) if degenerate else u
 
 
 def _greedy_schedule(sys, tgt_a, y0, opts) -> RelaxedSchedule:
@@ -365,13 +351,13 @@ def _optimize_seed(sys, tgt_a, y0, sched0, opts):
     eta = 0.5
     best = None
 
-    for _round in range(opts.penalty_rounds):
+    for _round in range(PENALTY_ROUNDS):
         sched = RelaxedSchedule(grid=grid, atoms=atoms, weights=weights)
         J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, penalty, opts.inner)
         while s_h is not None:
             w = max(w * s_h, W_MIN)
             J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, penalty, opts.inner)
-        for _it in range(opts.max_iters):
+        for _it in range(MAX_ITERS):
             if not np.isfinite(J):
                 break
             _, grad = _gradient_from_trajectory(sys, tgt_a, sched, w, traj, penalty, opts.inner)
@@ -411,15 +397,17 @@ def _optimize_seed(sys, tgt_a, y0, sched0, opts):
     return best
 
 
-def _finalize_candidate(sys, tgt_a, y0, w, atoms, weights, grid, opts):
-    """Tight re-integration defines the certified hit time (or rejects)."""
-    sched_unit = RelaxedSchedule(grid=grid, atoms=atoms, weights=weights)
-    t_max = min(w * 1.2 + 100.0 * opts.final.hit_tol, opts.w_max * 1.2)
-    phys = sched_unit.scaled_grid(w)
-    traj = integrate_forward(sys, phys, y0, tgt=tgt_a, t_max=t_max, opts=opts.final)
+def _certify(sys, tgt_a, y0, sched_phys, opts):
+    """Tight re-integration of a physical-time schedule defines the certified
+    hit time: (w, schedule, trajectory), or None without a hit."""
+    span = float(sched_phys.grid[-1] - sched_phys.grid[0])
+    if span <= 0.0:
+        return None
+    t_max = min(span * 1.2 + 100.0 * opts.final.hit_tol, opts.w_max * 1.2)
+    traj = integrate_forward(sys, sched_phys, y0, tgt=tgt_a, t_max=t_max, opts=opts.final)
     if traj.hit.status != HIT_TARGET:
         return None
-    return traj.hit.time, phys, traj
+    return traj.hit.time, sched_phys, traj
 
 
 def classicalize(result: SolveResult) -> ClassicalSchedule:
@@ -451,12 +439,10 @@ def _best_candidate(outcomes):
 def _seed_candidates(sys, tgt_a, y0, init, greedy, opts):
     """Certify seeds without descent: the warm start at its own physical span,
     the greedy seed at the hit time its probe reports."""
-    outcomes = [] if init is None else [_recertify(sys, tgt_a, y0, init, opts)]
+    outcomes = [] if init is None else [_certify(sys, tgt_a, y0, init, opts)]
     w, hit = _probe_w(sys, tgt_a, y0, greedy, opts)
     if hit:
-        outcomes.append(
-            _finalize_candidate(sys, tgt_a, y0, w, greedy.atoms, greedy.weights, greedy.grid, opts)
-        )
+        outcomes.append(_certify(sys, tgt_a, y0, greedy.scaled_grid(w), opts))
     return outcomes
 
 
@@ -472,9 +458,8 @@ def _descent_candidates(sys, tgt_a, y0, seeds, opts):
         best = _optimize_seed(sys, tgt_a, y0, sched0, opts)
         if best is not None:
             w, atoms, weights, _d = best
-            outcomes.append(
-                _finalize_candidate(sys, tgt_a, y0, w, atoms, weights, sched0.grid, opts)
-            )
+            sched = RelaxedSchedule(grid=sched0.grid, atoms=atoms, weights=weights)
+            outcomes.append(_certify(sys, tgt_a, y0, sched.scaled_grid(w), opts))
     return outcomes
 
 
@@ -488,20 +473,22 @@ def solve_alpha(
 ) -> SolveResult:
     """Minimize the hit time of the alpha-inflated target over relaxed controls.
 
-    Affine systems with a ball or box control set take the certified seed and
-    polish it by the maximum condition; everything else, polish=False, and a
-    seed without a certified hit take multi-start projected gradient.  init,
-    when given, is a schedule in physical time used as the first seed.  The
-    result's reason names the certifying path: "seed", "seed+polish",
-    "descent" or "descent+polish".  Raises Infeasible when no seed yields a
-    certified hit.
+    Affine systems with a ball or box control set take the certified seed;
+    everything else, and a seed without a certified hit, take multi-start
+    projected gradient.  The winner is polished by the maximum condition
+    where the system allows it.  init, when given, is a schedule in physical
+    time used as the first seed.  The result's reason names the certifying
+    path: "seed", "seed+polish", "descent" or "descent+polish".  Raises
+    AlphaOutOfRange when the start lies within the hit tolerance of the
+    inflated target, and Infeasible when no seed yields a certified hit.
     """
     opts = opts or SolveOptions()
     y0 = np.asarray(y0, dtype=float)
     d0 = initial_distance(sys, tgt.with_alpha(0.0), y0)
-    if not (0.0 <= alpha < d0):
+    room = d0 - max(opts.inner.hit_tol, opts.final.hit_tol)
+    if not (0.0 <= alpha < room):
         raise errors.AlphaOutOfRange(
-            f"alpha = {alpha!r} outside [0, d(y0, Q)) = [0, {d0!r})"
+            f"alpha = {alpha!r} outside [0, d(y0, Q) - hit_tol) = [0, {room!r})"
         )
     tgt_a = tgt.with_alpha(alpha)
 
@@ -512,7 +499,7 @@ def solve_alpha(
     seeds.append(_greedy_schedule(sys, tgt_a, y0, opts))
 
     best = None
-    if opts.polish and pmp.polishable(sys):
+    if pmp.polishable(sys):
         best = _best_candidate(_seed_candidates(sys, tgt_a, y0, init, seeds[-1], opts))
         path = "seed"
     if best is None:
@@ -524,15 +511,14 @@ def solve_alpha(
         )
     w_cert, sched_phys, traj = best
 
-    if opts.polish:
-        polished = pmp.bang_polish(sys, tgt_a, sched_phys, y0, opts=opts.final)
-        if (
-            polished is not None
-            and polished[1] is not sched_phys
-            and polished[0] <= w_cert + 1e-12 * (1.0 + w_cert)
-        ):
-            w_cert, sched_phys, traj = polished
-            path += "+polish"
+    polished = pmp.bang_polish(sys, tgt_a, sched_phys, y0, opts=opts.final)
+    if (
+        polished is not None
+        and polished[1] is not sched_phys
+        and polished[0] <= w_cert + 1e-12 * (1.0 + w_cert)
+    ):
+        w_cert, sched_phys, traj = polished
+        path += "+polish"
 
     result = SolveResult(
         w=w_cert,
@@ -547,10 +533,7 @@ def solve_alpha(
         target=tgt_a,
     )
     if sys.affine is not None and sys.control_set.is_convex:
-        try:
-            result.classical = classicalize(result)
-        except errors.Error:
-            pass
+        result.classical = classicalize(result)
     return result
 
 
@@ -595,7 +578,7 @@ def alpha_ladder(
     ws = [r.w for r in results]
     for k in range(len(ws) - 1, 0, -1):
         if ws[k - 1] > ws[k] + 1e-12 * max(1.0, ws[k]):
-            redo = _recertify(sys, tgt.with_alpha(alphas[k - 1]), y0, results[k].schedule, opts)
+            redo = _certify(sys, tgt.with_alpha(alphas[k - 1]), y0, results[k].schedule, opts)
             if redo is not None and redo[0] < ws[k - 1]:
                 w_new, sched_new, traj_new = redo
                 results[k - 1] = replace(
@@ -624,13 +607,3 @@ def alpha_ladder(
         w_star=float(w_star),
     )
 
-
-def _recertify(sys, tgt_a, y0, sched_phys, opts):
-    span = float(sched_phys.grid[-1] - sched_phys.grid[0])
-    if span <= 0.0:
-        return None
-    t_max = min(span * 1.2, opts.w_max * 1.2)
-    traj = integrate_forward(sys, sched_phys, y0, tgt=tgt_a, t_max=t_max, opts=opts.final)
-    if traj.hit.status != HIT_TARGET:
-        return None
-    return traj.hit.time, sched_phys, traj

@@ -114,6 +114,11 @@ def test_bad_horizon_and_target_dimension_name_the_field(tmp_path, capsys):
     }
     mono_y0 = copy.deepcopy(mono)
     mono_y0["sweep"] = {"case": "i", "y0": [0.0, 0.5, 1.0]}
+    # the blowup chart needs p > 1 and gamma >= p - 1
+    steep = copy.deepcopy(cli.list_examples()["blowup-ex2"]["default_config"])
+    steep["system"].update(p=3.0, gamma=1.0)
+    linear = copy.deepcopy(cli.list_examples()["blowup-ex2"]["default_config"])
+    linear["system"].update(p=1.0)
     # a command-line tolerance override is checked as the field it replaces
     cases = [
         ("w_max", _toy_config(solver={"w_max": 0}), [], "solver.w_max"),
@@ -125,6 +130,12 @@ def test_bad_horizon_and_target_dimension_name_the_field(tmp_path, capsys):
         ("atol", _toy_config(integrator={"atol": 0.0}), [], "integrator.atol"),
         ("rtol-flag", _toy_config(), ["--rtol", "0"], "integrator.rtol"),
         ("atol-flag", _toy_config(), ["--atol", "0"], "integrator.atol"),
+        ("gamma", steep, [], "system.gamma"),
+        ("p", linear, [], "system.p"),
+        # removed solver fields fail loudly instead of being ignored
+        ("polish", _toy_config(solver={"polish": False}), [], "solver.polish"),
+        ("max_iters", _toy_config(solver={"max_iters": 5}), [], "solver.max_iters"),
+        ("penalty_rounds", _toy_config(solver={"penalty_rounds": 2}), [], "solver.penalty_rounds"),
     ]
     for name, cfg, flags, field in cases:
         path = tmp_path / f"{name}.json"
@@ -201,6 +212,13 @@ def test_main_exit_codes(tmp_path, capsys):
     wrong.write_text(json.dumps(_toy_config(task="dance")))
     assert cli.main(["run", str(wrong)]) == 2
     assert "config error: task" in capsys.readouterr().err
+
+    # alpha leaves the start within the hit tolerance of the inflated target
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps(_toy_config(alpha=0.999999999)))
+    assert cli.main(["run", str(edge), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [AlphaOutOfRange]") and "Traceback" not in err
 
 
 def test_main_lists_catalog(capsys):

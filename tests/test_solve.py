@@ -7,6 +7,7 @@ import pytest
 
 from relaxtoc.barrier import build_barrier_table, xi_lower_time, xi_upper_time
 from relaxtoc.dynamics import FiniteSet, make_blowup_system, make_integrator_system
+from relaxtoc import solve
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
 from relaxtoc.relaxed import RelaxedSchedule
 from relaxtoc.solve import (
@@ -201,12 +202,26 @@ def test_finite_control_set_falls_back_to_descent(toy_target):
 
 
 def test_descent_without_polish_is_no_better(quench_sys, quench_target, quench_y0, quench_solution):
-    # polish=False takes the descent route; its certified hit cannot beat
-    # the seed -> polish answer beyond the integration tolerance
+    # descent from the greedy seed, unpolished, certifies a hit that cannot
+    # beat the seed -> polish answer beyond the integration tolerance
     routed, opts = quench_solution
-    res = solve_alpha(
-        quench_sys, quench_target, quench_y0, 0.25, opts=replace(opts, polish=False, multi_starts=1)
+    opts = replace(opts, multi_starts=1)
+    tgt_a = quench_target.with_alpha(0.25)
+    greedy = solve._greedy_schedule(quench_sys, tgt_a, quench_y0, opts)
+    best = solve._best_candidate(
+        solve._descent_candidates(quench_sys, tgt_a, quench_y0, [greedy], opts)
     )
-    assert res.reason == "descent"
-    assert res.trajectory.hit.status == HIT_TARGET
-    assert res.w >= routed.w - 1e-8 * (1.0 + routed.w)
+    assert best is not None
+    w, _sched, traj = best
+    assert traj.hit.status == HIT_TARGET
+    assert w >= routed.w - 1e-8 * (1.0 + routed.w)
+
+
+def test_seed_leaves_an_undriven_axis_alone():
+    # the drive toward (1, 0) from the origin has a zero second component;
+    # the greedy seed must not push that axis to a corner, or it misses the
+    # target and the solve falls back to descent above the exact 0.9
+    sys_ = make_integrator_system(2)
+    res = solve_alpha(sys_, Point(location=[1.0, 0.0]), [0.0, 0.0], 0.1, opts=SMALL)
+    assert res.reason.startswith("seed")
+    assert res.w == pytest.approx(0.9, abs=1e-9)
