@@ -57,8 +57,11 @@ def initial_step(rhs, t0, y0, f0, direction, rtol, atol):
     """Hairer-style first step guess from the local solution scale."""
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    with np.errstate(over="ignore"):  # an infinite d1 fails the h0 check below
+        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:
+        raise errors.IntegrationFailed("field too large for a first step at these tolerances")
     y1 = y0 + h0 * direction * f0
     f1 = rhs(t0 + h0 * direction, y1)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0

@@ -88,13 +88,17 @@ class BarrierTable:
                 w.writerow([f"{r:.17g}", f"{a:.17g}", f"{b:.17g}"])
 
 
-def build_barrier_table(p: float, M: float, nodes: int = _TABLE_NODES) -> BarrierTable:
+def build_barrier_table(p: float, M: float) -> BarrierTable:
     if not np.isfinite(p) or p <= 1.0:
         raise errors.NonFinite("blowup exponent must satisfy p > 1")
     if M < 0.0:
         raise ValueError("input bound M must be nonnegative")
     r0 = (p + M) / (p - 1.0)
-    radii = np.geomspace(r0 * (1.0 + _GUARD_BAND), _TABLE_RADIUS_CAP, nodes)
+    if not r0 * (1.0 + _GUARD_BAND) < _TABLE_RADIUS_CAP:
+        raise errors.OutOfRange(
+            f"barrier radius r0 = {r0:.3e} is past the table cap {_TABLE_RADIUS_CAP:.0e}"
+        )
+    radii = np.geomspace(r0 * (1.0 + _GUARD_BAND), _TABLE_RADIUS_CAP, _TABLE_NODES)
     up = np.array([_quad_xi(p, M, r, +1.0) for r in radii])
     lo = np.array([_quad_xi(p, M, r, -1.0) for r in radii])
     log_r = np.log(radii)

@@ -121,20 +121,38 @@ def _vec(cfg, key, path, default=_MISSING, size=None):
     return np.asarray(val, dtype=float)
 
 
-def _input_signal(desc, path, rows):
-    """B as a constant matrix [[...]] or {"starts": [...], "values": [[[...]]]}."""
+def _array(values, path, shape):
+    """values as a finite float array of the given shape, where a None entry
+    admits any positive size."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if (
+        arr.dtype.kind not in "iuf"
+        or arr.ndim != len(shape)
+        or any(got != want if want else got < 1 for got, want in zip(arr.shape, shape))
+        or not np.all(np.isfinite(arr))
+    ):
+        dims = " x ".join("m" if k is None else str(k) for k in shape)
+        raise errors.ConfigError(path, f"expected a {dims} array of finite numbers")
+    return arr.astype(float)
+
+
+def _input_signal(desc, path, rows, cols=None):
+    """B as a constant rows x cols matrix [[...]] or {"starts": [...],
+    "values": [[[...]]]} with one such matrix per start."""
     if desc is None:
         return None
     if isinstance(desc, list):
-        mat = np.asarray(desc, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != rows:
-            raise errors.ConfigError(path, f"expected a {rows}-row matrix")
-        return mat
+        return _array(desc, path, (rows, cols))
     if isinstance(desc, dict):
         starts = _vec(desc, "starts", path)
-        values = _get(desc, "values", path)
+        if starts.size == 0:
+            raise errors.ConfigError(_join(path, "starts"), "needs at least one start")
+        values = _array(_get(desc, "values", path), path, (starts.size, rows, cols))
         try:
-            return PiecewiseConstant(starts, np.asarray(values, dtype=float))
+            return PiecewiseConstant(starts, values)
         except ValueError as exc:
             raise errors.ConfigError(path, str(exc))
     raise errors.ConfigError(path, "expected a matrix or a starts/values object")
@@ -166,7 +184,7 @@ def build_system(desc, path="system"):
         sys_ = make_integrator_system(n)
         return sys_, np.zeros(n), {"type": "point", "location": [1.0] * n}
     if name == "quenching-ex1":
-        B = _input_signal(_get(desc, "B", path, None), f"{path}.B", 2)
+        B = _input_signal(_get(desc, "B", path, None), f"{path}.B", 2, 2)
         sys_ = make_quenching_system(B=B, rho0=_num(desc, "rho0", path, 1.0, lo=0.0))
         return sys_, np.array([0.0, 0.5]), {"type": "hyperplane", "axis": 0, "level": 1.0}
     n = _int(desc, "n", path, 1, lo=1)
@@ -178,7 +196,7 @@ def build_system(desc, path="system"):
         B=B,
         rho0=_num(desc, "rho0", path, 1.0, lo=0.0),
         gamma=_num(desc, "gamma", path, None, lo=p - 1.0),
-        r1=_num(desc, "r1", path, None),
+        r1=_num(desc, "r1", path, None, gt=0.0),
     )
     return sys_, np.full(n, 3.0 / np.sqrt(n)), {"type": "point", "location": [0.0] * n}
 
@@ -191,20 +209,13 @@ def build_solve_options(cfg, path, seed, integrator):
         raise errors.ConfigError(
             _join(path, unknown[0]), f"unknown field, expected one of {list(SOLVER_FIELDS)}"
         )
-    final = IntegratorOptions(**integrator)
-    inner = IntegratorOptions(
-        rtol=max(integrator["rtol"], 1e-7),
-        atol=max(integrator["atol"], 1e-9),
-        hit_tol=integrator["hit_tol"],
-    )
     return SolveOptions(
         n_cells=_int(cfg, "n_cells", path, 12, lo=1),
         n_atoms=_int(cfg, "n_atoms", path, 3, lo=1),
         multi_starts=_int(cfg, "multi_starts", path, 8, lo=1),
         w_max=_num(cfg, "w_max", path, 50.0, gt=0.0),
         seed=seed,
-        inner=inner,
-        final=final,
+        final=IntegratorOptions(**integrator),
     )
 
 
@@ -386,6 +397,10 @@ def _task_monotonicity_sweep(config, sys_, tgt, y0, opts, outdir, seed):
     y_start = _vec(cfg, "y0", "sweep", None, size=2)
     if y_start is None:
         y_start = np.array([0.0, 0.5]) if case == "i" else np.array([2.0, 0.5])
+    if case == "i" and not y_start[0] < 1.0:
+        raise errors.ConfigError("sweep.y0", "case i needs y0[0] < 1 (start below the singular line)")
+    if case == "ii" and not y_start[0] > 1.0:
+        raise errors.ConfigError("sweep.y0", "case ii needs y0[0] > 1 (start above the singular line)")
 
     entries = []
     failures = 0

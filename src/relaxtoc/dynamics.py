@@ -12,7 +12,7 @@ finite differences of field in y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -168,7 +168,6 @@ class AffineStructure:
 
     drift: Callable[[float, np.ndarray], np.ndarray]
     input_matrix: Callable[[float], np.ndarray]
-    knots: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +341,7 @@ def _affine_system(
         jacobian=jac,
         control_set=control_set,
         singular_set=singular_set,
-        affine=AffineStructure(drift=drift, input_matrix=Bsig, knots=Bsig.knots),
+        affine=AffineStructure(drift=drift, input_matrix=Bsig),
         chart=chart,
         control_jacobian=cjac,
         time_knots=Bsig.knots,
@@ -593,41 +592,4 @@ def make_penalized_system(sys: ControlSystem, candidate, variant: str) -> Contro
         chart=sys.chart,
         control_jacobian=cjac,
         time_knots=knots,
-    )
-
-
-def time_scaled(sys: ControlSystem, w: float) -> ControlSystem:
-    """System in rescaled time s = t / w: z(s) = y(w s) satisfies z' = w f(w s, z, u)."""
-    if w <= 0.0:
-        raise ValueError("time scale w must be positive")
-
-    def field(s, y, u):
-        return w * sys.field(w * s, y, u)
-
-    def jac(s, y, u):
-        return w * np.asarray(sys.jacobian(w * s, y, u), dtype=float)
-
-    cjac = None
-    if sys.control_jacobian is not None:
-
-        def cjac(s, y, u):
-            return w * np.asarray(sys.control_jacobian(w * s, y, u), dtype=float)
-
-    affine = None
-    if sys.affine is not None:
-        base = sys.affine
-        affine = AffineStructure(
-            drift=lambda s, y: w * base.drift(w * s, y),
-            input_matrix=lambda s: w * base.input_matrix(w * s),
-            knots=tuple(k / w for k in base.knots),
-        )
-
-    return replace(
-        sys,
-        name=sys.name + "-unit-time",
-        field=field,
-        jacobian=jac,
-        affine=affine,
-        control_jacobian=cjac,
-        time_knots=tuple(k / w for k in sys.time_knots),
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _rk, errors
 from .dynamics import ControlSystem
-from .relaxed import ClassicalSchedule
+from .relaxed import ClassicalSchedule, relaxed_jacobian
 from .target import HalfSpace, Hyperplane
 
 HIT_TARGET = "hit-target"
@@ -32,6 +32,8 @@ SINGULAR_STALL = "singular-stall"
 DIVERGED = "diverged"
 
 _STALL_FLOOR = 1e-14
+# states past this norm (chart states below its chart image) count as diverged
+DIVERGENCE_RADIUS = 1e12
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class IntegratorOptions:
     hit_tol: float = 1e-8
     max_steps: int = 500_000
     max_step: float = np.inf
-    divergence_radius: float = 1e12
 
 
 @dataclass
@@ -411,31 +412,20 @@ def integrate_forward(
                         break
 
         if chart is not None and event is None:
-            if not mode:
-                yn = float(np.linalg.norm(s_new))
-                if yn >= 2.0 * r1:
-                    lo, hi = _bisect(
-                        lambda x: float(np.linalg.norm(dense(x))) >= 2.0 * r1,
-                        t,
-                        t_new,
-                        1e-15 * max(1.0, abs(t_new)),
-                    )
-                    event = (hi, "chart-in")
+            # hysteresis: switch in at |y| >= 2 r1, back out at |y| <= r1
+            if mode:
+                crossed = lambda s: float(np.linalg.norm(s)) ** (-1.0 / chart.gamma) <= r1
             else:
-                zn = float(np.linalg.norm(s_new))
-                if zn ** (-1.0 / chart.gamma) <= r1:
-                    lo, hi = _bisect(
-                        lambda x: float(np.linalg.norm(dense(x))) ** (-1.0 / chart.gamma)
-                        <= r1,
-                        t,
-                        t_new,
-                        1e-15 * max(1.0, abs(t_new)),
-                    )
-                    event = (hi, "chart-out")
+                crossed = lambda s: float(np.linalg.norm(s)) >= 2.0 * r1
+            if crossed(s_new):
+                _, hi = _bisect(
+                    lambda x: crossed(dense(x)), t, t_new, 1e-15 * max(1.0, abs(t_new))
+                )
+                event = (hi, "chart-out" if mode else "chart-in")
 
         if event is None:
             if chart is None:
-                if float(np.linalg.norm(s_new)) > opts.divergence_radius:
+                if float(np.linalg.norm(s_new)) > DIVERGENCE_RADIUS:
                     event = (t_new, "diverged")
             elif mode:
                 # |z| -> 0 is |y| -> infinity; without a target there to stop
@@ -444,7 +434,7 @@ def integrate_forward(
                 # sign, so the solution chatters at the atol scale and would
                 # never reach a narrower band.
                 zn = float(np.linalg.norm(s_new))
-                if zn <= max(opts.divergence_radius ** (-chart.gamma), 10.0 * opts.atol):
+                if zn <= max(DIVERGENCE_RADIUS ** (-chart.gamma), 10.0 * opts.atol):
                     event = (t_new, "diverged")
 
         if event is None:
@@ -457,40 +447,26 @@ def integrate_forward(
 
         tau, kind = event
         s_tau = s_new if tau == t_new else dense(tau)
-        if kind == "hit":
-            d_ev = distance_of(s_tau, mode)
+        f_tau = f_new
+        if kind != "diverged":
             try:
                 f_tau = rhs(tau, s_tau)
             except _StageFailure:
-                f_tau = f_new
-            z_tau = s_tau if mode else (chart.to_chart(s_tau) if chart else s_tau)
-            zdot = (
-                f_tau
-                if (chart is None or mode)
-                else chart.push_velocity(s_tau, f_tau)
-            )
-            gap = z_tau - tgt.project(z_tau)
-            gn = float(np.linalg.norm(gap))
-            rate = float(gap @ zdot) / gn if gn > 0.0 else 0.0
+                pass
+        times.append(tau)
+        emit(tau, s_tau, f_tau, mode)
+        if kind == "hit":
+            d_ev = distance_of(s_tau, mode)
+            _, rate = gap_and_rate(s_tau, f_tau, mode)
             extra = d_ev / max(-rate, 1e-300) if rate < 0.0 else 0.0
-            times.append(tau)
-            emit(tau, s_tau, f_tau, mode)
             status = HIT_TARGET
             hit_time = tau + min(extra, h_try)
             terminal_distance = d_ev
         elif kind == "diverged":
-            times.append(tau)
-            emit(tau, s_tau, f_new, mode)
             status = DIVERGED
             hit_time = tau
             terminal_distance = distance_of(s_tau, mode)
         else:
-            try:
-                f_tau = rhs(tau, s_tau)
-            except _StageFailure:
-                f_tau = f_new
-            times.append(tau)
-            emit(tau, s_tau, f_tau, mode)
             y_here = to_y(s_tau, mode)
             mode = kind == "chart-in"
             state = chart.to_chart(y_here) if mode else y_here
@@ -542,30 +518,9 @@ def integrate_adjoint(
     sample_times = [float(t) for t in traj.times if t < t_end - 1e-15 * max(1.0, t_end)]
     sample_times.append(t_end)
 
-    affine = sys.affine is not None
-
-    def amat(t):
-        y = traj.interp(t)
-        if control is None:
-            return np.asarray(sys.jacobian(t, y, np.zeros(sys.dim_control)), dtype=float)
-        if isinstance(control, ClassicalSchedule) or affine:
-            u = (
-                control.value_at(t)
-                if isinstance(control, ClassicalSchedule)
-                else control.cell_at(t)[0][0]
-            )
-            return np.asarray(sys.jacobian(t, y, u), dtype=float)
-        atoms, weights = control.cell_at(t)
-        out = None
-        for lam, atom in zip(weights, atoms):
-            if lam <= 0.0:
-                continue
-            term = lam * np.asarray(sys.jacobian(t, y, atom), dtype=float)
-            out = term if out is None else out + term
-        return out
-
     def rhs(t, psi):
-        return -(amat(t) @ psi)
+        atoms, weights = _resolve_cell(control, sys, t)
+        return -(relaxed_jacobian(sys, t, traj.interp(t), atoms, weights) @ psi)
 
     knots = set(sys.time_knots)
     if control is not None:
@@ -598,39 +553,3 @@ def integrate_adjoint(
     return AdjointTrajectory(
         times=ts, psis=psis, seed_time=t_end, seed=seed, normalization=factor
     )
-
-
-def rescale_to_unit_time(traj: Trajectory) -> Trajectory:
-    """Reparameterize a hitting trajectory to s = t / w on [0, 1]."""
-    if traj.hit.status != HIT_TARGET or traj.hit.time <= 0.0:
-        raise errors.NotHit("unit-time rescaling needs a finite positive hit time")
-    w = traj.hit.time
-    return Trajectory(
-        times=traj.times / w,
-        states=traj.states.copy(),
-        derivs=traj.derivs * w,
-        in_chart=traj.in_chart.copy(),
-        hit=HitInfo(status=traj.hit.status, time=1.0, terminal_distance=traj.hit.terminal_distance),
-        chart=traj.chart,
-    )
-
-
-def continuity_probe(sys, schedules, reference: Trajectory, horizon: float, opts=None):
-    """Sup-norm trajectory gaps of each schedule against a reference trajectory.
-
-    All runs start from the reference initial state with no target; gaps are
-    measured on the reference sample times within the horizon.
-    """
-    opts = opts or IntegratorOptions()
-    y0 = reference.states[0]
-    mask = reference.times <= horizon
-    ts = reference.times[mask]
-    ys = reference.states[mask]
-    gaps = []
-    for sched in schedules:
-        tr = integrate_forward(sys, sched, y0, tgt=None, t_max=horizon, opts=opts)
-        gap = 0.0
-        for t, y in zip(ts, ys):
-            gap = max(gap, float(np.linalg.norm(tr.interp(min(t, tr.times[-1])) - y)))
-        gaps.append(gap)
-    return gaps

@@ -200,6 +200,18 @@ def exit_covector(sys: ControlSystem, tgt: TargetSet, traj: Trajectory, t_end: f
     return sys.chart.gradient_jacobian(y_end) @ seed
 
 
+def _preterminal_sweeps(sys, tgt, traj, schedule, t_bar, opts=None):
+    """Backward sweeps seeded in the normal cone at each T - delta * T, delta
+    from DELTAS: (the last sweep, the covector norms at the seed times)."""
+    norms = []
+    for d in DELTAS:
+        t_end = t_bar * (1.0 - d)
+        seed = exit_covector(sys, tgt, traj, t_end)
+        sweep = integrate_adjoint(sys, traj, schedule, seed, t_end=t_end, opts=opts)
+        norms.append(sweep.norm_at_end())
+    return sweep, norms
+
+
 # ---------------------------------------------------------------------------
 # the report
 
@@ -299,27 +311,14 @@ def verify(
     # the reported hit time extrapolates past the last stored sample; the
     # adjoint can only be seeded on the sampled range
     t_bar = min(float(traj.hit.time), float(traj.times[-1]))
-    explicit = adjoint_seed is not None
-    family = (isinstance(tgt, Point) or sys.chart is not None) and not explicit
-
-    def seed_at(t_end):
-        if explicit:
-            return np.asarray(adjoint_seed, dtype=float)
-        return exit_covector(sys, tgt, traj, t_end)
-
     decay = None
-    if family:
-        norms = []
-        adjoint = None
-        for d in DELTAS:
-            t_end = t_bar * (1.0 - d)
-            adjoint = integrate_adjoint(sys, traj, schedule, seed_at(t_end), t_end=t_end, opts=opts)
-            norms.append(adjoint.norm_at_end())
+    if adjoint_seed is None and (isinstance(tgt, Point) or sys.chart is not None):
+        adjoint, norms = _preterminal_sweeps(sys, tgt, traj, schedule, t_bar, opts)
         decay = tuple((d * t_bar, n) for d, n in zip(DELTAS, norms))
-        terminal_norm = norms[-1]
     else:
-        adjoint = integrate_adjoint(sys, traj, schedule, seed_at(t_bar), t_end=t_bar, opts=opts)
-        terminal_norm = adjoint.norm_at_end()
+        seed = exit_covector(sys, tgt, traj, t_bar) if adjoint_seed is None else adjoint_seed
+        adjoint = integrate_adjoint(sys, traj, schedule, seed, t_end=t_bar, opts=opts)
+    terminal_norm = adjoint.norm_at_end()
 
     # transversality at the exit point actually used for seeding
     t_end = adjoint.seed_time
@@ -523,11 +522,7 @@ def quenching_conclusions(
 
     norms = []
     if not decay_skipped:
-        for d in DELTAS:
-            t_end = t_bar * (1.0 - d)
-            seed = exit_covector(sys, tgt, traj, t_end)
-            sweep = integrate_adjoint(sys, traj, schedule, seed, t_end=t_end, opts=opts)
-            norms.append(sweep.norm_at_end())
+        _, norms = _preterminal_sweeps(sys, tgt, traj, schedule, t_bar, opts)
     ratios = tuple(b / a for a, b in zip(norms, norms[1:]) if a > 0.0)
     decay_ok = decay_skipped or (len(ratios) == len(norms) - 1 and all(r < DECAY_RATIO for r in ratios))
     return QuenchingConclusions(

@@ -208,6 +208,22 @@ def relaxed_field(sys: ControlSystem, t: float, y, atoms, weights) -> np.ndarray
     return out
 
 
+def relaxed_jacobian(sys: ControlSystem, t: float, y, atoms, weights) -> np.ndarray:
+    """Averaged state jacobian sum_i weights[i] * jacobian(t, y, atoms[i]).
+
+    Control-affine systems have a jacobian free of u, so one evaluation at
+    the first atom is exact.
+    """
+    if sys.affine is not None:
+        return _vec(sys.jacobian(t, y, atoms[0]))
+    out = None
+    for lam, atom in zip(weights, atoms):
+        if lam > 0.0:
+            term = lam * _vec(sys.jacobian(t, y, atom))
+            out = term if out is None else out + term
+    return out
+
+
 def filippov_select(sys: ControlSystem, t: float, atoms, weights) -> np.ndarray:
     """Single control matching the relaxed velocity of a cell exactly.
 

@@ -1,10 +1,11 @@
-"""Minimum-time solver: direct transcription on the unit-time rescaling.
+"""Minimum-time solver over relaxed schedules on a unit grid stretched by w.
 
 Decision variables are the horizon w together with the per-cell atoms and
-weights of a relaxed schedule on a fixed grid over [0, 1]; the state follows
-x' = w f(w s, x, sigma(s)).  The returned w is always defined by a tight
-re-integration of the winning schedule against the physical system, never
-by an optimizer's iterate.
+weights of a relaxed schedule on a fixed grid over [0, 1]; the cells are
+stretched by w, and the state follows the physical system
+y' = f(t, y, sigma(t)) up to t = w.  The returned w is always defined by a
+tight re-integration of the winning schedule, never by an optimizer's
+iterate.
 
 Affine systems with a ball or box control set are solved by seed -> certify
 -> polish: the warm start and the greedy seed are certified by tight
@@ -19,12 +20,12 @@ Every other system (finite control sets, non-affine dynamics) and a seed
 that yields no certified hit fall back to multi-start projected gradient
 descent on
 
-    J = w + penalty * d(x(1), Q_alpha)^2
+    J = w + penalty * d(y(w), Q_alpha)^2
 
 with Armijo backtracking and penalty continuation; gradients come from one
 backward pass of the adjoint augmented with the running integrals that make
-up the w/atom/weight sensitivities.  An early hit at s_h < 1 contracts w to
-w * s_h directly.  The singular target makes indirect shooting
+up the w/atom/weight sensitivities.  An early hit at t_h = w s_h < w
+contracts w to t_h directly.  The singular target makes indirect shooting
 ill-conditioned, so the descent never relies on the maximum principle to
 find the basin.
 """
@@ -39,9 +40,9 @@ import numpy as np
 
 from . import errors, pmp
 from ._rk import integrate_plain
-from .dynamics import ControlSystem, FiniteSet, control_jacobian, time_scaled
+from .dynamics import ControlSystem, FiniteSet, control_jacobian
 from .integrate import HIT_TARGET, MAX_TIME, IntegratorOptions, Trajectory, integrate_forward
-from .relaxed import ClassicalSchedule, RelaxedSchedule, filippov_select, project_simplex
+from .relaxed import ClassicalSchedule, RelaxedSchedule, filippov_select, project_simplex, relaxed_jacobian
 from .target import TargetSet
 
 # descent constants: continuation rounds, first penalty and its growth per
@@ -63,10 +64,12 @@ class SolveOptions:
     multi_starts: int = 8
     w_max: float = 50.0
     seed: int = 0
-    inner: IntegratorOptions = field(
-        default_factory=lambda: IntegratorOptions(rtol=1e-7, atol=1e-9)
-    )
     final: IntegratorOptions = field(default_factory=IntegratorOptions)
+
+    @property
+    def inner(self) -> IntegratorOptions:
+        """final loosened to rtol >= 1e-7 and atol >= 1e-9 for the search passes."""
+        return replace(self.final, rtol=max(self.final.rtol, 1e-7), atol=max(self.final.atol, 1e-9))
 
 
 @dataclass(eq=False)
@@ -196,16 +199,15 @@ def objective_gradient(
 ):
     """Value and gradient of J = w + penalty*d(x(w), Q)^2.
 
-    `schedule` lives on a unit grid; the trajectory must not hit the target
-    before time 1 in rescaled time.  Returns (value, grad) with grad a dict
-    holding d_w, d_atoms (N,K,m), d_weights (N,K), and the terminal distance.
+    `schedule` lives on a unit grid stretched by w; the physical trajectory
+    must reach t = w.  Returns (value, grad) with grad a dict holding d_w,
+    d_atoms (N,K,m), d_weights (N,K), and the terminal distance.
     """
     opts = opts or IntegratorOptions()
-    scaled = time_scaled(sys, w)
-    traj = integrate_forward(scaled, schedule, np.asarray(y0, dtype=float), tgt=None, t_max=1.0, opts=opts)
+    traj = integrate_forward(sys, schedule.scaled_grid(w), np.asarray(y0, dtype=float), tgt=None, t_max=w, opts=opts)
     if traj.hit.status != MAX_TIME:
         raise errors.SingularStall(
-            f"trajectory ended with status {traj.hit.status!r} before s = 1"
+            f"trajectory ended with status {traj.hit.status!r} before t = w"
         )
     return _gradient_from_trajectory(sys, tgt, schedule, w, traj, penalty, opts)
 
@@ -248,15 +250,10 @@ def _gradient_from_trajectory(sys, tgt, schedule, w, traj, penalty, opts):
         def rhs(s, qv):
             lam_s = qv[:n]
             t_phys = w * s
-            y = traj.interp(s)
+            y = traj.interp(t_phys)
             fk = np.stack([np.asarray(sys.field(t_phys, y, a), dtype=float) for a in atoms_i])
             F = mu_i @ fk
-            if affine:
-                jac = np.asarray(sys.jacobian(t_phys, y, atoms_i[0]), dtype=float)
-            else:
-                jac = np.einsum("k,kij->ij", mu_i, np.stack(
-                    [np.asarray(sys.jacobian(t_phys, y, a), dtype=float) for a in atoms_i]
-                ))
+            jac = relaxed_jacobian(sys, t_phys, y, atoms_i, mu_i)
             out = np.empty_like(qv)
             out[:n] = -w * (jac @ lam_s)
             out[n] = -(lam_s @ F)
@@ -295,11 +292,11 @@ def _gradient_from_trajectory(sys, tgt, schedule, w, traj, penalty, opts):
 
 
 def _eval_objective(sys, tgt_a, sched_unit, w, y0, penalty, opts):
-    """(J, d_term, s_hit or None). Early hits report the scaled hit time."""
-    scaled = time_scaled(sys, w)
-    traj = integrate_forward(scaled, sched_unit, y0, tgt=tgt_a, t_max=1.0, opts=opts)
+    """(J, d_term, s_hit or None, trajectory).  Early hits report the hit time
+    as a fraction s_hit of w."""
+    traj = integrate_forward(sys, sched_unit.scaled_grid(w), y0, tgt=tgt_a, t_max=w, opts=opts)
     if traj.hit.status == HIT_TARGET:
-        s_h = min(traj.hit.time, 1.0)
+        s_h = min(traj.hit.time / w, 1.0)
         if s_h < 1.0 - 1e-9:
             return w * s_h, traj.hit.terminal_distance, s_h, traj
         d = traj.hit.terminal_distance
@@ -485,7 +482,7 @@ def solve_alpha(
     opts = opts or SolveOptions()
     y0 = np.asarray(y0, dtype=float)
     d0 = initial_distance(sys, tgt.with_alpha(0.0), y0)
-    room = d0 - max(opts.inner.hit_tol, opts.final.hit_tol)
+    room = d0 - opts.final.hit_tol
     if not (0.0 <= alpha < room):
         raise errors.AlphaOutOfRange(
             f"alpha = {alpha!r} outside [0, d(y0, Q) - hit_tol) = [0, {room!r})"
@@ -606,4 +603,3 @@ def alpha_ladder(
         results=tuple(results),
         w_star=float(w_star),
     )
-

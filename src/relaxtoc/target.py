@@ -24,6 +24,8 @@ from . import errors
 
 # Tangential components below this relative size count as zero in cone tests.
 _TANGENT_TOL = 1e-10
+# An exit point farther than this from the target boundary fails cone tests.
+BOUNDARY_TOL = 1e-6
 
 
 def _vec(x):
@@ -68,7 +70,7 @@ class TargetSet:
         """Distance from x to the boundary of Q_alpha (closed form per variant)."""
         raise NotImplementedError
 
-    def transversality_residual(self, q_star, psi, boundary_tol: float = 1e-6) -> float:
+    def transversality_residual(self, q_star, psi) -> float:
         """Terminal cone residual at exit point q_star with covector psi.
 
         Returns 0.0 when the condition <psi, q - q_star> >= 0 holds for all
@@ -76,11 +78,11 @@ class TargetSet:
         """
         raise NotImplementedError
 
-    def _check_boundary(self, q_star, boundary_tol):
+    def _check_boundary(self, q_star):
         gap = self.boundary_gap(q_star)
-        if gap > boundary_tol:
+        if gap > BOUNDARY_TOL:
             raise errors.NotOnBoundary(
-                f"point is {gap:.3e} from the target boundary (tol {boundary_tol:.1e})"
+                f"point is {gap:.3e} from the target boundary (tol {BOUNDARY_TOL:.1e})"
             )
 
 
@@ -102,10 +104,10 @@ class Hyperplane(TargetSet):
     def boundary_gap(self, x):
         return abs(self.base_distance(x) - self.alpha)
 
-    def transversality_residual(self, q_star, psi, boundary_tol=1e-6):
+    def transversality_residual(self, q_star, psi):
         q_star = _vec(q_star)
         psi = _vec(psi)
-        self._check_boundary(q_star, boundary_tol)
+        self._check_boundary(q_star)
         scale = max(1.0, float(np.linalg.norm(psi)))
         tang = np.delete(psi, self.axis)
         if tang.size and np.linalg.norm(tang) > _TANGENT_TOL * scale:
@@ -149,10 +151,10 @@ class HalfSpace(TargetSet):
     def boundary_gap(self, x):
         return abs(self._signed(x) - self.alpha)
 
-    def transversality_residual(self, q_star, psi, boundary_tol=1e-6):
+    def transversality_residual(self, q_star, psi):
         q_star = _vec(q_star)
         psi = _vec(psi)
-        self._check_boundary(q_star, boundary_tol)
+        self._check_boundary(q_star)
         scale = max(1.0, float(np.linalg.norm(psi)))
         c = float(psi @ self.normal)
         tang = psi - c * self.normal
@@ -192,10 +194,10 @@ class Ball(TargetSet):
     def boundary_gap(self, x):
         return abs(float(np.linalg.norm(_vec(x) - self.center)) - (self.radius + self.alpha))
 
-    def transversality_residual(self, q_star, psi, boundary_tol=1e-6):
+    def transversality_residual(self, q_star, psi):
         q_star = _vec(q_star)
         psi = _vec(psi)
-        self._check_boundary(q_star, boundary_tol)
+        self._check_boundary(q_star)
         rho = self.radius + self.alpha
         worst = float(psi @ (self.center - q_star)) - rho * float(np.linalg.norm(psi))
         return max(0.0, -worst)
@@ -220,10 +222,10 @@ class Point(TargetSet):
     def boundary_gap(self, x):
         return abs(self.base_distance(x) - self.alpha)
 
-    def transversality_residual(self, q_star, psi, boundary_tol=1e-6):
+    def transversality_residual(self, q_star, psi):
         q_star = _vec(q_star)
         psi = _vec(psi)
-        self._check_boundary(q_star, boundary_tol)
+        self._check_boundary(q_star)
         if self.alpha == 0.0:
             worst = float(psi @ (self.location - q_star))
             return max(0.0, -worst)
@@ -231,9 +233,7 @@ class Point(TargetSet):
         return max(0.0, -worst)
 
 
-def transformed_transversality_residual(
-    tgt: TargetSet, chart_jacobian, q_star, psi, boundary_tol: float = 1e-6
-) -> float:
+def transformed_transversality_residual(tgt: TargetSet, chart_jacobian, q_star, psi) -> float:
     """Cone residual in a coordinate chart z = G(y), tested on the pulled-back covector.
 
     chart_jacobian is the Jacobian of G at the exit point in gradient layout,
@@ -254,4 +254,4 @@ def transformed_transversality_residual(
         raise errors.SingularJacobian(str(exc)) from exc
     if not np.all(np.isfinite(phi)):
         raise errors.SingularJacobian("chart jacobian is numerically singular")
-    return tgt.transversality_residual(q_star, phi, boundary_tol=boundary_tol)
+    return tgt.transversality_residual(q_star, phi)

@@ -1,9 +1,14 @@
 """Batch front end: config validation, artifacts, determinism, exit codes."""
 
+import contextlib
 import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relaxtoc import cli, errors
 
@@ -119,6 +124,17 @@ def test_bad_horizon_and_target_dimension_name_the_field(tmp_path, capsys):
     steep["system"].update(p=3.0, gamma=1.0)
     linear = copy.deepcopy(cli.list_examples()["blowup-ex2"]["default_config"])
     linear["system"].update(p=1.0)
+    inside = copy.deepcopy(cli.list_examples()["blowup-ex2"]["default_config"])
+    inside["system"].update(r1=0.0)
+    # B must be 2 x 2 for the quench, one such matrix per piecewise start
+    narrow_b = copy.deepcopy(quench)
+    narrow_b["target"] = {"type": "hyperplane", "axis": 0, "level": 1.0}
+    narrow_b["system"]["B"] = [[1.0], [0.0]]
+    flat_b = copy.deepcopy(narrow_b)
+    flat_b["system"]["B"] = {"starts": [0.0], "values": [[1, 0]]}
+    # case i starts below the singular line y1 = 1
+    mono_side = copy.deepcopy(mono)
+    mono_side["sweep"] = {"case": "i", "y0": [2.0, 0.5]}
     # a command-line tolerance override is checked as the field it replaces
     cases = [
         ("w_max", _toy_config(solver={"w_max": 0}), [], "solver.w_max"),
@@ -132,6 +148,10 @@ def test_bad_horizon_and_target_dimension_name_the_field(tmp_path, capsys):
         ("atol-flag", _toy_config(), ["--atol", "0"], "integrator.atol"),
         ("gamma", steep, [], "system.gamma"),
         ("p", linear, [], "system.p"),
+        ("r1", inside, [], "system.r1"),
+        ("B-shape", narrow_b, [], "system.B"),
+        ("B-pieces", flat_b, [], "system.B"),
+        ("y0-side", mono_side, [], "sweep.y0"),
         # removed solver fields fail loudly instead of being ignored
         ("polish", _toy_config(solver={"polish": False}), [], "solver.polish"),
         ("max_iters", _toy_config(solver={"max_iters": 5}), [], "solver.max_iters"),
@@ -143,6 +163,82 @@ def test_bad_horizon_and_target_dimension_name_the_field(tmp_path, capsys):
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}:") and "Traceback" not in err
+
+
+# one small config per task family; the fuzz below changes one field at a time
+_FUZZ_BASES = {
+    "toy-solve": {
+        "schema_version": 1,
+        "task": "solve",
+        "system": {"example": "toy-integrator", "n": 1},
+        "alpha": 0.0,
+        "solver": {"n_cells": 2, "n_atoms": 1, "multi_starts": 1},
+    },
+    "monotonicity": {
+        "schema_version": 1,
+        "task": "monotonicity-sweep",
+        "system": {"example": "quenching-ex1"},
+        "sweep": {"case": "i", "samples": 1},
+    },
+    "envelope": {
+        "schema_version": 1,
+        "task": "barrier-sweep",
+        "system": {"example": "blowup-ex2", "n": 1, "p": 2.0, "gamma": 1.0},
+        "sweep": {"kind": "envelope", "samples": 1, "t_max": 3.0},
+    },
+    "quench-verify": {
+        "schema_version": 1,
+        "task": "verify",
+        "system": {"example": "quenching-ex1"},
+        "alpha": 0.25,
+        "solver": {"n_cells": 2, "multi_starts": 1},
+    },
+}
+_FUZZ_FIELDS = [
+    ("seed",), ("alpha",), ("y0",), ("target",), ("system",), ("solver",), ("sweep",),
+    ("system", "n"), ("system", "rho0"), ("system", "p"), ("system", "gamma"),
+    ("system", "r1"), ("system", "B"), ("target", "level"),
+    ("solver", "n_cells"), ("solver", "n_atoms"), ("solver", "multi_starts"), ("solver", "w_max"),
+    ("integrator", "rtol"), ("integrator", "atol"), ("integrator", "hit_tol"),
+    ("sweep", "samples"), ("sweep", "horizon"), ("sweep", "y0"), ("sweep", "t_max"),
+    ("sweep", "cells"), ("sweep", "g_amp"), ("sweep", "h_amp"), ("sweep", "h_sign"),
+    ("verify", "max_hamiltonian_residual"),
+]
+# negative, zero, huge, wrong type, list of the wrong length, matrix of the
+# wrong shape; huge is a float, so integer fields see it as the wrong type
+_FUZZ_VALUES = [-1.0, 0, 1e300, "x", [1.0, 2.0, 3.0], [[1.0], [0.0]]]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    base=st.sampled_from(sorted(_FUZZ_BASES)),
+    field=st.sampled_from(_FUZZ_FIELDS),
+    value=st.sampled_from(_FUZZ_VALUES),
+)
+@example(base="quench-verify", field=("system", "B"), value=[[1.0], [0.0]])
+@example(base="quench-verify", field=("system", "B"), value={"starts": [0.0], "values": [[1, 0]]})
+@example(base="monotonicity", field=("sweep", "y0"), value=[2.0, 0.5])
+# a field too large for a first step, and an input bound past the barrier table
+@example(base="monotonicity", field=("sweep", "g_amp"), value=1e300)
+@example(base="envelope", field=("system", "rho0"), value=1e300)
+def test_exit_contract_holds_under_one_bad_field(base, field, value):
+    cfg = copy.deepcopy(_FUZZ_BASES[base])
+    node = cfg
+    for key in field[:-1]:
+        if not isinstance(node.get(key), dict):
+            node[key] = {}
+        node = node[key]
+    node[field[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert any(line.startswith(("config error:", "error [")) for line in lines)
 
 
 def test_ladder_csv_agrees_with_json(tmp_path):

@@ -20,7 +20,6 @@ from relaxtoc.integrate import (
     IntegratorOptions,
     integrate_adjoint,
     integrate_forward,
-    rescale_to_unit_time,
 )
 from relaxtoc.relaxed import ClassicalSchedule
 from relaxtoc.target import Point
@@ -220,21 +219,6 @@ def test_gronwall_stability(quench_sys):
         float(np.linalg.norm(pert.interp(t) - y)) for t, y in zip(base.times, base.states)
     )
     assert gap <= delta * np.exp(L * 0.25) * (1.0 + 1e-6)
-
-
-def test_rescale_to_unit_time(toy_sys, toy_target):
-    control = ClassicalSchedule(grid=np.array([0.0, 2.0]), values=np.array([[0.5]]))
-    traj = integrate_forward(toy_sys, control, np.zeros(1), tgt=toy_target, t_max=4.0)
-    unit = rescale_to_unit_time(traj)
-    assert unit.hit.time == 1.0
-    # last stored sample precedes the reported hit by up to the hit band
-    assert abs(unit.times[-1] - 1.0) <= 1e-7
-    # ds y(s) = w * dt y(t): constant slope 0.5 becomes w * 0.5
-    w = traj.hit.time
-    assert np.abs(unit.derivs - 0.5 * w).max() <= 1e-9
-    miss = integrate_forward(toy_sys, None, np.zeros(1), tgt=toy_target, t_max=0.5)
-    with pytest.raises(errors.NotHit):
-        rescale_to_unit_time(miss)
 
 
 @pytest.fixture(scope="module")
