@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import errors
@@ -28,23 +30,22 @@ SAFETY = 0.9
 def step(rhs, t, y, f, h):
     """One trial step from (t, y) with f = rhs(t, y).
 
-    Returns (y_new, f_new, err_norm); err_norm is the embedded error estimate
-    scaled by unit tolerance, to be divided by the caller's scale vector.
+    Returns (y_new, f_new, err); err is the embedded error estimate, which
+    error_norm scales by the caller's tolerances.
     """
-    k = [f]
+    # karr[:i].T has the memory layout of np.stack(stages).T, so each stage
+    # sum takes the same matmul path and rounds the same way
+    karr = np.empty((7, len(y)))
+    karr[0] = f
     for i in range(1, 7):
-        yi = y + h * (np.stack(k[: len(A[i])], axis=0).T @ A[i])
-        k.append(rhs(t + C[i] * h, yi))
-    karr = np.stack(k, axis=0)
-    y_new = y + h * (karr.T @ B5)
-    err = h * (karr.T @ E)
-    return y_new, k[6], err
+        karr[i] = rhs(t + C[i] * h, y + h * (karr[:i].T @ A[i]))
+    return y + h * (karr.T @ B5), karr[6], h * (karr.T @ E)
 
 
 def error_norm(err, y0, y1, rtol, atol):
     """RMS of the embedded error estimate over the mixed tolerance scale."""
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    q = err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1)))
+    return math.sqrt(float(np.add.reduce(q * q)) / len(q))
 
 
 def next_factor(err_norm):
@@ -54,11 +55,13 @@ def next_factor(err_norm):
 
 
 def initial_step(rhs, t0, y0, f0, direction, rtol, atol):
-    """Hairer-style first step guess from the local solution scale."""
+    """Hairer-style first step guess from the local solution scale.
+
+    Call it under np.errstate(all="ignore"), as the integrators do.
+    """
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    with np.errstate(over="ignore"):  # an infinite d1 fails the h0 check below
-        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))  # an infinite d1 fails the h0 check
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not h0 > 0.0:
         raise errors.IntegrationFailed("field too large for a first step at these tolerances")
@@ -92,7 +95,12 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
     """Adaptive integration without events; supports t1 < t0 (backward).
 
     atol may be a scalar or a vector.  knots are interior times where the rhs
-    may be discontinuous; steps land on them exactly.  When `record` is a
+    may be discontinuous; steps land on them, and past each one the stage
+    derivative restarts: the first-same-as-last derivative carried into the
+    knot is the left limit, so f is evaluated afresh one ulp into the next
+    leg (and into the first one), where a left-continuous signal already
+    reads its new cell.  A backward step landing on a knot still evaluates
+    its last stage there, in the cell ahead.  When `record` is a
     sorted array of times (in travel order) the state is recorded exactly at
     those times and (times, states) is returned; otherwise the terminal state.
     """
@@ -116,10 +124,17 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
             rec_out.append(rec_times.pop(0))
             rec_states.append(y.copy())
 
-    f = rhs(t, y)
-    h = min(initial_step(rhs, t, y, f, direction, rtol, np.max(np.atleast_1d(atol))), span)
     n_steps = 0
+    h = None
     for stop in stops:
+        with np.errstate(all="ignore"):
+            # each leg starts one ulp inside: the f carried into a knot is the
+            # left limit there, and a left-continuous signal read at the knot
+            # itself gives the cell behind
+            f = rhs(np.nextafter(t, stop), y)
+            if h is None:
+                atol_max = np.max(np.atleast_1d(atol))
+                h = min(initial_step(rhs, t, y, f, direction, rtol, atol_max), span)
         while (stop - t) * direction > 1e-15 * max(1.0, abs(t)):
             h = min(h, abs(stop - t))
             while True:
@@ -127,8 +142,11 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
                 if n_steps > max_steps:
                     raise errors.IntegrationFailed("step budget exhausted in plain integration")
                 t_new = t + direction * h
-                y_new, f_new, err = step(rhs, t, y, f, direction * h)
-                err_norm = error_norm(err, y, y_new, rtol, atol)
+                with np.errstate(all="ignore"):
+                    y_new, f_new, err = step(rhs, t, y, f, direction * h)
+                    err_norm = error_norm(err, y, y_new, rtol, atol)
+                if not np.isfinite(y_new).all():
+                    err_norm = np.inf  # an overflowing stage rejects the step
                 if err_norm <= 1.0:
                     break
                 h *= next_factor(err_norm)
@@ -141,6 +159,7 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
                     rec_states.append(hermite(t, y, f, t_new, y_new, f_new, tr))
             t, y, f = t_new, y_new, f_new
             h *= next_factor(err_norm)
+        t = stop  # the leg ended within roundoff of its stop
     if record is not None:
         # Anything left records the terminal state (guards roundoff at t1).
         for tr in rec_times:

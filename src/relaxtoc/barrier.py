@@ -390,7 +390,8 @@ def blowup_lower_bound_check(
 
     def rhs(t, y):
         ny = float(np.linalg.norm(y))
-        return ny ** (p - 1.0) * y + np.broadcast_to(g_fn(t), y.shape) - float(h_fn(t)) * y
+        # g broadcasts against y; the probe above checked that it can
+        return ny ** (p - 1.0) * y + g_fn(t) - float(h_fn(t)) * y
 
     knots = tuple(k for k in set(h_knots) | set(g_knots) if s < k < T)
     try:
@@ -442,7 +443,8 @@ class MonotonicityVerdict:
 
 def _quench_forced_system(g_fn, h_fn, knots):
     def field(t, y, u):
-        extra = np.broadcast_to(g_fn(t), (2,)).astype(float).copy()
+        g = g_fn(t)
+        extra = g.copy() if g.shape == (2,) else np.broadcast_to(g, (2,)).astype(float)
         extra[0] += float(h_fn(t))
         return quench_drift(t, y) + extra
 

@@ -226,7 +226,7 @@ def _integrator_overrides(cfg, path, overrides):
         raise errors.ConfigError(path, "expected an object")
     cfg = {**cfg, **{key: val for key, val in (overrides or {}).items() if val is not None}}
     return {
-        "rtol": _num(cfg, "rtol", path, 1e-9, gt=0.0),
+        "rtol": _num(cfg, "rtol", path, 1e-9, gt=0.0, lt=1.0),
         "atol": _num(cfg, "atol", path, 1e-11, gt=0.0),
         "hit_tol": _num(cfg, "hit_tol", path, 1e-8, lo=0.0),
     }

@@ -12,6 +12,7 @@ finite differences of field in y.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -138,6 +139,9 @@ class PiecewiseConstant:
 
     values[k] applies on (starts[k], starts[k+1]]; evaluation clamps outside
     the sampled range, so the signal extends constantly in both directions.
+    At a knot the signal reads the cell behind it, which is right for a step
+    ending there but wrong for one starting there: the integrators therefore
+    restart their first stage one ulp past each knot.
     """
 
     def __init__(self, starts, values):
@@ -147,15 +151,15 @@ class PiecewiseConstant:
             raise ValueError("starts and values must have equal length")
         if len(self.starts) > 1 and np.any(np.diff(self.starts) <= 0.0):
             raise ValueError("starts must be strictly increasing")
+        self._start_list = self.starts.tolist()  # bisect on a list beats searchsorted
 
     @classmethod
     def constant(cls, value):
         return cls([0.0], [value])
 
     def __call__(self, t: float):
-        i = int(np.searchsorted(self.starts, t, side="left")) - 1
-        i = min(max(i, 0), len(self.values) - 1)
-        return self.values[i]
+        i = bisect.bisect_left(self._start_list, t) - 1
+        return self.values[min(max(i, 0), len(self.values) - 1)]
 
     @property
     def knots(self):

@@ -7,6 +7,15 @@ of the final step, then sharpened by one linear extrapolation of the distance
 decay rate to distance zero; the stored terminal sample stays on the computed
 trajectory, so its distance is at most the hit tolerance.
 
+Steps land on every control and system time knot, and each segment between
+knots (or chart switches) restarts the pair: its rhs closure is built for the
+segment's cell and its first stage is evaluated one ulp inside the segment,
+where left-continuous signals already read the new cell, instead of reusing
+the first-same-as-last derivative of the step into the knot.  The trajectory
+keeps both derivatives at such a sample: `derivs` (the left limit, what the
+step into it ended with) and `start_derivs` (what the segment out of it
+started from, the one dense output uses).
+
 Systems with a compactification chart integrate in chart coordinates outside
 the switch radius (hysteresis band [r1, 2 r1]); for such systems the target
 is interpreted in chart coordinates.  Step underflow near a singular set is
@@ -62,12 +71,16 @@ class Trajectory:
 
     in_chart[i] tells whether the segment starting at sample i was integrated
     in chart coordinates; interpolation honors that so dense evaluation keeps
-    the accuracy of the underlying representation.
+    the accuracy of the underlying representation.  derivs[i] is the
+    derivative the step into sample i ended with (the left limit at a knot);
+    start_derivs[i] is the one the segment out of sample i started from (the
+    right limit), and the two differ only at knots and chart switches.
     """
 
     times: np.ndarray
     states: np.ndarray
     derivs: np.ndarray
+    start_derivs: np.ndarray
     in_chart: np.ndarray
     hit: HitInfo
     chart: object = None
@@ -86,7 +99,7 @@ class Trajectory:
         i = self.segment_of(t)
         ta, tb = self.times[i], self.times[i + 1]
         ya, yb = self.states[i], self.states[i + 1]
-        fa, fb = self.derivs[i], self.derivs[i + 1]
+        fa, fb = self.start_derivs[i], self.derivs[i + 1]
         if self.in_chart[i] and self.chart is not None:
             za, zb = self.chart.to_chart(ya), self.chart.to_chart(yb)
             ga, gb = self.chart.push_velocity(ya, fa), self.chart.push_velocity(yb, fb)
@@ -148,22 +161,25 @@ def _resolve_cell(control, sys, t_mid):
 
 
 def _cell_rhs(sys, atoms, weights, mode, chart):
-    """Guarded rhs closure for one (control cell, coordinate mode) segment."""
+    """Guarded rhs closure for one (control cell, coordinate mode) segment.
+
+    Callers evaluate it under np.errstate(all="ignore"): an overflow shows up
+    as a non-finite stage, which raises _StageFailure and rejects the step.
+    """
     affine = sys.affine is not None
     u_mean = weights @ atoms if affine else None
     live = [(lam, atom) for lam, atom in zip(weights, atoms) if lam > 0.0]
 
     def base_field(t, y):
-        with np.errstate(all="ignore"):
-            if affine:
-                out = sys.field(t, y, u_mean)
-            else:
-                out = None
-                for lam, atom in live:
-                    term = lam * np.asarray(sys.field(t, y, atom), dtype=float)
-                    out = term if out is None else out + term
+        if affine:
+            out = sys.field(t, y, u_mean)
+        else:
+            out = None
+            for lam, atom in live:
+                term = lam * np.asarray(sys.field(t, y, atom), dtype=float)
+                out = term if out is None else out + term
         out = np.asarray(out, dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise _StageFailure
         return out
 
@@ -171,14 +187,13 @@ def _cell_rhs(sys, atoms, weights, mode, chart):
         return base_field
 
     def chart_field(t, z):
-        with np.errstate(all="ignore"):
-            nz = float(np.sqrt(z @ z))
-            if not (nz > 0.0) or not np.isfinite(nz):
-                raise _StageFailure
-            y = chart.from_chart(z)
+        nz = float(np.sqrt(z @ z))
+        if not (nz > 0.0) or not np.isfinite(nz):
+            raise _StageFailure
+        y = chart.from_chart(z)
         v = base_field(t, y)
         out = chart.push_velocity(y, v)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise _StageFailure
         return out
 
@@ -295,6 +310,7 @@ def integrate_forward(
     times = [0.0]
     states_y = []
     derivs_y = []
+    start_derivs_y = []
     flags = []
 
     t = 0.0
@@ -311,6 +327,7 @@ def integrate_forward(
     def emit(t_s, s_s, f_s, m_s):
         states_y.append(to_y(s_s, m_s))
         derivs_y.append(to_ydot(s_s, f_s, m_s))
+        start_derivs_y.append(derivs_y[-1])
         flags.append(m_s)
 
     def new_segment():
@@ -320,13 +337,19 @@ def integrate_forward(
         atoms, weights = _resolve_cell(control, sys, 0.5 * (t + seg_end))
         rhs = _cell_rhs(sys, atoms, weights, mode, chart)
         try:
-            f = rhs(t, state)
+            with np.errstate(all="ignore"):
+                # restart one ulp inside the segment: a left-continuous
+                # signal evaluated at the knot itself reads the cell behind
+                f = rhs(np.nextafter(t, seg_end), state)
         except _StageFailure:
             raise errors.SingularState("field not evaluable at the segment start")
+        if start_derivs_y:
+            start_derivs_y[-1] = to_ydot(state, f, mode)
 
     new_segment()
     emit(t, state, f, mode)
-    h = _rk.initial_step(rhs, t, state, f, 1.0, opts.rtol, opts.atol)
+    with np.errstate(all="ignore"):
+        h = _rk.initial_step(rhs, t, state, f, 1.0, opts.rtol, opts.atol)
 
     while status is None:
         if t >= t_max - 1e-15 * max(1.0, t_max):
@@ -347,9 +370,10 @@ def integrate_forward(
         if n_steps > opts.max_steps:
             raise errors.IntegrationFailed("forward integration exceeded the step budget")
         try:
-            s_new, f_new, err = _rk.step(rhs, t, state, f, h_try)
-            err_norm = _rk.error_norm(err, state, s_new, opts.rtol, opts.atol)
-            failed = not np.all(np.isfinite(s_new))
+            with np.errstate(all="ignore"):
+                s_new, f_new, err = _rk.step(rhs, t, state, f, h_try)
+                err_norm = _rk.error_norm(err, state, s_new, opts.rtol, opts.atol)
+            failed = not np.isfinite(s_new).all()
         except _StageFailure:
             err_norm = np.inf
             failed = True
@@ -450,7 +474,8 @@ def integrate_forward(
         f_tau = f_new
         if kind != "diverged":
             try:
-                f_tau = rhs(tau, s_tau)
+                with np.errstate(all="ignore"):
+                    f_tau = rhs(tau, s_tau)
             except _StageFailure:
                 pass
         times.append(tau)
@@ -483,6 +508,7 @@ def integrate_forward(
         times=np.array(times),
         states=np.array(states_y),
         derivs=np.array(derivs_y),
+        start_derivs=np.array(start_derivs_y),
         in_chart=np.array(flags, dtype=bool),
         hit=HitInfo(status=status, time=float(hit_time), terminal_distance=float(terminal_distance)),
         chart=chart,

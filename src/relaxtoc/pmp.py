@@ -385,15 +385,24 @@ def verify(
 
 
 def _cell_switching_vector(sys, adj, a, b):
-    """Integral of B(t)^T psi(t) over [a, b] on the adjoint's own grid."""
+    """Integral of B(t)^T psi(t) over [a, b] on the adjoint's own grid.
+
+    The grid holds every time knot of B, so each trapezoid reads B one ulp
+    inside its own interval: a left-continuous B read at a knot would smear
+    the jump over the interval after it.
+    """
     ts = np.asarray(adj.times, dtype=float)
     psis = np.asarray(adj.psis, dtype=float)
     inner = ts[(ts > a) & (ts < b)]
     pts = np.concatenate(([a], inner, [b]))
-    vals = [np.atleast_2d(sys.affine.input_matrix(t)).T @ _psi_at(ts, psis, t) for t in pts]
+    psi = [_psi_at(ts, psis, t) for t in pts]
+    B = sys.affine.input_matrix
     q = np.zeros(sys.dim_control)
     for k in range(len(pts) - 1):
-        q += 0.5 * (pts[k + 1] - pts[k]) * (vals[k] + vals[k + 1])
+        lo, hi = pts[k], pts[k + 1]
+        q_lo = np.atleast_2d(B(np.nextafter(lo, hi))).T @ psi[k]
+        q_hi = np.atleast_2d(B(np.nextafter(hi, lo))).T @ psi[k + 1]
+        q += 0.5 * (hi - lo) * (q_lo + q_hi)
     return q
 
 

@@ -33,7 +33,11 @@ def _check_grid(grid):
 
 
 def _cell_index(grid, t):
-    # Left-continuous lookup, clamped to the first/last cell outside the grid.
+    # Left-continuous lookup, clamped to the first/last cell outside the grid:
+    # a knot belongs to the cell that ends there.  integrate_forward resolves
+    # a segment's cell at its midpoint, and both integrators evaluate a
+    # segment's first stage one ulp past its start, so that stage reads the
+    # segment's own cell.
     i = int(np.searchsorted(grid, t, side="left")) - 1
     return min(max(i, 0), len(grid) - 2)
 

@@ -1,14 +1,16 @@
 """Independent oracles the test suite trusts more than the package.
 
 Everything here is deliberately primitive: fixed-step classical RK4, closed
-forms obtained by partial fractions, and composite Gauss-Legendre panels.
-None of it shares code paths with the package's adaptive integrator or its
-adaptive quadrature, so agreement is evidence rather than tautology.
+forms obtained by partial fractions, composite Gauss-Legendre panels, and
+SciPy's DOP853 run one constant-input cell at a time.  None of it shares
+code paths with the package's adaptive integrator or its adaptive
+quadrature, so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def xi_gauss(p, M, r, sign, panels=400, order=12):
 _RHO = 1.0
 
 
-def _quench_field(t, y, u):
+def quench_field(t, y, u):
     return np.array(
         [y[1] / (1.0 - y[0]) + u[0], y[0] + y[1] + u[1]], dtype=float
     )
@@ -112,7 +114,7 @@ def quench_hit_time(u_of_t, y0, level=1.0, h=1e-5, d_stop=0.02):
         if y[0] >= stop:
             break
         prev_t, prev_y1 = t, y[0]
-        f = lambda tt, yy: _quench_field(tt, yy, u_of_t(tt))
+        f = lambda tt, yy: quench_field(tt, yy, u_of_t(tt))
         k1 = f(t, y)
         k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
@@ -218,3 +220,22 @@ def adjoint_rk4(jac_of_t, t_end, psi_end, steps, t0=0.0):
         psi = psi - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t -= h
     return psi
+
+
+# ---------------------------------------------------------------------------
+# piecewise-constant inputs: one DOP853 run per cell, no step across a jump
+
+
+def per_cell_dop853(field_of_cell, edges, y0, rtol=1e-13, atol=1e-15):
+    """State at edges[-1] of y' = field_of_cell(j, y) on [edges[j], edges[j+1]].
+
+    The field is constant in time inside each cell, so each run sees a smooth
+    problem and the only error is DOP853's at rtol.
+    """
+    y = np.asarray(y0, dtype=float)
+    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        sol = solve_ivp(
+            lambda t, yy: field_of_cell(j, yy), (a, b), y, method="DOP853", rtol=rtol, atol=atol
+        )
+        y = sol.y[:, -1]
+    return y

@@ -195,6 +195,42 @@ def test_lower_bound_check_verdict(table20):
         blowup_lower_bound_check(table20, alpha=0.5, s=0.0, T=T, h=h, y_s=np.array([1.0]))
 
 
+def test_lower_bound_terminal_radius_matches_a_per_cell_reference(table20):
+    # the damping jumps at every cell edge: the integrator must restart its
+    # stage derivative past each jump, or the step there reads the old cell
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        direction = rng.normal(size=2)
+        y_s = mtilde(table20, 0.5) * (1.0 + 2.0 * rng.uniform()) * direction / np.linalg.norm(direction)
+        T = xi_upper_time(table20, float(np.linalg.norm(y_s))) * (0.1 + 0.8 * rng.uniform())
+        edges = np.linspace(0.0, T, 9)
+        h = rng.uniform(size=8)
+        verdict = blowup_lower_bound_check(
+            table20, alpha=0.5, s=0.0, T=T, h=PiecewiseConstant(edges[:-1], h), y_s=y_s
+        )
+        ref = oracles.per_cell_dop853(lambda j, y: np.linalg.norm(y) * y - h[j] * y, edges, y_s)
+        assert verdict.terminal_radius == pytest.approx(np.linalg.norm(ref), rel=1e-8, abs=0.0)
+
+
+def test_monotonicity_values_match_a_per_cell_reference():
+    rng = np.random.default_rng(7)
+    edges = np.linspace(0.0, 0.3, 7)
+    for sign, y0 in ((-1.0, [0.0, 0.5]), (1.0, [2.0, 0.5])):
+        g = 0.2 * rng.uniform(-1.0, 1.0, size=(6, 2))
+        h = sign * 0.2 * rng.uniform(0.0, 1.0, size=6)
+        verdict = quench_monotonicity_check(
+            g=PiecewiseConstant(edges[:-1], g),
+            h=PiecewiseConstant(edges[:-1], h),
+            y0=np.array(y0),
+            T=0.3,
+        )
+        for y1, damped in ((verdict.baseline_y1, 0.0), (verdict.perturbed_y1, 1.0)):
+            ref = oracles.per_cell_dop853(
+                lambda j, y: oracles.quench_field(0.0, y, g[j] + [damped * h[j], 0.0]), edges, y0
+            )
+            assert abs(y1 - ref[0]) <= 1e-11
+
+
 def test_monotonicity_case_i_and_ii():
     h_neg = PiecewiseConstant(np.array([0.0, 0.1]), np.array([-0.2, -0.05]))
     v = quench_monotonicity_check(g=None, h=h_neg, y0=np.array([0.0, 0.5]), T=0.3)

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,7 @@ def test_bad_horizon_and_target_dimension_name_the_field(tmp_path, capsys):
         ("horizon", mono, [], "sweep.horizon"),
         ("y0", mono_y0, [], "sweep.y0"),
         ("rtol", _toy_config(integrator={"rtol": 0.0}), [], "integrator.rtol"),
+        ("rtol-one", _toy_config(integrator={"rtol": 1.0}), [], "integrator.rtol"),
         ("atol", _toy_config(integrator={"atol": 0.0}), [], "integrator.atol"),
         ("rtol-flag", _toy_config(), ["--rtol", "0"], "integrator.rtol"),
         ("atol-flag", _toy_config(), ["--atol", "0"], "integrator.atol"),
@@ -221,6 +223,9 @@ _FUZZ_VALUES = [-1.0, 0, 1e300, "x", [1.0, 2.0, 3.0], [[1.0], [0.0]]]
 # a field too large for a first step, and an input bound past the barrier table
 @example(base="monotonicity", field=("sweep", "g_amp"), value=1e300)
 @example(base="envelope", field=("system", "rho0"), value=1e300)
+# an overflowing RK stage (the chart never engages), and a tolerance past 1
+@example(base="envelope", field=("system", "r1"), value=1e300)
+@example(base="envelope", field=("integrator", "rtol"), value=1e300)
 def test_exit_contract_holds_under_one_bad_field(base, field, value):
     cfg = copy.deepcopy(_FUZZ_BASES[base])
     node = cfg
@@ -234,8 +239,12 @@ def test_exit_contract_holds_under_one_bad_field(base, field, value):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
+            # pytest captures warnings before they reach stderr: record them
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == 2:
         lines = err.getvalue().splitlines()
         assert any(line.startswith(("config error:", "error [")) for line in lines)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from relaxtoc import errors
+from relaxtoc import _rk, errors
 from relaxtoc.dynamics import (
     AffineStructure,
     BallSet,
@@ -201,6 +201,50 @@ def test_sample_accuracy_against_rk4(quench_sys):
         20000,
     )
     assert np.abs(traj.states[-1] - ref).max() <= 1e-8
+
+
+def test_plain_restarts_past_each_knot(monkeypatch):
+    # y' = c(t) with a left-continuous piecewise-constant c: DOPRI5 is exact
+    # on each leg, provided the first stage of a leg reads the new cell
+    signal = PiecewiseConstant([0.0, 0.3, 0.7, 1.1], [1.0, -2.0, 3.0, 0.5])
+    trial_starts = []
+    step = _rk.step
+
+    def recording_step(rhs, t, y, f, h):
+        trial_starts.append(t)
+        return step(rhs, t, y, f, h)
+
+    monkeypatch.setattr(_rk, "step", recording_step)
+    y = _rk.integrate_plain(
+        lambda t, y: np.array([signal(t)]), 0.0, 1.5, np.zeros(1), 1e-10, 1e-12, knots=signal.knots
+    )
+    assert abs(y[0] - (0.3 - 0.8 + 1.2 + 0.2)) <= 1e-14
+    # a rejected trial step is retried from the same time
+    assert len(trial_starts) == len(set(trial_starts))
+
+
+def test_dense_output_after_a_knot(quench_sys):
+    # the control jumps at every knot; interpolation in the step after a
+    # knot must start from the right-limit derivative, not the left one
+    grid = np.linspace(0.0, 0.4, 9)
+    angles = 2.5 * np.arange(8)
+    values = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    traj = integrate_forward(
+        quench_sys, ClassicalSchedule(grid=grid, values=values), np.array([0.0, 0.5]), t_max=0.4
+    )
+
+    def reference(t):
+        cells = np.append(grid[grid < t], t)
+        return oracles.per_cell_dop853(
+            lambda j, y: oracles.quench_field(0.0, y, values[j]), cells, [0.0, 0.5]
+        )
+
+    for knot in grid[1:-1]:
+        i = int(np.searchsorted(traj.times, knot))
+        assert traj.times[i] == knot
+        for s in (0.25, 0.5, 0.75):
+            t = traj.times[i] + s * (traj.times[i + 1] - traj.times[i])
+            assert np.abs(traj.interp(t) - reference(t)).max() <= 1e-6
 
 
 def test_gronwall_stability(quench_sys):

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relaxtoc import errors
+from relaxtoc import errors, pmp
 from relaxtoc.dynamics import (
     BallSet,
     BoxSet,
     FiniteSet,
+    PiecewiseConstant,
     make_blowup_system,
     make_integrator_system,
     make_quenching_system,
 )
-from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
+from relaxtoc.integrate import HIT_TARGET, AdjointTrajectory, IntegratorOptions, integrate_forward
 from relaxtoc.pmp import (
     bang_polish,
     hamiltonian,
@@ -264,6 +265,22 @@ def test_bang_polish_keeps_or_improves(quench_sys, quench_y0):
     assert traj.hit.status == HIT_TARGET
     assert w <= float(baseline.hit.time) + 1e-12
     assert polished.weights.shape == sched.weights.shape
+
+
+def test_cell_switching_vector_reads_b_inside_each_interval():
+    # B jumps at the grid point 0.3; the integral of B^T psi must not smear
+    # the jump over the interval after it
+    B = PiecewiseConstant([0.0, 0.3], [np.eye(2), np.diag([0.5, 1.0])])
+    psi = np.array([1.0, 2.0])
+    adj = AdjointTrajectory(
+        times=np.array([0.0, 0.3, 0.5]),
+        psis=np.tile(psi, (3, 1)),
+        seed_time=0.5,
+        seed=psi,
+        normalization=1.0,
+    )
+    q = pmp._cell_switching_vector(make_quenching_system(B=B), adj, 0.0, 0.5)
+    assert np.allclose(q, 0.3 * psi + 0.2 * np.array([0.5, 2.0]), rtol=1e-14, atol=0.0)
 
 
 def test_bang_polish_declines_finite_sets():
