@@ -1,18 +1,18 @@
 """Integrator work counters and CPU time of the bound-sweeps comparison checks.
 
-Runs the samples of the bound-sweeps benchmark workload (`BoundSweeps` in
-bench/workloads.py) on a fixed seed: round k holds samples 3k (envelope
-bracket on a random-control blowup trajectory), 3k + 1 (damping lower bound)
-and 3k + 2 (quench monotonicity, case i in even rounds and ii in odd ones).
-Per kind it records
+Runs the first ROUNDS rounds of the bound-sweeps benchmark workload
+(`BoundSweeps` in bench/workloads.py) on seed SEED: round k holds samples 3k
+(envelope bracket on a random-control blowup trajectory), 3k + 1 (damping
+lower bound) and 3k + 2 (quench monotonicity, case i in even rounds and ii in
+odd ones). Per kind it records
 
 - RK trial steps, rejected steps and field (rhs) evaluations, summed over the
   samples; these are deterministic and repeat on any machine;
-- the median over --repeats passes of the process CPU time per sample;
+- the median over REPEATS passes of the process CPU time per sample;
 - for the lower-bound and monotonicity kinds, the largest error of the
-  answer against SciPy's DOP853 run one constant-input cell at a time
-  (rtol 1e-13): the relative error of the terminal radius, and the absolute
-  error of the baseline and perturbed y1.
+  answer against `per_cell_dop853` of tests/oracles.py (SciPy's DOP853 run
+  one constant-input cell at a time, rtol 1e-13): the relative error of the
+  terminal radius, and the absolute error of the baseline and perturbed y1.
 
 Results merge into --out under runs[--label], so two checkouts can be
 recorded side by side:
@@ -20,7 +20,8 @@ recorded side by side:
     python scripts/bench_integrator.py --root <other checkout> --label before
     python scripts/bench_integrator.py --label after
 
---root (default: this checkout) names the checkout whose src/ and bench/ run.
+--root (default: this checkout) names the checkout whose src/ and bench/ run;
+the reference always comes from this checkout's tests/oracles.py.
 """
 
 import argparse
@@ -35,6 +36,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KINDS = ("envelope", "lower-bound", "monotonicity-i", "monotonicity-ii")
 MONO_T = 0.3  # the monotonicity horizon of BoundSweeps.sample
+SEED, ROUNDS, REPEATS = 5, 20, 7
 
 
 def parse_args(argv):
@@ -42,26 +44,13 @@ def parse_args(argv):
     ap.add_argument("--root", default=ROOT)
     ap.add_argument("--label", required=True)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_integrator.json"))
-    ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--rounds", type=int, default=20)
-    ap.add_argument("--repeats", type=int, default=7)
     return ap.parse_args(argv)
-
-
-def per_cell_dop853(field_of_cell, edges, y0):
-    from scipy.integrate import solve_ivp
-
-    y = y0
-    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        y = solve_ivp(
-            lambda t, yy: field_of_cell(k, yy), (a, b), y, method="DOP853", rtol=1e-13, atol=1e-15
-        ).y[:, -1]
-    return y
 
 
 def reference_errors(wl, j, verdict):
     """Deviation of sample j's answer from a per-cell DOP853 reference."""
     import numpy as np
+    from oracles import per_cell_dop853
 
     from relaxtoc import barrier
 
@@ -161,13 +150,10 @@ def main(argv=None):
             doc = json.load(fh)
     except FileNotFoundError:
         doc = {}
-    inputs = {"seed": args.seed, "rounds": args.rounds, "repeats": args.repeats}
-    if doc.get("inputs", inputs) != inputs:
-        raise SystemExit(f"{args.out} holds runs on other inputs: {doc['inputs']}")
-
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     src = os.path.join(os.path.abspath(args.root), "src")
-    sys.path[:0] = [src, os.path.join(os.path.abspath(args.root), "bench")]
+    bench = os.path.join(os.path.abspath(args.root), "bench")
+    sys.path[:0] = [src, bench, os.path.join(ROOT, "tests")]
     import numpy
     import scipy
 
@@ -177,13 +163,13 @@ def main(argv=None):
     if not os.path.abspath(relaxtoc.__file__).startswith(src + os.sep):
         raise SystemExit(f"relaxtoc imported from {relaxtoc.__file__}, not from {src}")
 
-    wl = workloads.BoundSweeps(args.seed)
+    wl = workloads.BoundSweeps(SEED)
     wl.warm_up()
-    samples = range(3 * args.rounds)
+    samples = range(3 * ROUNDS)
     per_kind, verdicts = counted_pass(wl, samples)
 
     cpu = {k: [] for k in KINDS}
-    for _ in range(args.repeats):
+    for _ in range(REPEATS):
         spent = {k: 0.0 for k in KINDS}
         for j in samples:
             t0 = time.process_time()
@@ -204,7 +190,7 @@ def main(argv=None):
         row["all_ok"] = all(verdicts[j].ok for j in samples if wl.kind(j) == kind)
 
     doc["what"] = __doc__.split("\n\n")[0]
-    doc["inputs"] = inputs
+    doc["inputs"] = {"seed": SEED, "rounds": ROUNDS, "repeats": REPEATS}
     doc.setdefault("runs", {})[args.label] = {
         "kinds": per_kind,
         "environment": {

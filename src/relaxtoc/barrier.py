@@ -443,10 +443,7 @@ class MonotonicityVerdict:
 
 def _quench_forced_system(g_fn, h_fn, knots):
     def field(t, y, u):
-        g = g_fn(t)
-        extra = g.copy() if g.shape == (2,) else np.broadcast_to(g, (2,)).astype(float)
-        extra[0] += float(h_fn(t))
-        return quench_drift(t, y) + extra
+        return quench_drift(t, y) + (g_fn(t) + np.array([float(h_fn(t)), 0.0]))
 
     def jacobian(t, y, u):
         return quench_drift_jacobian(t, y)

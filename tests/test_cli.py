@@ -8,6 +8,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -298,6 +300,30 @@ def test_verify_bound_violation_is_exit_one(tmp_path):
     payload = json.loads((tmp_path / "pmp_report.json").read_text())
     assert payload["hamiltonian_residual"] > 0.0
     assert payload["quenching_conclusions"]["ok"] is True
+
+
+def test_piecewise_b_verify_certifies_the_per_cell_hit_time(tmp_path):
+    # B(t) jumps at 0.3, inside the last control cell; each constant piece
+    # of the certified control, integrated on its own, must reach the
+    # target y1 = 1 - alpha within the hit tolerance of the certified w
+    B = [np.eye(2), np.diag([0.5, 1.0])]
+    cfg = copy.deepcopy(cli.list_examples()["quenching-ex1"]["default_config"])
+    cfg["system"]["B"] = {"starts": [0.0, 0.3], "values": [b.tolist() for b in B]}
+    cfg["solver"] = {"n_cells": 4, "multi_starts": 1}
+    assert cli.run(cfg, out_dir=tmp_path) == 0
+    res = json.loads((tmp_path / "solve_result.json").read_text())
+    w, grid, u = res["w"], np.array(res["classical"]["grid"]), np.array(res["classical"]["values"])
+    edges = np.unique(np.concatenate([grid[grid < w], [0.3, w]]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+
+    def field(j, y):
+        cell = min(int(np.searchsorted(grid, mids[j])) - 1, len(u) - 1)
+        return oracles.quench_field(0.0, y, B[int(mids[j] > 0.3)] @ u[cell])
+
+    y = oracles.per_cell_dop853(field, edges, [0.0, 0.5])
+    rate = field(len(mids) - 1, y)[0]
+    t_ref = w + (1.0 - cfg["alpha"] - y[0]) / rate  # one Newton step to the crossing
+    assert abs(w - t_ref) <= 1e-8 / rate  # the default hit_tol, in time
 
 
 def test_main_exit_codes(tmp_path, capsys):
