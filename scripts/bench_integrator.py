@@ -102,7 +102,12 @@ def counted_pass(wl, samples):
         return wrapped
 
     def counted_system(sys_):
-        return dataclasses.replace(sys_, field=counting(sys_.field))
+        # an affine system's forward rhs calls its drift, not its field; the
+        # field's own drift call goes through the closure, so no rhs counts twice
+        affine = sys_.affine
+        if affine is not None:
+            affine = dataclasses.replace(affine, drift=counting(affine.drift))
+        return dataclasses.replace(sys_, field=counting(sys_.field), affine=affine)
 
     step, error_norm = _rk.step, _rk.error_norm
     plain, forced = barrier.integrate_plain, barrier._quench_forced_system

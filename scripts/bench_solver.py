@@ -1,0 +1,203 @@
+"""Solver lookup counters, CPU time and an output digest of fixed benchmark operations.
+
+Runs fixed operations of two workloads of bench/workloads.py: quench-ladder
+operation 0 (the README quench study: a five-rung alpha ladder, verify at the
+last rung, the winner continued to alpha = 0 and its quenching conclusions)
+and chart-verify operations 0 and 1 on seed SEED (one `relaxtoc run` verify
+on blowup-ex2 each, n = 1 and n = 2). Per workload it records
+
+- adjoint rhs evaluations;
+- segment lookups (binary searches of Trajectory.segment_of over a
+  trajectory's times) and cell lookups (relaxed._cell_index over a
+  schedule's grid);
+- the median over REPEATS passes of the process CPU time per operation;
+- a SHA-256 digest of the outputs: for quench-ladder the rung alphas and
+  `ws`, `w_star`, the rung schedules, the verify report and the conclusions;
+  for chart-verify the exit codes and every CLI artifact byte. Two sides of
+  a change that keeps results bit for bit must show the same digest.
+
+Forward passes, RK steps and the other layer counts come from
+`bench/run.py --trace 1`. All counts here are deterministic and repeat on
+any machine. Results merge into --out under runs[--label], so two checkouts
+can be recorded side by side:
+
+    python scripts/bench_solver.py --root <other checkout> --label before
+    python scripts/bench_solver.py --label after
+
+--root (default: this checkout) names the checkout whose src/ and bench/ run.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED, REPEATS = 5, 7
+OPS = {"quench-ladder": (0,), "chart-verify": (0, 1)}
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=ROOT)
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_solver.json"))
+    return ap.parse_args(argv)
+
+
+def output_bytes(wl, out):
+    """The bytes of one operation's results that the digest covers."""
+    if wl.name == "quench-ladder":
+        trace, report, conc = out
+        head = {
+            "alphas": list(trace.alphas),
+            "ws": list(trace.ws),
+            "w_star": trace.w_star,
+            "verify": report.to_json_dict(),
+            "conclusions": None if conc is None else conc.to_json_dict(),
+        }
+        blob = json.dumps(head, sort_keys=True).encode()
+        return blob + b"".join(s.hash_bytes() for s in trace.schedules)
+    blob = json.dumps(out, sort_keys=True).encode()
+    for name in sorted(os.listdir(wl.scratch)):
+        with open(os.path.join(wl.scratch, name), "rb") as fh:
+            blob += name.encode() + fh.read()
+    return blob
+
+
+def run_ops(wl, ops):
+    """Run the operations in order: (digest of their outputs, summary, CPU
+    seconds per operation).  The CPU time leaves out the checks and the digest."""
+    h = hashlib.sha256()
+    summary = []
+    cpu = 0.0
+    for k in ops:
+        t0 = time.process_time()
+        out = wl.op(k)
+        cpu += time.process_time() - t0
+        if not wl.check(k, out):
+            raise SystemExit(f"{wl.name} operation {k} failed its check")
+        h.update(output_bytes(wl, out))
+        if wl.name == "quench-ladder":
+            summary.append({"ws": list(out[0].ws), "w_star": out[0].w_star})
+        else:
+            summary.append({"w": out["w"], "rc": out["rc"]})
+    return h.hexdigest(), summary, cpu / len(ops)
+
+
+def counted_pass(workloads, name, scratch):
+    """The operations run once more with three counters: adjoint rhs
+    evaluations, segment lookups and cell lookups."""
+    from relaxtoc import _rk, integrate, relaxed
+
+    counts = dict.fromkeys(("adjoint_rhs_evals", "segment_lookups", "cell_lookups"), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # integrate_adjoint is the one caller of _rk.integrate_plain through the
+    # module attribute; solve and barrier bind the name at import
+    plain = _rk.integrate_plain
+
+    def counted_plain(rhs, *args, **kwargs):
+        return plain(counted("adjoint_rhs_evals", rhs), *args, **kwargs)
+
+    patches = {
+        (_rk, "integrate_plain"): counted_plain,
+        (integrate.Trajectory, "segment_of"): counted("segment_lookups", integrate.Trajectory.segment_of),
+        (relaxed, "_cell_index"): counted("cell_lookups", relaxed._cell_index),
+    }
+    originals = {key: getattr(*key) for key in patches}
+    for (owner, attr), value in patches.items():
+        setattr(owner, attr, value)
+    try:
+        wl = workloads.WORKLOADS[name](SEED, scratch=scratch)
+        digest = run_ops(wl, OPS[name])[0]
+    finally:
+        for (owner, attr), value in originals.items():
+            setattr(owner, attr, value)
+    return counts, digest
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    try:
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        doc = {}
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    src = os.path.join(os.path.abspath(args.root), "src")
+    bench = os.path.join(os.path.abspath(args.root), "bench")
+    sys.path[:0] = [src, bench]
+    import numpy
+    import scipy
+
+    import relaxtoc
+    import workloads
+
+    if not os.path.abspath(relaxtoc.__file__).startswith(src + os.sep):
+        raise SystemExit(f"relaxtoc imported from {relaxtoc.__file__}, not from {src}")
+
+    results = {}
+    for name, ops in OPS.items():
+        with workloads.scratch_dir(tempfile.gettempdir()) as scratch, contextlib.redirect_stdout(
+            io.StringIO()
+        ):
+            wl = workloads.WORKLOADS[name](SEED, scratch=scratch)
+            wl.warm_up()
+            digests, cpu = set(), []
+            for _ in range(REPEATS):
+                digest, summary, cpu_per_op = run_ops(wl, ops)
+                cpu.append(cpu_per_op)
+                digests.add(digest)
+            counts, counted_digest = counted_pass(workloads, name, scratch)
+        digests.add(counted_digest)
+        if len(digests) != 1:
+            raise SystemExit(f"{name}: outputs differ between passes")
+        results[name] = {
+            "ops": list(ops),
+            "counts": counts,
+            "cpu_s_per_op_median": statistics.median(cpu),
+            "cpu_s_per_op_quartiles": statistics.quantiles(cpu, n=4)[::2],
+            "output_sha256": digest,
+            "outputs": summary,
+        }
+
+    doc["what"] = __doc__.split("\n\n")[0]
+    doc["inputs"] = {"seed": SEED, "repeats": REPEATS, "ops": {k: list(v) for k, v in OPS.items()}}
+    doc.setdefault("runs", {})[args.label] = {
+        "workloads": results,
+        "environment": {
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+        },
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for name, row in results.items():
+        c = row["counts"]
+        print(
+            f"{name:14s} adjoint rhs {c['adjoint_rhs_evals']:6d}  "
+            f"segment {c['segment_lookups']:6d}  cell {c['cell_lookups']:6d}  "
+            f"cpu/op {row['cpu_s_per_op_median'] * 1e3:7.1f} ms  {row['output_sha256'][:12]}"
+        )
+
+
+if __name__ == "__main__":
+    main()

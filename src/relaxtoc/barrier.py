@@ -21,17 +21,26 @@ the positive root of theta^p - theta - M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from . import errors
 from ._rk import integrate_plain
 from .dynamics import BallSet, ControlSystem, PiecewiseConstant, quench_drift, quench_drift_jacobian
 from .integrate import HIT_TARGET, MAX_TIME, IntegratorOptions, integrate_forward
 from .target import Hyperplane
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported at the first quadrature: importing SciPy
+    takes most of `import relaxtoc`, and only the barrier checks need it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -102,6 +111,8 @@ def build_barrier_table(p: float, M: float) -> BarrierTable:
     up = np.array([_quad_xi(p, M, r, +1.0) for r in radii])
     lo = np.array([_quad_xi(p, M, r, -1.0) for r in radii])
     log_r = np.log(radii)
+    from scipy.interpolate import PchipInterpolator
+
     inv_up = PchipInterpolator(up[::-1], log_r[::-1])
     inv_lo = PchipInterpolator(lo[::-1], log_r[::-1])
     return BarrierTable(

@@ -168,10 +168,19 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True, eq=False)
 class AffineStructure:
-    """Decomposition field(t, y, u) = drift(t, y) + input_matrix(t) @ u."""
+    """Decomposition field(t, y, u) = drift(t, y) + input_matrix(t) @ u.
+
+    input_matrix is piecewise constant: the forward integrator forms
+    input_matrix @ u once per segment, and a ControlSystem carrying this
+    structure must list the input matrix's knots among its time_knots.
+    """
 
     drift: Callable[[float, np.ndarray], np.ndarray]
-    input_matrix: Callable[[float], np.ndarray]
+    input_matrix: PiecewiseConstant
+
+    def __post_init__(self):
+        if not isinstance(self.input_matrix, PiecewiseConstant):
+            raise TypeError("AffineStructure.input_matrix must be a PiecewiseConstant")
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +276,14 @@ class ControlSystem:
     chart: Optional[Compactification] = None
     control_jacobian: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
     time_knots: tuple = ()
+
+    def __post_init__(self):
+        if self.affine is not None:
+            missing = set(self.affine.input_matrix.knots) - {float(k) for k in self.time_knots}
+            if missing:
+                raise ValueError(
+                    f"time_knots must include the input matrix's knots; missing {sorted(missing)}"
+                )
 
     def guard(self, y) -> None:
         """Raise SingularState when y is numerically on the singular set."""

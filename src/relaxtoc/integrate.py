@@ -96,7 +96,34 @@ class Trajectory:
     def interp(self, t: float) -> np.ndarray:
         if len(self.times) == 1:
             return self.states[0].copy()
-        i = self.segment_of(t)
+        return self._dense(self.segment_of(t), t)
+
+    def cursor(self):
+        """A function equal to interp, bit for bit, for callers whose t moves
+        mostly one way (a backward sweep, a loop over midpoints).
+
+        It finds the segment by stepping from the one it found last, with
+        segment_of's side="right" rule and clamp, instead of a binary search
+        per call; t may move either way.
+        """
+        if len(self.times) == 1:
+            return lambda t: self.states[0].copy()
+        times = self.times.tolist()
+        last = len(times) - 2
+        i = 0
+
+        def at(t):
+            nonlocal i
+            while i < last and times[i + 1] <= t:
+                i += 1
+            while i > 0 and times[i] > t:
+                i -= 1
+            return self._dense(i, t)
+
+        return at
+
+    def _dense(self, i: int, t: float) -> np.ndarray:
+        """Dense output on segment i, in the coordinates it was integrated in."""
         ta, tb = self.times[i], self.times[i + 1]
         ya, yb = self.states[i], self.states[i + 1]
         fa, fb = self.start_derivs[i], self.derivs[i + 1]
@@ -160,19 +187,26 @@ def _resolve_cell(control, sys, t_mid):
     return atoms, weights
 
 
-def _cell_rhs(sys, atoms, weights, mode, chart):
-    """Guarded rhs closure for one (control cell, coordinate mode) segment.
+def _cell_rhs(sys, atoms, weights, mode, chart, seg_end):
+    """Guarded rhs closure for one (control cell, coordinate mode) segment,
+    the one ending at seg_end.
 
-    Callers evaluate it under np.errstate(all="ignore"): an overflow shows up
-    as a non-finite stage, which raises _StageFailure and rejects the step.
+    Affine systems form B u_mean once, from B(seg_end): B is a left-continuous
+    PiecewiseConstant whose knots are time knots of the system (ControlSystem
+    checks both), segments end at every time knot, so B reads a single cell
+    over the segment, and every stage is drift(t, y) + B u_mean.  Callers
+    evaluate the closure under np.errstate(all="ignore"): an overflow shows
+    up as a non-finite stage, which raises _StageFailure and rejects the step.
     """
-    affine = sys.affine is not None
-    u_mean = weights @ atoms if affine else None
+    affine = sys.affine
+    if affine is not None:
+        drift = affine.drift
+        Bu = affine.input_matrix(seg_end) @ (weights @ atoms)
     live = [(lam, atom) for lam, atom in zip(weights, atoms) if lam > 0.0]
 
     def base_field(t, y):
-        if affine:
-            out = sys.field(t, y, u_mean)
+        if affine is not None:
+            out = drift(t, y) + Bu
         else:
             out = None
             for lam, atom in live:
@@ -335,7 +369,7 @@ def integrate_forward(
         idx = int(np.searchsorted(knots, t, side="right"))
         seg_end = float(knots[idx]) if idx < len(knots) else float(t_max)
         atoms, weights = _resolve_cell(control, sys, 0.5 * (t + seg_end))
-        rhs = _cell_rhs(sys, atoms, weights, mode, chart)
+        rhs = _cell_rhs(sys, atoms, weights, mode, chart, seg_end)
         try:
             with np.errstate(all="ignore"):
                 # restart one ulp inside the segment: a left-continuous
@@ -395,10 +429,9 @@ def integrate_forward(
 
         if tgt is not None:
             taus = [t] + [t + th * h_try for th in (0.25, 0.5, 0.75)] + [t_new]
-            dvals = [d_state] + [
-                distance_of(s_new if tau == t_new else dense(tau), mode)
-                for tau in taus[1:]
-            ]
+            # the interior dense states serve the distance and the signed scan
+            pts = [state] + [s_new if tau == t_new else dense(tau) for tau in taus[1:4]] + [s_new]
+            dvals = [d_state] + [distance_of(s, mode) for s in pts[1:]]
 
             def entry(lo_t, hi_t):
                 _, hi = _bisect(
@@ -423,7 +456,7 @@ def integrate_forward(
                     if d_m <= opts.hit_tol:
                         event = entry(taus[0], tau_m)
             if event is None and signed_of is not None:
-                svals = [signed_of(s_new if tau == t_new else dense(tau)) for tau in taus]
+                svals = [signed_of(s) for s in pts]
                 for j in range(1, len(taus)):
                     if svals[j - 1] * svals[j] < 0.0:
                         _, cross = _bisect(
@@ -544,9 +577,13 @@ def integrate_adjoint(
     sample_times = [float(t) for t in traj.times if t < t_end - 1e-15 * max(1.0, t_end)]
     sample_times.append(t_end)
 
+    y_at = traj.cursor()
+    # an affine field's jacobian is free of u: any cell gives the same one
+    fixed_cell = _resolve_cell(None, sys, 0.0) if sys.affine is not None else None
+
     def rhs(t, psi):
-        atoms, weights = _resolve_cell(control, sys, t)
-        return -(relaxed_jacobian(sys, t, traj.interp(t), atoms, weights) @ psi)
+        atoms, weights = fixed_cell or _resolve_cell(control, sys, t)
+        return -(relaxed_jacobian(sys, t, y_at(t), atoms, weights) @ psi)
 
     knots = set(sys.time_knots)
     if control is not None:

@@ -41,9 +41,10 @@ from .target import Ball, HalfSpace, Hyperplane, Point, TargetSet, transformed_t
 DELTAS = (1e-2, 1e-3, 1e-4)
 # relative distance within which a cell's mean control agrees with the argmax
 AGREEMENT_TOL = 1e-3
-# bang_polish stops after POLISH_ROUNDS sweeps, or at the first sweep that
-# does not cut w by POLISH_W_TOL (relative)
-POLISH_ROUNDS = 30
+# bang_polish runs at most POLISH_ROUNDS rounds (a costate sweep and a forward
+# pass of the updated schedule each), and stops at the first round that does
+# not cut w by POLISH_W_TOL (relative)
+POLISH_ROUNDS = 29
 POLISH_W_TOL = 1e-12
 # quenching conclusions: relative tolerance on the sign of y2(T), and the
 # largest admitted ratio of consecutive covector norms on the delta family
@@ -139,8 +140,10 @@ def _sample_grid(adjoint: AdjointTrajectory):
 
 
 def _psi_at(ts, psis, t):
-    j = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
-    th = (t - ts[j]) / (ts[j + 1] - ts[j])
+    """Linear interpolation of the costate samples at the times in t, one row
+    per time; elementwise, so each row equals the scalar formula's."""
+    j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    th = ((t - ts[j]) / (ts[j + 1] - ts[j]))[:, None]
     return (1.0 - th) * psis[j] + th * psis[j + 1]
 
 
@@ -341,9 +344,9 @@ def verify(
     agree_time = 0.0
     live_time = 0.0
     rows = []
-    for t, dt in zip(mids, lens):
-        y = traj.interp(t)
-        psi = _psi_at(ts, psis, t)
+    y_at = traj.cursor()
+    for t, dt, psi in zip(mids, lens, _psi_at(ts, psis, mids)):
+        y = y_at(t)
         atoms, weights = _resolve_cell(schedule, sys, t)
         best = max_hamiltonian(sys, t, y, psi)
         h_cand = relaxed_hamiltonian(sys, t, y, psi, atoms, weights)
@@ -395,7 +398,7 @@ def _cell_switching_vector(sys, adj, a, b):
     psis = np.asarray(adj.psis, dtype=float)
     inner = ts[(ts > a) & (ts < b)]
     pts = np.concatenate(([a], inner, [b]))
-    psi = [_psi_at(ts, psis, t) for t in pts]
+    psi = _psi_at(ts, psis, pts)
     B = sys.affine.input_matrix
     q = np.zeros(sys.dim_control)
     for k in range(len(pts) - 1):
@@ -409,45 +412,34 @@ def _cell_switching_vector(sys, adj, a, b):
 def bang_polish(
     sys: ControlSystem,
     tgt: TargetSet,
-    schedule: RelaxedSchedule,
+    certified,
     y0,
     opts: Optional[IntegratorOptions] = None,
 ):
-    """Refine a certified schedule by iterating the maximum condition.
+    """Refine a certified (w, schedule, trajectory) by iterating the maximum condition.
 
-    Alternates a forward pass, a backward costate sweep seeded in the target's
-    normal cone at the exit, and per-cell replacement of the control by the
-    argmax of the cell-averaged switching vector B^T psi (a cell where that
-    vector vanishes keeps its control).  Descent methods
-    stall on this last stretch (the hit time is flat in the control to first
-    order at the optimum), while the fixed point lands on the extremal of the
-    piecewise-constant class directly.  Stops at the first non-improving
-    sweep and returns the best (w, schedule, trajectory) seen; None when the
-    system is not affine with a ball or box control set, or the input
-    schedule fails to produce a certified hit.
+    Each round runs a backward costate sweep seeded in the target's normal
+    cone at the exit of the best trajectory so far, replaces each cell's
+    control by the argmax of the cell-averaged switching vector B^T psi (a
+    cell where that vector vanishes keeps its control), and integrates the
+    new schedule forward.  Descent methods stall on this last stretch (the
+    hit time is flat in the control to first order at the optimum), while
+    the fixed point lands on the extremal of the piecewise-constant class
+    directly.  Stops at the first round that does not cut w by POLISH_W_TOL
+    and returns the best triple seen, which is `certified` itself when no
+    round improves on it; None when the system is not affine with a ball or
+    box control set.  certified is a hit: w is the hit time of the trajectory,
+    the schedule integrated with these options (solve._certify makes one), so
+    the polish starts at the costate sweep.
     """
     if not polishable(sys):
         return None
     cs = sys.control_set
     opts = opts or IntegratorOptions()
-    n_cells, n_atoms = schedule.weights.shape
-    sched = schedule
-    best = None
+    best = certified
+    w, sched, traj = certified
+    n_cells = sched.weights.shape[0]
     for _ in range(POLISH_ROUNDS):
-        w_ref = best[0] if best is not None else float(sched.grid[-1])
-        t_max = w_ref * 1.2 + 100.0 * opts.hit_tol
-        try:
-            traj = integrate_forward(sys, sched, y0, tgt=tgt, t_max=t_max, opts=opts)
-        except errors.Error:
-            break
-        if traj.hit.status != HIT_TARGET:
-            break
-        w = float(traj.hit.time)
-        improved = best is None or w < best[0] - POLISH_W_TOL * (1.0 + w)
-        if best is None or w < best[0]:
-            best = (w, sched, traj)
-        if not improved:
-            break
         t_end = min(w, float(traj.times[-1]))
         seed = exit_covector(sys, tgt, traj, t_end)
         try:
@@ -465,6 +457,19 @@ def bang_polish(
             if not degenerate:
                 atoms[i, :, :] = u_i
         sched = RelaxedSchedule(grid=grid, atoms=atoms, weights=np.array(sched.weights, copy=True))
+        t_max = best[0] * 1.2 + 100.0 * opts.hit_tol
+        try:
+            traj = integrate_forward(sys, sched, y0, tgt=tgt, t_max=t_max, opts=opts)
+        except errors.Error:
+            break
+        if traj.hit.status != HIT_TARGET:
+            break
+        w = float(traj.hit.time)
+        improved = w < best[0] - POLISH_W_TOL * (1.0 + w)
+        if w < best[0]:
+            best = (w, sched, traj)
+        if not improved:
+            break
     return best
 
 

@@ -506,16 +506,11 @@ def solve_alpha(
         raise errors.Infeasible(
             "no multi-start seed produced a certified target hit within the horizon"
         )
-    w_cert, sched_phys, traj = best
-
-    polished = pmp.bang_polish(sys, tgt_a, sched_phys, y0, opts=opts.final)
-    if (
-        polished is not None
-        and polished[1] is not sched_phys
-        and polished[0] <= w_cert + 1e-12 * (1.0 + w_cert)
-    ):
-        w_cert, sched_phys, traj = polished
+    polished = pmp.bang_polish(sys, tgt_a, best, y0, opts=opts.final)
+    if polished is not None and polished is not best:
+        best = polished
         path += "+polish"
+    w_cert, sched_phys, traj = best
 
     result = SolveResult(
         w=w_cert,

@@ -1,6 +1,10 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+`import relaxtoc` loads no SciPy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relaxtoc"
@@ -22,3 +26,12 @@ def test_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_import_leaves_scipy_unloaded():
+    # SciPy's import costs more than the rest of the package; only the
+    # barrier quadrature and table need it, and they import it on first use
+    probe = "import sys, relaxtoc, relaxtoc.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

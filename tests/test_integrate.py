@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from relaxtoc import _rk, errors
+from relaxtoc import _rk, errors, integrate
 from relaxtoc.dynamics import (
     AffineStructure,
     BallSet,
     ControlSystem,
     PiecewiseConstant,
     eval_jacobian,
+    make_blowup_system,
     make_integrator_system,
 )
 from relaxtoc.integrate import (
@@ -18,10 +21,12 @@ from relaxtoc.integrate import (
     MAX_TIME,
     SINGULAR_STALL,
     IntegratorOptions,
+    Trajectory,
+    _resolve_cell,
     integrate_adjoint,
     integrate_forward,
 )
-from relaxtoc.relaxed import ClassicalSchedule
+from relaxtoc.relaxed import ClassicalSchedule, RelaxedSchedule
 from relaxtoc.target import Point
 
 QUENCH_FREE_HIT = 0.65376084  # fixed-step RK4 + analytic tail, h -> 0
@@ -325,6 +330,113 @@ def test_adjoint_norm_nonincreasing_on_blowup(blowup_free_g1):
     )
     norms = np.linalg.norm(adj.psis, axis=1)
     assert np.all(np.diff(norms) <= 1e-10 * norms.max())
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _sweep_reads(monkeypatch, sys_, traj, control, seed, t_end):
+    """(t, cursor value, interp value) at every stage time of one backward sweep."""
+    reads = []
+    cursor = Trajectory.cursor
+
+    def checked_cursor(self):
+        at = cursor(self)
+
+        def read(t):
+            y = at(t)
+            reads.append((t, y, self.interp(t)))
+            return y
+
+        return read
+
+    monkeypatch.setattr(Trajectory, "cursor", checked_cursor)
+    integrate_adjoint(sys_, traj, control, seed, t_end=t_end)
+    monkeypatch.undo()
+    return reads
+
+
+def test_cursor_matches_interp_bit_for_bit(monkeypatch, quench_sys):
+    # the backward sweep reads y(t) through the cursor at every stage; each
+    # read must equal interp's, and so must reads at the sample times (knots
+    # included) walked backward, forward and in random order
+    grid = np.linspace(0.0, 0.3, 7)
+    values = np.stack([np.cos(2.5 * np.arange(6)), np.sin(2.5 * np.arange(6))], axis=1)
+    control = ClassicalSchedule(grid=grid, values=values)
+    quench = integrate_forward(quench_sys, control, np.array([0.0, 0.5]), t_max=0.3)
+    assert set(grid[1:-1]) <= set(quench.times)
+
+    blowup = make_blowup_system(n=2, p=2.0, gamma=1.0, r1=2.0)
+    chart = integrate_forward(
+        blowup, None, np.array([1.5, 1.0]), tgt=Point(location=np.zeros(2)).with_alpha(0.01), t_max=1.0
+    )
+    assert chart.hit.status == HIT_TARGET and chart.switch_times()
+
+    rng = np.random.default_rng(7)
+    for sys_, traj, ctrl, seed in (
+        (quench_sys, quench, control, np.array([1.0, 0.0])),
+        (blowup, chart, None, np.array([0.6, 0.8])),
+    ):
+        t_end = min(traj.hit.time, float(traj.times[-1])) * (1.0 - 1e-3)
+        reads = _sweep_reads(monkeypatch, sys_, traj, ctrl, seed, t_end)
+        assert len(reads) > 100
+        assert all(_same_bits(a, b) for _, a, b in reads)
+        assert any(t in set(traj.times) for t, _, _ in reads)
+        at = traj.cursor()
+        times = list(traj.times)
+        for t in times[::-1] + times + list(rng.permutation(times)) + [-1.0, 2.0 * times[-1]]:
+            assert _same_bits(at(t), traj.interp(t))
+
+
+def test_affine_adjoint_reads_no_control_cell(monkeypatch, quench_sys):
+    # relaxed_jacobian ignores u on an affine system, so the sweep resolves
+    # one fixed cell; it must equal a sweep over the same field without the
+    # affine structure, which looks the cell up at every stage (weights of
+    # one half make that cell average exact)
+    grid = np.array([0.0, 0.1, 0.1, 0.25, 0.4])
+    sched = RelaxedSchedule(
+        grid=grid, atoms=np.arange(16.0).reshape(4, 2, 2) / 16.0, weights=np.full((4, 2), 0.5)
+    )
+    traj = integrate_forward(quench_sys, sched, np.array([0.0, 0.5]), t_max=0.4)
+    lookups = []
+    resolve = integrate._resolve_cell
+    monkeypatch.setattr(integrate, "_resolve_cell", lambda c, s, t: lookups.append(t) or resolve(c, s, t))
+    sweep = integrate_adjoint(quench_sys, traj, sched, np.array([1.0, 0.5]))
+    assert len(lookups) == 1
+    ref = integrate_adjoint(
+        dataclasses.replace(quench_sys, affine=None), traj, sched, np.array([1.0, 0.5])
+    )
+    assert len(lookups) > 100
+    assert _same_bits(sweep.times, ref.times) and _same_bits(sweep.psis, ref.psis)
+
+
+def test_affine_input_matrix_knots_must_be_time_knots():
+    # the forward integrator forms B u once per segment, which is exact only
+    # for a piecewise-constant B whose knots end segments
+    def drift(t, y):
+        return np.zeros(1)
+
+    with pytest.raises(TypeError, match="PiecewiseConstant"):
+        AffineStructure(drift=drift, input_matrix=lambda t: np.eye(1))
+    B = PiecewiseConstant([0.0, 0.3], [[[1.0]], [[-1.0]]])
+    fields = dict(
+        name="steps",
+        kind="toy",
+        dim_state=1,
+        dim_control=1,
+        field=lambda t, y, u: B(t) @ u,
+        jacobian=lambda t, y, u: np.zeros((1, 1)),
+        control_set=BallSet(radius=1.0, dim=1),
+        affine=AffineStructure(drift=drift, input_matrix=B),
+    )
+    with pytest.raises(ValueError, match="time_knots"):
+        ControlSystem(**fields)
+    sys1 = ControlSystem(**fields, time_knots=B.knots)
+    control = ClassicalSchedule(grid=np.array([0.0, 0.5]), values=np.array([[1.0]]))
+    traj = integrate_forward(sys1, control, np.array([0.0]), tgt=None, t_max=0.5)
+    # y' = 1 up to 0.3, then -1
+    assert abs(traj.states[-1][0] - 0.1) <= 1e-12
 
 
 def test_trajectory_csv(tmp_path, quench_free_traj):

@@ -259,7 +259,7 @@ def test_bang_polish_keeps_or_improves(quench_sys, quench_y0):
     opts = IntegratorOptions(hit_tol=1e-8)
     baseline = integrate_forward(quench_sys, sched, quench_y0, tgt=tgt, t_max=1.0, opts=opts)
     assert baseline.hit.status == HIT_TARGET
-    out = bang_polish(quench_sys, tgt, sched, quench_y0, opts=opts)
+    out = bang_polish(quench_sys, tgt, (baseline.hit.time, sched, baseline), quench_y0, opts=opts)
     assert out is not None
     w, polished, traj = out
     assert traj.hit.status == HIT_TARGET
@@ -288,7 +288,10 @@ def test_bang_polish_declines_finite_sets():
     sched = RelaxedSchedule(
         grid=[0.0, 1.2], atoms=np.ones((1, 1, 1)), weights=np.ones((1, 1))
     )
-    assert bang_polish(sys, Point(location=[1.0]), sched, [0.0]) is None
+    tgt = Point(location=[1.0])
+    traj = integrate_forward(sys, sched, [0.0], tgt=tgt, t_max=1.2)
+    assert traj.hit.status == HIT_TARGET
+    assert bang_polish(sys, tgt, (traj.hit.time, sched, traj), [0.0]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Solver behavior: exactness on the toy, ladders, brackets, gradients."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from relaxtoc.barrier import build_barrier_table, xi_lower_time, xi_upper_time
 from relaxtoc.dynamics import FiniteSet, make_blowup_system, make_integrator_system
-from relaxtoc import solve
+from relaxtoc import pmp, solve
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
 from relaxtoc.relaxed import RelaxedSchedule
 from relaxtoc.solve import (
@@ -189,6 +190,28 @@ def test_result_serializes(quench_solution):
 def test_quench_solve_takes_seed_route(quench_solution):
     res, _ = quench_solution
     assert res.reason in ("seed", "seed+polish")
+
+
+def test_polish_starts_from_the_certified_hit(monkeypatch, quench_sys, quench_target, quench_y0):
+    # bang_polish takes the certified (w, schedule, trajectory) and starts at
+    # the costate sweep: on the quench at alpha 0.1 it integrates 5 schedules
+    # forward, one fewer than the 6 a polish that re-integrates the certified
+    # schedule first takes, and certifies the same answer
+    forwards = []
+    forward = pmp.integrate_forward
+
+    def counting_forward(*args, **kwargs):
+        forwards.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(pmp, "integrate_forward", counting_forward)
+    opts = SolveOptions(n_cells=8, n_atoms=2, multi_starts=2)
+    res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
+    assert len(forwards) == 6 - 1
+    assert res.reason == "seed+polish"
+    assert res.w == 0.36874818471715803
+    digest = hashlib.sha256(res.schedule.hash_bytes()).hexdigest()
+    assert digest == "8ed6477d95046d7fa6e0491c856546e5563d619ae1bdf574031bd1400b1c2b74"
 
 
 def test_finite_control_set_falls_back_to_descent(toy_target):
