@@ -6,7 +6,10 @@ last rung, the winner continued to alpha = 0 and its quenching conclusions)
 and chart-verify operations 0 and 1 on seed SEED (one `relaxtoc run` verify
 on blowup-ex2 each, n = 1 and n = 2). Per workload it records
 
-- adjoint rhs evaluations;
+- adjoint rhs evaluations and system Jacobian evaluations;
+- adjoint passes (calls of integrate_adjoint) and the seeds they carry
+  (columns: a pre-terminal family is one pass of three columns);
+- forward passes inside bang_polish;
 - segment lookups (binary searches of Trajectory.segment_of over a
   trajectory's times) and cell lookups (relaxed._cell_index over a
   schedule's grid);
@@ -16,8 +19,8 @@ on blowup-ex2 each, n = 1 and n = 2). Per workload it records
   for chart-verify the exit codes and every CLI artifact byte. Two sides of
   a change that keeps results bit for bit must show the same digest.
 
-Forward passes, RK steps and the other layer counts come from
-`bench/run.py --trace 1`. All counts here are deterministic and repeat on
+RK steps, forward passes outside the polish and the other layer counts come
+from `bench/run.py --trace 1`. All counts here are deterministic and repeat on
 any machine. Results merge into --out under runs[--label], so two checkouts
 can be recorded side by side:
 
@@ -92,12 +95,26 @@ def run_ops(wl, ops):
     return h.hexdigest(), summary, cpu / len(ops)
 
 
-def counted_pass(workloads, name, scratch):
-    """The operations run once more with three counters: adjoint rhs
-    evaluations, segment lookups and cell lookups."""
-    from relaxtoc import _rk, integrate, relaxed
+COUNTS = (
+    "adjoint_rhs_evals",
+    "jacobian_evals",
+    "adjoint_passes",
+    "adjoint_columns",
+    "polish_forward_passes",
+    "segment_lookups",
+    "cell_lookups",
+)
 
-    counts = dict.fromkeys(("adjoint_rhs_evals", "segment_lookups", "cell_lookups"), 0)
+
+def counted_pass(workloads, name, scratch):
+    """The operations run once more with the COUNTS counters."""
+    import dataclasses
+
+    import numpy as np
+
+    from relaxtoc import _rk, cli, dynamics, integrate, pmp, relaxed
+
+    counts = dict.fromkeys(COUNTS, 0)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -105,6 +122,22 @@ def counted_pass(workloads, name, scratch):
             return fn(*args, **kwargs)
 
         return wrapper
+
+    def counted_system(make):
+        # the workloads build their systems through these module attributes
+        def build(*args, **kwargs):
+            sys_ = make(*args, **kwargs)
+            return dataclasses.replace(sys_, jacobian=counted("jacobian_evals", sys_.jacobian))
+
+        return build
+
+    adjoint = pmp.integrate_adjoint
+
+    def counted_adjoint(sys_, traj, control, terminal_psi, *args, **kwargs):
+        # pmp is the one caller; a 2-D terminal_psi holds one seed per row
+        counts["adjoint_passes"] += 1
+        counts["adjoint_columns"] += len(terminal_psi) if np.ndim(terminal_psi) == 2 else 1
+        return adjoint(sys_, traj, control, terminal_psi, *args, **kwargs)
 
     # integrate_adjoint is the one caller of _rk.integrate_plain through the
     # module attribute; solve and barrier bind the name at import
@@ -117,6 +150,11 @@ def counted_pass(workloads, name, scratch):
         (_rk, "integrate_plain"): counted_plain,
         (integrate.Trajectory, "segment_of"): counted("segment_lookups", integrate.Trajectory.segment_of),
         (relaxed, "_cell_index"): counted("cell_lookups", relaxed._cell_index),
+        (pmp, "integrate_adjoint"): counted_adjoint,
+        # bang_polish is pmp's one caller of integrate_forward
+        (pmp, "integrate_forward"): counted("polish_forward_passes", pmp.integrate_forward),
+        (dynamics, "make_quenching_system"): counted_system(dynamics.make_quenching_system),
+        (cli, "make_blowup_system"): counted_system(cli.make_blowup_system),
     }
     originals = {key: getattr(*key) for key in patches}
     for (owner, attr), value in patches.items():
@@ -193,7 +231,9 @@ def main(argv=None):
     for name, row in results.items():
         c = row["counts"]
         print(
-            f"{name:14s} adjoint rhs {c['adjoint_rhs_evals']:6d}  "
+            f"{name:14s} adjoint rhs {c['adjoint_rhs_evals']:6d}  jacobian {c['jacobian_evals']:6d}  "
+            f"adjoint passes {c['adjoint_passes']:3d} ({c['adjoint_columns']:3d} columns)  "
+            f"polish forwards {c['polish_forward_passes']:3d}  "
             f"segment {c['segment_lookups']:6d}  cell {c['cell_lookups']:6d}  "
             f"cpu/op {row['cpu_s_per_op_median'] * 1e3:7.1f} ms  {row['output_sha256'][:12]}"
         )

@@ -42,10 +42,18 @@ def step(rhs, t, y, f, h):
     return y + h * (karr.T @ B5), karr[6], h * (karr.T @ E)
 
 
-def error_norm(err, y0, y1, rtol, atol):
-    """RMS of the embedded error estimate over the mixed tolerance scale."""
+def error_norm(err, y0, y1, rtol, atol, cols=1):
+    """RMS of the embedded error estimate over the mixed tolerance scale.
+
+    A state that stacks cols equal-length columns gets the largest of the
+    column RMS values, so no column is held to a looser control than it
+    would be alone.
+    """
     q = err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1)))
-    return math.sqrt(float(np.add.reduce(q * q)) / len(q))
+    if cols == 1:
+        return math.sqrt(float(np.add.reduce(q * q)) / len(q))
+    q = q.reshape(cols, -1)
+    return math.sqrt(float(np.add.reduce(q * q, axis=1).max()) / q.shape[1])
 
 
 def next_factor(err_norm):
@@ -91,18 +99,20 @@ def hermite(t0, y0, f0, t1, y1, f1, t):
     )
 
 
-def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, record=None):
+def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, record=None, cols=1):
     """Adaptive integration without events; supports t1 < t0 (backward).
 
-    atol may be a scalar or a vector.  knots are interior times where the rhs
-    may be discontinuous; steps land on them, and past each one the stage
-    derivative restarts: the first-same-as-last derivative carried into the
-    knot is the left limit, so f is evaluated afresh one ulp into the next
-    leg (and into the first one), where a left-continuous signal already
-    reads its new cell.  A backward step landing on a knot still evaluates
-    its last stage there, in the cell ahead.  When `record` is a
-    sorted array of times (in travel order) the state is recorded exactly at
-    those times and (times, states) is returned; otherwise the terminal state.
+    atol may be a scalar or a vector.  y may stack cols equal-length
+    columns; step control then takes the worst column (error_norm).  knots
+    are interior times where the rhs may be discontinuous; steps land on
+    them, and past each one the stage derivative restarts: the
+    first-same-as-last derivative carried into the knot is the left limit,
+    so f is evaluated afresh one ulp into the next leg (and into the first
+    one), where a left-continuous signal already reads its new cell.  A
+    backward step landing on a knot still evaluates its last stage there, in
+    the cell ahead.  When `record` is a sorted array of times (in travel
+    order) the state is recorded exactly at those times and (times, states)
+    is returned; otherwise the terminal state.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
@@ -144,7 +154,7 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
                 t_new = t + direction * h
                 with np.errstate(all="ignore"):
                     y_new, f_new, err = step(rhs, t, y, f, direction * h)
-                    err_norm = error_norm(err, y, y_new, rtol, atol)
+                    err_norm = error_norm(err, y, y_new, rtol, atol, cols)
                 if not np.isfinite(y_new).all():
                     err_norm = np.inf  # an overflowing stage rejects the step
                 if err_norm <= 1.0:

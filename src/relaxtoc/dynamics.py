@@ -13,6 +13,7 @@ finite differences of field in y.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -208,14 +209,14 @@ class Compactification:
 
     def to_chart(self, y):
         y = _vec(y)
-        r = float(np.linalg.norm(y))
+        r = math.sqrt(float(y @ y))
         if r <= 0.0:
             raise errors.InnerRegion("chart map undefined at the origin")
         return r ** (-self.gamma - 1.0) * y
 
     def from_chart(self, z):
         z = _vec(z)
-        s = float(np.linalg.norm(z))
+        s = math.sqrt(float(z @ z))
         if s <= 0.0:
             raise errors.InnerRegion("inverse chart map undefined at z = 0")
         return s ** (-(self.gamma + 1.0) / self.gamma) * z
@@ -223,7 +224,7 @@ class Compactification:
     def gradient_jacobian(self, y):
         """Jacobian of G at y in gradient layout (symmetric for this chart)."""
         y = _vec(y)
-        r = float(np.linalg.norm(y))
+        r = math.sqrt(float(y @ y))
         if r <= 0.0:
             raise errors.InnerRegion("chart jacobian undefined at the origin")
         yhat = y / r
@@ -235,14 +236,14 @@ class Compactification:
         """dz/dt given y and dy/dt (the chart jacobian applied to v)."""
         y = _vec(y)
         v = _vec(v)
-        r = float(np.linalg.norm(y))
+        r = math.sqrt(float(y @ y))
         yhat = y / r
         return r ** (-self.gamma - 1.0) * (v - (self.gamma + 1.0) * yhat * float(yhat @ v))
 
     def pull_velocity(self, z, w):
         """dy/dt given z and dz/dt (inverse chart jacobian applied to w)."""
         y = self.from_chart(z)
-        r = float(np.linalg.norm(y))
+        r = math.sqrt(float(y @ y))
         yhat = y / r
         # Inverse of r^(-g-1) (I - (g+1) yhat yhat^T): eigenvalues 1 and -gamma.
         w = _vec(w)
@@ -427,16 +428,18 @@ def make_blowup_system(
         m = B.shape[1]
     Bsig = _input_matrix(B, n, m)
 
+    eye = np.eye(n)
+
     def drift(t, y):
-        r = float(np.linalg.norm(y))
+        r = math.sqrt(float(y @ y))
         return r ** (p - 1.0) * y if r > 0.0 else np.zeros_like(y)
 
     def drift_jac(t, y):
-        r = float(np.linalg.norm(y))
+        r = math.sqrt(float(y @ y))
         if r == 0.0:
             return np.zeros((n, n))
         yhat = y / r
-        return r ** (p - 1.0) * (np.eye(n) + (p - 1.0) * np.outer(yhat, yhat))
+        return r ** (p - 1.0) * (eye + (p - 1.0) * (yhat[:, None] * yhat[None, :]))
 
     M = input_bound(Bsig, BallSet(radius=float(rho0), dim=m))
     chart = Compactification(gamma=gamma, base_radius=(p + M) / (p - 1.0), r1=r1)

@@ -554,65 +554,107 @@ def integrate_adjoint(
     traj: Trajectory,
     control,
     terminal_psi,
-    t_end: Optional[float] = None,
+    t_end=None,
     normalize_at_zero: bool = True,
     opts: Optional[IntegratorOptions] = None,
-) -> AdjointTrajectory:
+):
     """Integrate psi' = -jacobian(t, y(t), u(t)) psi backward from t_end to 0.
 
     The jacobian is in gradient layout so no transpose appears.  For relaxed
     controls the jacobian is weight-averaged over the cell atoms.  atol is
     scaled by the seed magnitude, which makes the sweep exactly homogeneous:
     scaling the seed scales every sample.
+
+    terminal_psi may instead hold k seeds, one per row, with t_end a sequence
+    of k seed times; the result is then a list of k AdjointTrajectory, one
+    per seed.  All k sweeps share one backward pass: it runs in legs between
+    the seed times, each seed joins as a new column at its own time, and
+    every stage evaluates the jacobian once for all live columns.  Step
+    control takes the worst column, each measured against its own seed-scaled
+    atol, and each sweep samples exactly the times its sweep alone would; a
+    single seed runs the sweep alone.
     """
     opts = opts or IntegratorOptions()
-    seed = np.asarray(terminal_psi, dtype=float).copy()
-    seed_norm = float(np.linalg.norm(seed))
-    if seed_norm == 0.0:
+    family = np.ndim(terminal_psi) == 2
+    seeds = np.array(terminal_psi, dtype=float, ndmin=2)
+    if t_end is None:
+        t_end = float(traj.times[-1])
+    t_ends = [float(t) for t in np.atleast_1d(t_end)]
+    if len(t_ends) != len(seeds):
+        raise ValueError("need one seed time per seed")
+    seed_norms = [float(np.linalg.norm(seed)) for seed in seeds]
+    if 0.0 in seed_norms:
         raise errors.ZeroTerminalCovector("adjoint seed must be nonzero")
-    t_end = float(traj.times[-1] if t_end is None else t_end)
-    if t_end <= 0.0 or t_end > traj.times[-1] + 1e-12 * max(1.0, traj.times[-1]):
-        raise ValueError("t_end must lie in (0, trajectory end]")
+    for t in t_ends:
+        if t <= 0.0 or t > traj.times[-1] + 1e-12 * max(1.0, traj.times[-1]):
+            raise ValueError("t_end must lie in (0, trajectory end]")
 
-    sample_times = [float(t) for t in traj.times if t < t_end - 1e-15 * max(1.0, t_end)]
-    sample_times.append(t_end)
+    samples = [
+        [float(t) for t in traj.times if t < t_c - 1e-15 * max(1.0, t_c)] + [t_c] for t_c in t_ends
+    ]
 
     y_at = traj.cursor()
     # an affine field's jacobian is free of u: any cell gives the same one
     fixed_cell = _resolve_cell(None, sys, 0.0) if sys.affine is not None else None
+    n = seeds.shape[1]
 
     def rhs(t, psi):
         atoms, weights = fixed_cell or _resolve_cell(control, sys, t)
-        return -(relaxed_jacobian(sys, t, y_at(t), atoms, weights) @ psi)
+        jac = relaxed_jacobian(sys, t, y_at(t), atoms, weights)
+        if len(psi) == n:
+            return -(jac @ psi)
+        # live columns stacked end to end: row c of the product is jac @ psi_c
+        return -(psi.reshape(-1, n) @ jac.T).ravel()
 
     knots = set(sys.time_knots)
     if control is not None:
         knots.update(control.knots)
     knots.update(traj.switch_times())
-    knots = tuple(k for k in knots if 0.0 < k < t_end)
 
-    rec = np.array(sorted(sample_times, reverse=True))
-    ts, psis = _rk.integrate_plain(
-        rhs,
-        t_end,
-        0.0,
-        seed,
-        rtol=opts.rtol,
-        atol=opts.atol * seed_norm,
-        knots=knots,
-        max_steps=opts.max_steps,
-        record=rec,
-    )
-    order = np.argsort(ts)
-    ts = ts[order]
-    psis = psis[order]
-    factor = 1.0
-    if normalize_at_zero:
-        n0 = float(np.linalg.norm(psis[0]))
-        if n0 == 0.0:
-            raise errors.ZeroTerminalCovector("adjoint vanished at t = 0")
-        factor = 1.0 / n0
-        psis = psis * factor
-    return AdjointTrajectory(
-        times=ts, psis=psis, seed_time=t_end, seed=seed, normalization=factor
-    )
+    # legs between the distinct seed times, latest first; a leg's end is
+    # recorded, and the next leg starts from it with its new columns stacked
+    starts = sorted(set(t_ends), reverse=True)
+    live = []
+    state = np.empty(0)
+    atol = np.empty(0)
+    rows = {}
+    for leg, t0 in enumerate(starts):
+        t1 = starts[leg + 1] if leg + 1 < len(starts) else 0.0
+        joining = [c for c, t_c in enumerate(t_ends) if t_c == t0]
+        live += joining
+        state = np.concatenate([state] + [seeds[c] for c in joining])
+        atol = np.concatenate([atol] + [np.full(n, opts.atol * seed_norms[c]) for c in joining])
+        rec = {t for c in live for t in samples[c] if t1 <= t <= t0}
+        rec.add(t1)
+        ts, states = _rk.integrate_plain(
+            rhs,
+            t0,
+            t1,
+            state,
+            rtol=opts.rtol,
+            atol=atol,
+            knots=tuple(k for k in knots if t1 < k < t0),
+            max_steps=opts.max_steps,
+            record=np.array(sorted(rec, reverse=True)),
+            cols=len(live),
+        )
+        rows.update(zip(ts.tolist(), states))
+        state = states[-1]
+
+    sweeps = []
+    for c, t_c in enumerate(t_ends):
+        col = slice(live.index(c) * n, (live.index(c) + 1) * n)
+        psis = np.array([rows[t][col] for t in samples[c]])
+        factor = 1.0
+        if normalize_at_zero:
+            n0 = float(np.linalg.norm(psis[0]))
+            if n0 == 0.0:
+                raise errors.ZeroTerminalCovector("adjoint vanished at t = 0")
+            factor = 1.0 / n0
+            psis = psis * factor
+        sweeps.append(
+            AdjointTrajectory(
+                times=np.array(samples[c]), psis=psis, seed_time=t_c, seed=seeds[c], normalization=factor
+            )
+        )
+    return sweeps if family else sweeps[0]

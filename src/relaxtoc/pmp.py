@@ -34,7 +34,7 @@ from .integrate import (
     integrate_adjoint,
     integrate_forward,
 )
-from .relaxed import RelaxedSchedule, relaxed_field
+from .relaxed import RelaxedSchedule, _cell_index, relaxed_field
 from .target import Ball, HalfSpace, Hyperplane, Point, TargetSet, transformed_transversality_residual
 
 # relative pre-terminal offsets T - delta * T of the adjoint seed family
@@ -43,9 +43,13 @@ DELTAS = (1e-2, 1e-3, 1e-4)
 AGREEMENT_TOL = 1e-3
 # bang_polish runs at most POLISH_ROUNDS rounds (a costate sweep and a forward
 # pass of the updated schedule each), and stops at the first round that does
-# not cut w by POLISH_W_TOL (relative)
+# not cut w by POLISH_W_TOL (relative), or before the forward pass of a round
+# whose argmax moves no atom by more than POLISH_ATOM_TOL (relative to the
+# control set's scale): the schedule is then a fixed point of the maximum
+# condition, and integrating it again would repeat the last hit up to roundoff
 POLISH_ROUNDS = 29
 POLISH_W_TOL = 1e-12
+POLISH_ATOM_TOL = 64 * np.finfo(float).eps
 # quenching conclusions: relative tolerance on the sign of y2(T), and the
 # largest admitted ratio of consecutive covector norms on the delta family
 SIGN_TOL = 1e-7
@@ -204,15 +208,12 @@ def exit_covector(sys: ControlSystem, tgt: TargetSet, traj: Trajectory, t_end: f
 
 
 def _preterminal_sweeps(sys, tgt, traj, schedule, t_bar, opts=None):
-    """Backward sweeps seeded in the normal cone at each T - delta * T, delta
-    from DELTAS: (the last sweep, the covector norms at the seed times)."""
-    norms = []
-    for d in DELTAS:
-        t_end = t_bar * (1.0 - d)
-        seed = exit_covector(sys, tgt, traj, t_end)
-        sweep = integrate_adjoint(sys, traj, schedule, seed, t_end=t_end, opts=opts)
-        norms.append(sweep.norm_at_end())
-    return sweep, norms
+    """One backward pass seeded in the normal cone at each T - delta * T, delta
+    from DELTAS: (the sweep seeded last, the covector norms at the seed times)."""
+    t_ends = [t_bar * (1.0 - d) for d in DELTAS]
+    seeds = np.array([exit_covector(sys, tgt, traj, t_end) for t_end in t_ends])
+    sweeps = integrate_adjoint(sys, traj, schedule, seeds, t_end=t_ends, opts=opts)
+    return sweeps[-1], [sweep.norm_at_end() for sweep in sweeps]
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +410,25 @@ def _cell_switching_vector(sys, adj, a, b):
     return q
 
 
+def _control_scale(cs) -> float:
+    """Largest control magnitude of a centered ball or a box."""
+    if isinstance(cs, BallSet):
+        return float(cs.radius)
+    return float(np.max(np.maximum(np.abs(cs.lower), np.abs(cs.upper))))
+
+
+def _applies_same_control(sched, grid, atoms, tol) -> bool:
+    """True when, on every cell of (grid, atoms), each atom of each cell of
+    sched overlapping it lies within tol (max norm) of each of its atoms."""
+    for i in range(len(grid) - 1):
+        lo = _cell_index(sched.grid, np.nextafter(grid[i], grid[i + 1]))
+        hi = _cell_index(sched.grid, grid[i + 1])
+        old = sched.atoms[lo : hi + 1, :, None, :]
+        if not np.max(np.abs(old - atoms[i][None, None])) <= tol:
+            return False
+    return True
+
+
 def bang_polish(
     sys: ControlSystem,
     tgt: TargetSet,
@@ -425,17 +445,20 @@ def bang_polish(
     new schedule forward.  Descent methods stall on this last stretch (the
     hit time is flat in the control to first order at the optimum), while
     the fixed point lands on the extremal of the piecewise-constant class
-    directly.  Stops at the first round that does not cut w by POLISH_W_TOL
-    and returns the best triple seen, which is `certified` itself when no
-    round improves on it; None when the system is not affine with a ball or
-    box control set.  certified is a hit: w is the hit time of the trajectory,
-    the schedule integrated with these options (solve._certify makes one), so
-    the polish starts at the costate sweep.
+    directly.  Stops at the first round that does not cut w by POLISH_W_TOL,
+    or before the forward pass when the new schedule applies the control the
+    current one applies, to POLISH_ATOM_TOL, on every new cell (a fixed point
+    of the maximum condition), and returns the best triple seen, which is
+    `certified` itself when no round improves on it; None when the system is
+    not affine with a ball or box control set.  certified is a hit: w is the
+    hit time of the trajectory, the schedule integrated with these options
+    (solve._certify makes one), so the polish starts at the costate sweep.
     """
     if not polishable(sys):
         return None
     cs = sys.control_set
     opts = opts or IntegratorOptions()
+    atom_tol = POLISH_ATOM_TOL * _control_scale(cs)
     best = certified
     w, sched, traj = certified
     n_cells = sched.weights.shape[0]
@@ -456,6 +479,8 @@ def bang_polish(
             u_i, _, degenerate = _linear_argmax(cs, q, 1e-14 * (b - a))
             if not degenerate:
                 atoms[i, :, :] = u_i
+        if _applies_same_control(sched, grid, atoms, atom_tol):
+            break
         sched = RelaxedSchedule(grid=grid, atoms=atoms, weights=np.array(sched.weights, copy=True))
         t_max = best[0] * 1.2 + 100.0 * opts.hit_tol
         try:
@@ -518,8 +543,8 @@ def quenching_conclusions(
     """Check the optimal-quenching conclusions on a candidate triple.
 
     The trajectory should approach the true singular line (tiny or zero
-    inflation), since both conclusions concern the singular limit; a fresh
-    backward sweep is run for every pre-terminal time T - delta * T.
+    inflation), since both conclusions concern the singular limit; one
+    backward pass serves every pre-terminal time T - delta * T.
     """
     w, traj, schedule = _unpack_triple(triple)
     if sys.kind != "quenching":

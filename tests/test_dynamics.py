@@ -217,6 +217,47 @@ def test_compactification_round_trip_and_jacobian(rng):
         assert np.allclose(chart.pull_velocity(z, chart.push_velocity(y, v)), v, rtol=1e-9, atol=1e-12)
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_blowup_field_and_chart_match_the_textbook_formulas_bit_for_bit(rng):
+    # the blowup drift, its jacobian and the chart maps take |y| as
+    # sqrt(y @ y), keep one identity per system and form yhat yhat^T by
+    # broadcasting; each must equal the np.linalg.norm / np.eye / np.outer
+    # formula to the last bit
+    for n in (1, 2, 3):
+        for p in (1.5, 2.0, 3.0):
+            sys_ = make_blowup_system(n=n, p=p)
+            chart = sys_.chart
+            g = chart.gamma
+            for _ in range(300):
+                y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+                v = rng.standard_normal(n)
+                r = float(np.linalg.norm(y))
+                yhat = y / r
+                jac = r ** (p - 1.0) * (np.eye(n) + (p - 1.0) * np.outer(yhat, yhat))
+                assert _same_bits(sys_.affine.drift(0.0, y), r ** (p - 1.0) * y)
+                assert _same_bits(sys_.jacobian(0.0, y, np.zeros(n)), jac)
+                z = r ** (-g - 1.0) * y
+                assert _same_bits(chart.to_chart(y), z)
+                s = float(np.linalg.norm(z))
+                assert _same_bits(chart.from_chart(z), s ** (-(g + 1.0) / g) * z)
+                assert _same_bits(
+                    chart.gradient_jacobian(y), r ** (-g - 1.0) * (np.eye(n) - (g + 1.0) * np.outer(yhat, yhat))
+                )
+                assert _same_bits(
+                    chart.push_velocity(y, v), r ** (-g - 1.0) * (v - (g + 1.0) * yhat * float(yhat @ v))
+                )
+                y_back = chart.from_chart(z)
+                r_back = float(np.linalg.norm(y_back))
+                yh_back = y_back / r_back
+                assert _same_bits(
+                    chart.pull_velocity(z, v),
+                    r_back ** (g + 1.0) * (v - (g + 1.0) / g * yh_back * float(yh_back @ v)),
+                )
+
+
 def test_blowup_gamma_guard():
     with pytest.raises(ValueError):
         make_blowup_system(n=1, p=2.0, gamma=0.5)

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from relaxtoc import _rk, errors, integrate
+from relaxtoc import _rk, errors, integrate, pmp
 from relaxtoc.dynamics import (
     AffineStructure,
     BallSet,
@@ -14,6 +15,7 @@ from relaxtoc.dynamics import (
     eval_jacobian,
     make_blowup_system,
     make_integrator_system,
+    make_quenching_system,
 )
 from relaxtoc.integrate import (
     DIVERGED,
@@ -27,7 +29,7 @@ from relaxtoc.integrate import (
     integrate_forward,
 )
 from relaxtoc.relaxed import ClassicalSchedule, RelaxedSchedule
-from relaxtoc.target import Point
+from relaxtoc.target import Hyperplane, Point
 
 QUENCH_FREE_HIT = 0.65376084  # fixed-step RK4 + analytic tail, h -> 0
 
@@ -330,6 +332,67 @@ def test_adjoint_norm_nonincreasing_on_blowup(blowup_free_g1):
     )
     norms = np.linalg.norm(adj.psis, axis=1)
     assert np.all(np.diff(norms) <= 1e-10 * norms.max())
+
+
+def _preterminal_family(sys_, tgt, traj):
+    """Seed times T - delta * T and their normal-cone seeds, as verify takes them."""
+    t_bar = min(traj.hit.time, float(traj.times[-1]))
+    t_ends = [t_bar * (1.0 - d) for d in pmp.DELTAS]
+    return t_ends, np.array([pmp.exit_covector(sys_, tgt, traj, t) for t in t_ends])
+
+
+def test_adjoint_family_matches_solo_sweeps():
+    # one backward pass serves k seeds at k seed times: each column samples
+    # exactly the times of its own sweep and carries the same costate up to
+    # that sweep's own integration error; a single seed runs the solo sweep,
+    # whose bits are pinned (digests of the three solo sweeps per case)
+    err, y = np.array([1e-9, 0.0, 2e-10, 3e-10]), np.array([1.0, 2.0, 1e-3, 1e-3])
+    atol = np.array([1e-11, 1e-11, 1e-14, 1e-14])
+    worst = max(_rk.error_norm(err[i : i + 2], y[i : i + 2], y[i : i + 2], 1e-9, atol[i : i + 2]) for i in (0, 2))
+    assert _rk.error_norm(err, y, y, 1e-9, atol, cols=2) == worst
+    blowup =make_blowup_system(n=2, p=2.0, gamma=1.0, r1=2.0)
+    b_tgt = Point(location=np.zeros(2)).with_alpha(0.01)
+    b_traj = integrate_forward(blowup, None, np.array([1.5, 1.0]), tgt=b_tgt, t_max=1.0)
+    assert b_traj.hit.status == HIT_TARGET and b_traj.switch_times()
+    quench = make_quenching_system()
+    q_tgt = Hyperplane(axis=0, level=1.0).with_alpha(0.1)
+    sched = RelaxedSchedule(
+        grid=[0.0, 0.2, 0.4],
+        atoms=np.array([[[1.0, 0.0], [0.6, 0.8]], [[0.8, -0.6], [1.0, 0.0]]]),
+        weights=np.array([[0.5, 0.5], [0.25, 0.75]]),
+    )
+    q_traj = integrate_forward(quench, sched, np.array([0.0, 0.5]), tgt=q_tgt, t_max=1.0)
+    assert q_traj.hit.status == HIT_TARGET
+    tight = IntegratorOptions(rtol=1e-13, atol=1e-15)
+    for sys_, tgt, traj, control, digest in (
+        (blowup, b_tgt, b_traj, None, "be908e112c75329f331ea23a94ef5bc0a2a8ab63218e59c26da4a48880ce907f"),
+        (quench, q_tgt, q_traj, sched, "ca67261b003427ef6655e6e637a90afc8cbdc3da2710f491155eba31bc0b7ecf"),
+    ):
+        t_ends, seeds = _preterminal_family(sys_, tgt, traj)
+        family = integrate_adjoint(sys_, traj, control, seeds, t_end=t_ends)
+        solo = [integrate_adjoint(sys_, traj, control, s, t_end=t) for s, t in zip(seeds, t_ends)]
+        h = hashlib.sha256()
+        for sweep in solo:
+            h.update(sweep.times.tobytes() + sweep.psis.tobytes())
+        assert h.hexdigest() == digest
+        assert len(family) == len(seeds)
+        for col, one, seed, t_end in zip(family, solo, seeds, t_ends):
+            assert _same_bits(col.times, one.times)
+            assert col.seed_time == t_end and np.array_equal(col.seed, seed)
+            sup = np.abs(one.psis).max()
+            # the step ends (the seed time and t = 0) carry the decay norms
+            for i in (0, -1):
+                assert np.abs(col.psis[i] - one.psis[i]).max() <= 1e-9 * sup
+            if sys_ is blowup:
+                assert np.abs(col.psis - one.psis).max() <= 1e-9 * sup
+            else:
+                # between step ends both read cubic Hermite dense output,
+                # off by up to ~1e-7 of sup here on either step sequence: the
+                # family must be as close to a tight sweep as the solo one
+                ref = integrate_adjoint(sys_, traj, control, seed, t_end=t_end, opts=tight)
+                solo_err = np.abs(one.psis - ref.psis).max()
+                assert np.abs(col.psis - ref.psis).max() <= 2.0 * solo_err
+                assert solo_err <= 1e-6 * sup
 
 
 def _same_bits(a, b):

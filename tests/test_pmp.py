@@ -28,6 +28,7 @@ from relaxtoc.pmp import (
     verify,
 )
 from relaxtoc.relaxed import RelaxedSchedule
+from relaxtoc.solve import SolveOptions, solve_alpha
 from relaxtoc.target import Ball, HalfSpace, Hyperplane, Point
 
 REGULAR_Y = np.array([0.3, -0.4])
@@ -265,6 +266,55 @@ def test_bang_polish_keeps_or_improves(quench_sys, quench_y0):
     assert traj.hit.status == HIT_TARGET
     assert w <= float(baseline.hit.time) + 1e-12
     assert polished.weights.shape == sched.weights.shape
+
+
+def _chart_verify_solve(monkeypatch, n):
+    """solve_alpha on a chart-verify config of blowup-ex2, with the polish's
+    input, output and forward passes recorded."""
+    polish, forward = pmp.bang_polish, pmp.integrate_forward
+    seen = {"forwards": 0}
+
+    def counting_forward(*args, **kwargs):
+        seen["forwards"] += 1
+        return forward(*args, **kwargs)
+
+    def recording_polish(sys_, tgt, certified, y0, opts=None):
+        seen["certified"] = certified
+        seen["polished"] = polish(sys_, tgt, certified, y0, opts=opts)
+        return seen["polished"]
+
+    monkeypatch.setattr(pmp, "integrate_forward", counting_forward)
+    monkeypatch.setattr(pmp, "bang_polish", recording_polish)
+    sys_ = make_blowup_system(n=n, p=2.0, gamma=1.0)
+    y0 = np.full(n, 4.0 / np.sqrt(n))
+    opts = SolveOptions(n_cells=4, n_atoms=2, multi_starts=1)
+    res = solve_alpha(sys_, Point(location=np.zeros(n)), y0, 0.05, opts=opts)
+    monkeypatch.undo()
+    return sys_, y0, res, seen
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_polish_stops_at_a_fixed_point(monkeypatch, n):
+    # on the chart-verify configs the costate's argmax reproduces the
+    # certified schedule on every cell: the polish stops before integrating it
+    # again and hands back the certified triple itself
+    sys_, y0, res, seen = _chart_verify_solve(monkeypatch, n)
+    assert seen["forwards"] == 0
+    assert seen["polished"] is seen["certified"]
+    assert res.reason == "seed"
+    # one atom moved off the argmax: the polish integrates the updated schedule
+    w, sched, _ = seen["certified"]
+    atoms = np.array(sched.atoms, copy=True)
+    atoms[1] *= 1.0 - 1e-6
+    moved = RelaxedSchedule(grid=sched.grid, atoms=atoms, weights=sched.weights)
+    traj = integrate_forward(sys_, moved, y0, tgt=res.target, t_max=1.2 * w)
+    assert traj.hit.status == HIT_TARGET
+    forwards = []
+    forward = pmp.integrate_forward
+    monkeypatch.setattr(pmp, "integrate_forward", lambda *a, **k: forwards.append(a) or forward(*a, **k))
+    out = bang_polish(sys_, res.target, (traj.hit.time, moved, traj), y0)
+    assert len(forwards) >= 1
+    assert out[0] <= traj.hit.time
 
 
 def test_cell_switching_vector_reads_b_inside_each_interval():
