@@ -6,13 +6,19 @@ Runs the first ROUNDS rounds of the bound-sweeps benchmark workload
 lower bound) and 3k + 2 (quench monotonicity, case i in even rounds and ii in
 odd ones). Per kind it records
 
-- RK trial steps, rejected steps and field (rhs) evaluations, summed over the
-  samples; these are deterministic and repeat on any machine;
+- RK trial steps, rejected steps and field (rhs) evaluations, barrier
+  quadratures (calls of barrier.quad), inverse-map evaluations (calls of
+  barrier._fast_radius) and target-distance evaluations (calls of
+  TargetSet.distance), summed over the samples; these are deterministic and
+  repeat on any machine;
 - the median over REPEATS passes of the process CPU time per sample;
 - for the lower-bound and monotonicity kinds, the largest error of the
   answer against `per_cell_dop853` of tests/oracles.py (SciPy's DOP853 run
   one constant-input cell at a time, rtol 1e-13): the relative error of the
-  terminal radius, and the absolute error of the baseline and perturbed y1.
+  terminal radius, and the absolute error of the baseline and perturbed y1;
+- a SHA-256 digest of every sample's verdict (`to_json_dict`, all kinds in
+  sample order). Two sides of a change that keeps results bit for bit must
+  show the same digest.
 
 Results merge into --out under runs[--label], so two checkouts can be
 recorded side by side:
@@ -26,6 +32,7 @@ the reference always comes from this checkout's tests/oracles.py.
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -79,25 +86,30 @@ def reference_errors(wl, j, verdict):
     return out
 
 
+COUNTS = ("rk_steps", "rejected_steps", "rhs_evals", "barrier_quads", "inverse_map_evals", "target_distances")
+
+
 def counted_pass(wl, samples):
-    """One pass with the RK primitives and the fields wrapped by counters.
+    """One pass with the RK primitives, the fields, the barrier quadrature,
+    the inverse map and the target distance wrapped by counters.
 
     A trial step is one call of _rk.step; it is rejected when it raises (a
     stage left the admissible region) or when its error norm is not <= 1 or
     its new state is not finite, exactly the integrators' acceptance test.
-    Both integrators look _rk.step and _rk.error_norm up at each step.
+    Both integrators look _rk.step and _rk.error_norm up at each step, and
+    barrier looks quad and _fast_radius up at each call.
     """
     import numpy as np
 
-    from relaxtoc import _rk, barrier
+    from relaxtoc import _rk, barrier, target
     from relaxtoc.integrate import _StageFailure
 
-    counts = {"rk_steps": 0, "rejected_steps": 0, "rhs_evals": 0}
+    counts = dict.fromkeys(COUNTS, 0)
 
-    def counting(fn):
-        def wrapped(*args):
-            counts["rhs_evals"] += 1
-            return fn(*args)
+    def counting(fn, key="rhs_evals"):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
 
         return wrapped
 
@@ -111,6 +123,7 @@ def counted_pass(wl, samples):
 
     step, error_norm = _rk.step, _rk.error_norm
     plain, forced = barrier.integrate_plain, barrier._quench_forced_system
+    quad, fast_radius, distance = barrier.quad, barrier._fast_radius, target.TargetSet.distance
 
     def counted_step(*args):
         counts["rk_steps"] += 1
@@ -120,8 +133,8 @@ def counted_pass(wl, samples):
             counts["rejected_steps"] += 1
             raise
 
-    def counted_error_norm(err, y0, y1, rtol, atol):
-        val = error_norm(err, y0, y1, rtol, atol)
+    def counted_error_norm(err, y0, y1, rtol, atol, cols=1):
+        val = error_norm(err, y0, y1, rtol, atol, cols)
         if not (val <= 1.0 and np.isfinite(y1).all()):
             counts["rejected_steps"] += 1
         return val
@@ -129,9 +142,12 @@ def counted_pass(wl, samples):
     _rk.step, _rk.error_norm = counted_step, counted_error_norm
     barrier.integrate_plain = lambda rhs, *a, **kw: plain(counting(rhs), *a, **kw)
     barrier._quench_forced_system = lambda *a: counted_system(forced(*a))
+    barrier.quad = counting(quad, "barrier_quads")
+    barrier._fast_radius = counting(fast_radius, "inverse_map_evals")
+    target.TargetSet.distance = counting(distance, "target_distances")
     envelope_sys = wl.sys
     wl.sys = counted_system(envelope_sys)
-    per_kind = {k: {"samples": 0, "rk_steps": 0, "rejected_steps": 0, "rhs_evals": 0} for k in KINDS}
+    per_kind = {k: {"samples": 0, **dict.fromkeys(COUNTS, 0)} for k in KINDS}
     verdicts = {}
     try:
         for j in samples:
@@ -144,6 +160,7 @@ def counted_pass(wl, samples):
     finally:
         _rk.step, _rk.error_norm = step, error_norm
         barrier.integrate_plain, barrier._quench_forced_system = plain, forced
+        barrier.quad, barrier._fast_radius, target.TargetSet.distance = quad, fast_radius, distance
         wl.sys = envelope_sys
     return per_kind, verdicts
 
@@ -194,10 +211,14 @@ def main(argv=None):
         row["max_error_vs_per_cell_dop853"] = worst or None
         row["all_ok"] = all(verdicts[j].ok for j in samples if wl.kind(j) == kind)
 
+    verdict_json = json.dumps([verdicts[j].to_json_dict() for j in samples], sort_keys=True)
+    digest = hashlib.sha256(verdict_json.encode()).hexdigest()
+
     doc["what"] = __doc__.split("\n\n")[0]
     doc["inputs"] = {"seed": SEED, "rounds": ROUNDS, "repeats": REPEATS}
     doc.setdefault("runs", {})[args.label] = {
         "kinds": per_kind,
+        "output_sha256": digest,
         "environment": {
             "cpus_usable": len(os.sched_getaffinity(0)),
             "machine": platform.machine(),
@@ -213,8 +234,11 @@ def main(argv=None):
         row = per_kind[kind]
         print(
             f"{kind:16s} steps {row['rk_steps']:5d}  rejected {row['rejected_steps']:5d}  "
-            f"rhs {row['rhs_evals']:6d}  cpu/sample {row['cpu_s_per_sample_median'] * 1e3:7.2f} ms"
+            f"rhs {row['rhs_evals']:6d}  quad {row['barrier_quads']:4d}  "
+            f"inverse {row['inverse_map_evals']:5d}  distance {row['target_distances']:5d}  "
+            f"cpu/sample {row['cpu_s_per_sample_median'] * 1e3:7.2f} ms"
         )
+    print(f"verdicts {digest[:12]}")
 
 
 if __name__ == "__main__":

@@ -33,13 +33,19 @@ def step(rhs, t, y, f, h):
     Returns (y_new, f_new, err); err is the embedded error estimate, which
     error_norm scales by the caller's tolerances.
     """
-    # karr[:i].T has the memory layout of np.stack(stages).T, so each stage
+    # kT[:, :i] has the memory layout of np.stack(stages).T, so each stage
     # sum takes the same matmul path and rounds the same way
     karr = np.empty((7, len(y)))
+    kT = karr.T
     karr[0] = f
     for i in range(1, 7):
-        karr[i] = rhs(t + C[i] * h, y + h * (karr[:i].T @ A[i]))
-    return y + h * (karr.T @ B5), karr[6], h * (karr.T @ E)
+        karr[i] = rhs(t + C[i] * h, y + h * (kT[:, :i] @ A[i]))
+    return y + h * (kT @ B5), karr[6], h * (kT @ E)
+
+
+def finite(v):
+    """np.isfinite(v).all() for a float vector, without the ufunc's overhead."""
+    return all(map(math.isfinite, v.tolist()))
 
 
 def error_norm(err, y0, y1, rtol, atol, cols=1):
@@ -155,7 +161,7 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
                 with np.errstate(all="ignore"):
                     y_new, f_new, err = step(rhs, t, y, f, direction * h)
                     err_norm = error_norm(err, y, y_new, rtol, atol, cols)
-                if not np.isfinite(y_new).all():
+                if not finite(y_new):
                     err_norm = np.inf  # an overflowing stage rejects the step
                 if err_norm <= 1.0:
                     break

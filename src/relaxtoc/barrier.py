@@ -20,8 +20,9 @@ the positive root of theta^p - theta - M.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,9 +31,6 @@ from ._rk import integrate_plain
 from .dynamics import BallSet, ControlSystem, PiecewiseConstant, quench_drift, quench_drift_jacobian
 from .integrate import HIT_TARGET, MAX_TIME, IntegratorOptions, integrate_forward
 from .target import Hyperplane
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 
 def quad(*args, **kwargs):
@@ -71,8 +69,9 @@ class BarrierTable:
     """Immutable table of the two blowup-time integrals on a log radius grid.
 
     The *_time functions always use direct quadrature; the stored monotone
-    interpolants serve the fast envelope evaluation, and invert() refines a
-    table bracket by bisection on direct quadrature.
+    interpolants of log r against Xi (PCHIP, as breakpoints and the four
+    coefficient rows of its pieces) serve the fast envelope evaluation, and
+    invert() refines a table bracket by bisection on direct quadrature.
     """
 
     p: float
@@ -81,8 +80,8 @@ class BarrierTable:
     radii: np.ndarray
     xi_upper_vals: np.ndarray
     xi_lower_vals: np.ndarray
-    _inv_upper: PchipInterpolator
-    _inv_lower: PchipInterpolator
+    _inv_upper: tuple
+    _inv_lower: tuple
 
     def _vals(self, which: str) -> np.ndarray:
         return self.xi_upper_vals if which == UPPER else self.xi_lower_vals
@@ -113,8 +112,10 @@ def build_barrier_table(p: float, M: float) -> BarrierTable:
     log_r = np.log(radii)
     from scipy.interpolate import PchipInterpolator
 
-    inv_up = PchipInterpolator(up[::-1], log_r[::-1])
-    inv_lo = PchipInterpolator(lo[::-1], log_r[::-1])
+    def pieces(vals):
+        pchip = PchipInterpolator(vals[::-1], log_r[::-1])
+        return (pchip.x.tolist(), *(row.tolist() for row in pchip.c))
+
     return BarrierTable(
         p=float(p),
         M=float(M),
@@ -122,8 +123,8 @@ def build_barrier_table(p: float, M: float) -> BarrierTable:
         radii=radii,
         xi_upper_vals=up,
         xi_lower_vals=lo,
-        _inv_upper=inv_up,
-        _inv_lower=inv_lo,
+        _inv_upper=pieces(up),
+        _inv_lower=pieces(lo),
     )
 
 
@@ -151,14 +152,23 @@ def xi_lower_time(table: BarrierTable, r: float) -> float:
 
 
 def _fast_radius(table: BarrierTable, tau: float, which: str) -> float:
-    """Interpolated inverse; inf beyond the table (radius past the grid cap)."""
+    """Interpolated inverse; inf beyond the table (radius past the grid cap).
+
+    Equal bit for bit to np.exp(PchipInterpolator(Xi, log r)(tau)): the same
+    interval (x[i] <= tau < x[i + 1], the last one closed) and the same sum
+    c3 + c2 s + c1 s^2 + c0 s^3 with the powers accumulated as SciPy's
+    evaluate_poly1 does, without the array call's overhead.
+    """
     vals = table._vals(which)
     if tau <= vals[-1]:
         return np.inf
     if tau >= vals[0]:
         return float(table.radii[0])
-    interp = table._inv_upper if which == UPPER else table._inv_lower
-    return float(np.exp(interp(tau)))
+    x, c0, c1, c2, c3 = table._inv_upper if which == UPPER else table._inv_lower
+    i = min(bisect.bisect_right(x, tau) - 1, len(x) - 2)
+    s = tau - x[i]
+    s2 = s * s
+    return float(np.exp(c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)))
 
 
 def invert(table: BarrierTable, tau: float, which: str) -> float:
@@ -209,24 +219,24 @@ def invert(table: BarrierTable, tau: float, which: str) -> float:
     return 0.5 * (a + b)
 
 
-def theta_upper(table: BarrierTable, t: float, s: float, r: float) -> float:
-    """Upper envelope at time t, seeded at radius r at time s (inf if blown)."""
+def _envelope(table: BarrierTable, xi_r: float, t: float, s: float, r: float, which: str) -> float:
+    """Envelope xi(Xi(r) - (t - s)) of one branch, given xi_r = Xi(r) (inf if blown)."""
     if t < s:
         raise ValueError("envelope evaluation needs t >= s")
-    tau = xi_upper_time(table, r) - (t - s)
+    tau = xi_r - (t - s)
     if tau <= 0.0:
         return np.inf
-    return max(_fast_radius(table, tau, UPPER), r)
+    return max(_fast_radius(table, tau, which), r)
+
+
+def theta_upper(table: BarrierTable, t: float, s: float, r: float) -> float:
+    """Upper envelope at time t, seeded at radius r at time s (inf if blown)."""
+    return _envelope(table, xi_upper_time(table, r), t, s, r, UPPER)
 
 
 def theta_lower(table: BarrierTable, t: float, s: float, r: float) -> float:
     """Lower envelope at time t, seeded at radius r > r0 at time s."""
-    if t < s:
-        raise ValueError("envelope evaluation needs t >= s")
-    tau = xi_lower_time(table, r) - (t - s)
-    if tau <= 0.0:
-        return np.inf
-    return max(_fast_radius(table, tau, LOWER), r)
+    return _envelope(table, xi_lower_time(table, r), t, s, r, LOWER)
 
 
 def blowup_bracket(table: BarrierTable, s: float, r: float):
@@ -276,13 +286,15 @@ def envelope_bracket_check(
     if r > 0.1 * _TABLE_RADIUS_CAP:
         raise errors.OutOfRange("start radius too close to the table cap")
 
+    # both envelopes start from the same radius: one quadrature per branch
+    xi_up, xi_lo = xi_upper_time(table, r), xi_lower_time(table, r)
     min_up = np.inf
     min_lo = np.inf
     first_bad = None
     n_checked = 0
     for t, yn in zip(times[i0 + 1 :], norms[i0 + 1 :]):
-        up = theta_upper(table, float(t), s, r)
-        lo = theta_lower(table, float(t), s, r)
+        up = _envelope(table, xi_up, float(t), s, r, UPPER)
+        lo = _envelope(table, xi_lo, float(t), s, r, LOWER)
         scale = max(yn, 1.0)
         m_up = (up - yn) / scale if np.isfinite(up) else np.inf
         m_lo = (yn - lo) / scale if np.isfinite(lo) else np.inf
@@ -327,16 +339,24 @@ def mtilde(table: BarrierTable, alpha: float, use_upper: bool = False) -> float:
 
 
 def _as_profile(h, default=0.0):
-    """Normalize a scalar/array/callable/piecewise profile to (fn, knots)."""
-    if h is None:
-        c = np.asarray(default, dtype=float)
-        return (lambda t: c), ()
-    if isinstance(h, PiecewiseConstant):
-        return (lambda t: h(t)), tuple(h.knots)
-    if callable(h):
-        return (lambda t: np.asarray(h(t), dtype=float)), ()
-    c = np.asarray(h, dtype=float)
-    return (lambda t: c), ()
+    """Normalize a scalar/array/callable/piecewise profile to (fn, knots).
+
+    A PiecewiseConstant is its own fn, and a constant becomes a one-cell one.
+    """
+    if not isinstance(h, PiecewiseConstant):
+        if callable(h):
+            return (lambda t: np.asarray(h(t), dtype=float)), ()
+        h = PiecewiseConstant.constant(default if h is None else h)
+    return h, h.knots
+
+
+def _values_read(fn, a: float, b: float):
+    """Every value a profile fn from _as_profile takes on [a, b]: each cell a
+    PiecewiseConstant reads there, however narrow, or a callable's values at
+    257 probe times."""
+    if isinstance(fn, PiecewiseConstant):
+        return list(fn.values_on(a, b))
+    return [fn(t) for t in np.linspace(a, b, 257)]
 
 
 @dataclass(frozen=True)
@@ -391,17 +411,18 @@ def blowup_lower_bound_check(
 
     h_fn, h_knots = _as_profile(h)
     g_fn, g_knots = _as_profile(g, default=np.zeros_like(y_s))
-    probe = np.linspace(s, T, 257)
-    hv = np.array([float(h_fn(t)) for t in probe])
+    hv = np.array([float(v) for v in _values_read(h_fn, s, T)])
     if hv.min() < -1e-12 or hv.max() > 1.0 + 1e-12:
         raise ValueError("damping profile must satisfy 0 <= h <= 1")
-    gv = np.array([float(np.linalg.norm(np.broadcast_to(g_fn(t), y_s.shape))) for t in probe])
+    gv = np.array(
+        [float(np.linalg.norm(np.broadcast_to(v, y_s.shape))) for v in _values_read(g_fn, s, T)]
+    )
     if gv.max() > M * (1.0 + 1e-9) + 1e-30:
         raise ValueError("forcing profile must satisfy |g(t)| <= M")
 
     def rhs(t, y):
         ny = float(np.linalg.norm(y))
-        # g broadcasts against y; the probe above checked that it can
+        # g broadcasts against y; the check above made sure that it can
         return ny ** (p - 1.0) * y + g_fn(t) - float(h_fn(t)) * y
 
     knots = tuple(k for k in set(h_knots) | set(g_knots) if s < k < T)
@@ -492,8 +513,7 @@ def quench_monotonicity_check(
 
     g_fn, g_knots = _as_profile(g, default=np.zeros(2))
     h_fn, h_knots = _as_profile(h)
-    probe = np.linspace(0.0, T, 257)
-    hv = np.array([float(h_fn(t)) for t in probe])
+    hv = np.array([float(v) for v in _values_read(h_fn, 0.0, T)])
     if case == "i" and hv.max() > 1e-12:
         raise ValueError("case y0_1 < 1 needs h <= 0")
     if case == "ii" and hv.min() < -1e-12:

@@ -166,6 +166,13 @@ class PiecewiseConstant:
     def knots(self):
         return tuple(float(t) for t in self.starts[1:])
 
+    def values_on(self, a: float, b: float) -> np.ndarray:
+        """Every value the signal reads on [a, b] (a <= b), in time order."""
+        last = len(self.values) - 1
+        i = bisect.bisect_left(self._start_list, a) - 1
+        j = bisect.bisect_left(self._start_list, b) - 1
+        return self.values[min(max(i, 0), last) : min(max(j, 0), last) + 1]
+
 
 @dataclass(frozen=True, eq=False)
 class AffineStructure:

@@ -5,7 +5,8 @@ first time the distance to the (inflated) target drops to the hit tolerance.
 The crossing is localized by bisection on the distance along the dense output
 of the final step, then sharpened by one linear extrapolation of the distance
 decay rate to distance zero; the stored terminal sample stays on the computed
-trajectory, so its distance is at most the hit tolerance.
+trajectory, so its distance is at most the hit tolerance.  A step whose dense
+output provably stays clear of the target (`_step_clears`) skips the scan.
 
 Steps land on every control and system time knot, and each segment between
 knots (or chart switches) restarts the pair: its rhs closure is built for the
@@ -25,6 +26,8 @@ reported as a "singular-stall" status, never as a crash.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,7 +216,7 @@ def _cell_rhs(sys, atoms, weights, mode, chart, seg_end):
                 term = lam * np.asarray(sys.field(t, y, atom), dtype=float)
                 out = term if out is None else out + term
         out = np.asarray(out, dtype=float)
-        if not np.isfinite(out).all():
+        if not _rk.finite(out):
             raise _StageFailure
         return out
 
@@ -222,12 +225,12 @@ def _cell_rhs(sys, atoms, weights, mode, chart, seg_end):
 
     def chart_field(t, z):
         nz = float(np.sqrt(z @ z))
-        if not (nz > 0.0) or not np.isfinite(nz):
+        if not (nz > 0.0) or not math.isfinite(nz):
             raise _StageFailure
         y = chart.from_chart(z)
         v = base_field(t, y)
         out = chart.push_velocity(y, v)
-        if not np.isfinite(out).all():
+        if not _rk.finite(out):
             raise _StageFailure
         return out
 
@@ -267,6 +270,93 @@ def _golden_min(g, a, b, iters=48):
     return (c, gc) if gc <= gd else (d, gd)
 
 
+def _norm(v) -> float:
+    return math.sqrt(float(v @ v))
+
+
+def _target_scale(tgt) -> float:
+    """Sum of the magnitudes of a target's parameters: with the state's, it
+    sets the size of the roundoff in a computed distance."""
+    return sum(float(np.max(np.abs(getattr(tgt, f.name)))) for f in dataclasses.fields(tgt))
+
+
+def _signed_gap(tgt):
+    """Signed gap to a flat target (None for others): a sign change between
+    scan samples flags a pass straight through the target interior."""
+    if isinstance(tgt, Hyperplane):
+        return lambda s: float(s[tgt.axis]) - tgt.level
+    if isinstance(tgt, HalfSpace):
+        return lambda s: float(tgt.normal @ s) - (tgt.offset + tgt.alpha)
+    return None
+
+
+def _step_clears(d0, d1, y0, f0, y1, f1, h, hit_tol, tgt_scale):
+    """True when the dense output of the step provably stays farther than
+    hit_tol from the target, so its event scan cannot trigger.
+
+    d0 and d1 are the distances at the step's ends, read by a function that
+    is 1-Lipschitz in the coordinates of y (every TargetSet.distance is).
+    The cubic Hermite on the step is the Bezier curve with control points y0,
+    y0 + h f0 / 3, y1 - h f1 / 3 and y1, so it stays in their convex hull;
+    every hull point lies within R0 of y0 and within R1 of y1, the largest
+    distance from that end to a control point, so the distance along the
+    step is at least max(d0 - R0, d1 - R1).  The bound must clear hit_tol by
+    a margin far above the roundoff of the scan's own samples and distances.
+    """
+    a = (h / 3.0) * f0
+    b = (h / 3.0) * f1
+    dy = y1 - y0
+    na, nb, ndy = _norm(a), _norm(b), _norm(dy)
+    r0 = max(na, _norm(dy - b), ndy)
+    r1 = max(ndy, _norm(dy - a), nb)
+    margin = 1e-12 * (1.0 + tgt_scale + _norm(y0) + ndy + 3.0 * (na + nb))
+    return max(d0 - r0, d1 - r1) > hit_tol + margin
+
+
+def _scan_step(dense, t, h, y0, y1, d0, d1, distance, signed_of, hit_tol):
+    """First target event of an accepted step: (time, "hit") or None.
+
+    dense(tau) is the dense output of the step of size h from t, which
+    starts at y0 with distance d0 and ends at y1 with distance d1.  Three
+    interior samples are checked, an interior dip is followed to its
+    golden-section minimum (the step may graze the target between samples),
+    and for flat targets a sign change of signed_of flags a pass straight
+    through; the entry into the hit tolerance is then located by bisection.
+    """
+    t_new = t + h
+    taus = [t] + [t + th * h for th in (0.25, 0.5, 0.75)] + [t_new]
+    # the interior dense states serve the distance and the signed scan
+    pts = [y0] + [y1 if tau == t_new else dense(tau) for tau in taus[1:4]] + [y1]
+    dvals = [d0] + [distance(s) for s in pts[1:4]] + [d1]
+
+    def entry(lo_t, hi_t):
+        _, hi = _bisect(
+            lambda x: distance(dense(x)) <= hit_tol, lo_t, hi_t, 1e-15 * max(1.0, abs(hi_t))
+        )
+        return hi, "hit"
+
+    for j in range(1, len(taus)):
+        if dvals[j] <= hit_tol:
+            return entry(taus[j - 1], taus[j])
+    j = 1 + int(np.argmin(dvals[1:4]))
+    if dvals[j] < dvals[0] and dvals[j] < dvals[-1]:
+        tau_m, d_m = _golden_min(lambda x: distance(dense(x)), taus[j - 1], taus[j + 1])
+        if d_m <= hit_tol:
+            return entry(taus[0], tau_m)
+    if signed_of is not None:
+        svals = [signed_of(s) for s in pts]
+        for j in range(1, len(taus)):
+            if svals[j - 1] * svals[j] < 0.0:
+                _, cross = _bisect(
+                    lambda x: signed_of(dense(x)) * svals[j - 1] <= 0.0,
+                    taus[j - 1],
+                    taus[j],
+                    1e-15 * max(1.0, abs(taus[j])),
+                )
+                return entry(taus[j - 1], cross)
+    return None
+
+
 def integrate_forward(
     sys: ControlSystem,
     control,
@@ -298,13 +388,8 @@ def integrate_forward(
             return np.inf
         return tgt.distance(z)
 
-    # Signed gap for flat targets: a sign change between scan samples flags a
-    # transversal pass straight through the target interior within one step.
-    signed_of = None
-    if chart is None and isinstance(tgt, Hyperplane):
-        signed_of = lambda s: float(s[tgt.axis]) - tgt.level
-    elif chart is None and isinstance(tgt, HalfSpace):
-        signed_of = lambda s: float(tgt.normal @ s) - (tgt.offset + tgt.alpha)
+    signed_of = _signed_gap(tgt) if chart is None else None
+    tgt_scale = _target_scale(tgt) if tgt is not None else 0.0
 
     mode = False
     state = y0
@@ -312,8 +397,8 @@ def integrate_forward(
         mode = True
         state = chart.to_chart(y0)
 
-    d0 = distance_of(state, mode)
-    if tgt is not None and d0 <= opts.hit_tol:
+    d_state = distance_of(state, mode)  # always the distance at (t, state)
+    if tgt is not None and d_state <= opts.hit_tol:
         raise ValueError("initial state already within the hit tolerance of the target")
 
     knots = {float(t_max)}
@@ -355,8 +440,7 @@ def integrate_forward(
     h = None
     status = None
     hit_time = None
-    terminal_distance = distance_of(state, mode)
-    d_state = terminal_distance
+    terminal_distance = None
 
     def emit(t_s, s_s, f_s, m_s):
         states_y.append(to_y(s_s, m_s))
@@ -389,17 +473,23 @@ def integrate_forward(
         if t >= t_max - 1e-15 * max(1.0, t_max):
             status = MAX_TIME
             hit_time = t
+            terminal_distance = d_state
             break
         if t >= seg_end - 1e-15 * max(1.0, abs(seg_end)):
             new_segment()
         h_try = min(h, seg_end - t, opts.max_step)
+        # the distance is 1-Lipschitz in the integration coordinates, except
+        # on a chart system outside its chart, where it is read through it
+        lipschitz = chart is None or mode
         if tgt is not None and np.isfinite(d_state) and d_state > 0.0:
             # while the distance is shrinking, cap h so a single step cannot
-            # overshoot the target; the approach then resolves geometrically
-            _, d_rate = gap_and_rate(state, f, mode)
-            if d_rate < 0.0:
-                h_appr = 0.8 * max(d_state - 0.25 * opts.hit_tol, 0.25 * opts.hit_tol) / (-d_rate)
-                h_try = min(h_try, h_appr)
+            # overshoot the target; the approach then resolves geometrically.
+            # The cap cannot bind when h_try |f| is below the room: -rate <= |f|
+            room = 0.8 * max(d_state - 0.25 * opts.hit_tol, 0.25 * opts.hit_tol)
+            if not (lipschitz and room >= h_try * _norm(f) * (1.0 + 1e-7)):
+                _, d_rate = gap_and_rate(state, f, mode)
+                if d_rate < 0.0:
+                    h_try = min(h_try, room / (-d_rate))
         n_steps += 1
         if n_steps > opts.max_steps:
             raise errors.IntegrationFailed("forward integration exceeded the step budget")
@@ -407,16 +497,16 @@ def integrate_forward(
             with np.errstate(all="ignore"):
                 s_new, f_new, err = _rk.step(rhs, t, state, f, h_try)
                 err_norm = _rk.error_norm(err, state, s_new, opts.rtol, opts.atol)
-            failed = not np.isfinite(s_new).all()
+            failed = not _rk.finite(s_new)
         except _StageFailure:
             err_norm = np.inf
             failed = True
         if failed or err_norm > 1.0:
-            h = h_try * (0.5 if not np.isfinite(err_norm) else _rk.next_factor(err_norm))
+            h = h_try * (0.5 if not math.isfinite(err_norm) else _rk.next_factor(err_norm))
             if h < _STALL_FLOOR * max(1.0, abs(t)):
                 status = SINGULAR_STALL
                 hit_time = t
-                terminal_distance = distance_of(state, mode)
+                terminal_distance = d_state
             continue
 
         t_new = t + h_try
@@ -426,47 +516,15 @@ def integrate_forward(
 
         # --- event scan on the accepted step (first trigger wins) ---
         event = None  # (time, kind)
-
-        if tgt is not None:
-            taus = [t] + [t + th * h_try for th in (0.25, 0.5, 0.75)] + [t_new]
-            # the interior dense states serve the distance and the signed scan
-            pts = [state] + [s_new if tau == t_new else dense(tau) for tau in taus[1:4]] + [s_new]
-            dvals = [d_state] + [distance_of(s, mode) for s in pts[1:]]
-
-            def entry(lo_t, hi_t):
-                _, hi = _bisect(
-                    lambda x: distance_of(dense(x), mode) <= opts.hit_tol,
-                    lo_t,
-                    hi_t,
-                    1e-15 * max(1.0, abs(hi_t)),
-                )
-                return hi, "hit"
-
-            for j in range(1, len(taus)):
-                if dvals[j] <= opts.hit_tol:
-                    event = entry(taus[j - 1], taus[j])
-                    break
-            if event is None:
-                j = 1 + int(np.argmin(dvals[1:4]))
-                if dvals[j] < dvals[0] and dvals[j] < dvals[-1]:
-                    # interior dip: the step may graze the target between samples
-                    tau_m, d_m = _golden_min(
-                        lambda x: distance_of(dense(x), mode), taus[j - 1], taus[j + 1]
-                    )
-                    if d_m <= opts.hit_tol:
-                        event = entry(taus[0], tau_m)
-            if event is None and signed_of is not None:
-                svals = [signed_of(s) for s in pts]
-                for j in range(1, len(taus)):
-                    if svals[j - 1] * svals[j] < 0.0:
-                        _, cross = _bisect(
-                            lambda x: signed_of(dense(x)) * svals[j - 1] <= 0.0,
-                            taus[j - 1],
-                            taus[j],
-                            1e-15 * max(1.0, abs(taus[j])),
-                        )
-                        event = entry(taus[j - 1], cross)
-                        break
+        d_new = distance_of(s_new, mode)
+        if tgt is not None and not (
+            lipschitz
+            and _step_clears(d_state, d_new, state, f, s_new, f_new, h_try, opts.hit_tol, tgt_scale)
+        ):
+            distance = lambda x: distance_of(x, mode)
+            event = _scan_step(
+                dense, t, h_try, state, s_new, d_state, d_new, distance, signed_of, opts.hit_tol
+            )
 
         if chart is not None and event is None:
             # hysteresis: switch in at |y| >= 2 r1, back out at |y| <= r1
@@ -498,7 +556,7 @@ def integrate_forward(
             times.append(t_new)
             emit(t_new, s_new, f_new, mode)
             t, state, f = t_new, s_new, f_new
-            d_state = distance_of(state, mode)
+            d_state = d_new
             h = h_try * _rk.next_factor(err_norm)
             continue
 
@@ -533,9 +591,6 @@ def integrate_forward(
             d_state = distance_of(state, mode)
             new_segment()
             h = h_try * _rk.next_factor(err_norm)
-
-    if status in (MAX_TIME, SINGULAR_STALL):
-        terminal_distance = distance_of(state, mode)
 
     traj = Trajectory(
         times=np.array(times),
@@ -597,10 +652,14 @@ def integrate_adjoint(
     # an affine field's jacobian is free of u: any cell gives the same one
     fixed_cell = _resolve_cell(None, sys, 0.0) if sys.affine is not None else None
     n = seeds.shape[1]
+    # DOPRI5's last two stages share t + h: the second reuses the first's jacobian
+    jac_t, jac = None, None
 
     def rhs(t, psi):
-        atoms, weights = fixed_cell or _resolve_cell(control, sys, t)
-        jac = relaxed_jacobian(sys, t, y_at(t), atoms, weights)
+        nonlocal jac_t, jac
+        if t != jac_t:
+            atoms, weights = fixed_cell or _resolve_cell(control, sys, t)
+            jac_t, jac = t, relaxed_jacobian(sys, t, y_at(t), atoms, weights)
         if len(psi) == n:
             return -(jac @ psi)
         # live columns stacked end to end: row c of the product is jac @ psi_c

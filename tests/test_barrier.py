@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import oracles
-from relaxtoc import errors
+from relaxtoc import barrier, errors
 from relaxtoc.barrier import (
     blowup_bracket,
     blowup_lower_bound_check,
@@ -172,6 +173,50 @@ def test_envelope_check_passes_on_true_solution(table20):
     assert verdict.min_lower_margin > 0.0
 
 
+def test_envelope_check_takes_two_quadratures(monkeypatch, table20):
+    # Xi_upper(r) and Xi_lower(r) of the start radius, once each, however
+    # many samples the trajectory has
+    calls = []
+    quad = barrier.quad
+    monkeypatch.setattr(barrier, "quad", lambda *a, **kw: calls.append(a) or quad(*a, **kw))
+    for n in (2, 20, 200):
+        ts, ys = oracles.rk4_path(lambda t, y: y * y, 0.0, 0.30, np.array([3.0]), n)
+
+        class Fake:
+            times = ts
+            states = ys
+
+        calls.clear()
+        verdict = envelope_bracket_check(table20, Fake())
+        assert verdict.ok and verdict.n_checked == n
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("M", [0.0, 1.0])
+def test_fast_radius_matches_scipy_pchip_bit_for_bit(p, M):
+    # the stored PCHIP pieces evaluate exactly as SciPy's interpolant does:
+    # at every node, every midpoint and 10k random taus inside the table
+    table = build_barrier_table(p, M)
+    rng = np.random.default_rng(3)
+    log_r = np.log(table.radii)[::-1]
+    for which, vals in ((barrier.UPPER, table.xi_upper_vals), (barrier.LOWER, table.xi_lower_vals)):
+        pchip = PchipInterpolator(vals[::-1], log_r)
+        x = pchip.x
+        taus = np.concatenate(
+            [
+                x[1:-1],
+                0.5 * (x[1:] + x[:-1]),
+                rng.uniform(x[0], x[-1], 5000),
+                np.exp(rng.uniform(np.log(x[0]), np.log(x[-1]), 5000)),
+            ]
+        )
+        taus = taus[(taus > x[0]) & (taus < x[-1])]
+        assert len(taus) > 10_000
+        for tau in taus.tolist():
+            assert barrier._fast_radius(table, tau, which) == float(np.exp(pchip(tau)))
+
+
 def test_mtilde_frozen_value(table20):
     # alpha = 1/2, p = 2, M = 0: the threshold collapses to 4 analytically
     assert abs(mtilde(table20, 0.5) - 4.0) <= 1e-6
@@ -193,6 +238,24 @@ def test_lower_bound_check_verdict(table20):
     assert verdict.lhs >= verdict.rhs
     with pytest.raises(errors.BelowMtilde):
         blowup_lower_bound_check(table20, alpha=0.5, s=0.0, T=T, h=h, y_s=np.array([1.0]))
+
+
+def test_lower_bound_check_reads_every_cell(table20):
+    # a cell narrower than the spacing of a 257-point probe, between two of
+    # its points, must still fail the 0 <= h <= 1 and |g| <= M checks
+    y_s = np.array([mtilde(table20, 0.5) * 1.5])
+    T = 0.5 * xi_upper_time(table20, float(y_s[0]))
+    dt = T / 256
+    narrow = np.array([0.0, 1.3 * dt, 1.6 * dt])
+    h = PiecewiseConstant(narrow, np.array([0.7, 50.0, 0.7]))
+    with pytest.raises(ValueError, match="0 <= h <= 1"):
+        blowup_lower_bound_check(table20, alpha=0.5, s=0.0, T=T, h=h, y_s=y_s)
+    g = PiecewiseConstant(narrow, np.array([[0.0], [1.0], [0.0]]))
+    with pytest.raises(ValueError, match=r"\|g\(t\)\| <= M"):
+        blowup_lower_bound_check(table20, alpha=0.5, s=0.0, T=T, h=0.7, y_s=y_s, g=g)
+    # cells outside [s, T] are never read
+    late = PiecewiseConstant(np.array([0.0, 1.01 * T]), np.array([0.7, 50.0]))
+    assert blowup_lower_bound_check(table20, alpha=0.5, s=0.0, T=T, h=late, y_s=y_s).ok
 
 
 def test_lower_bound_terminal_radius_matches_a_per_cell_reference(table20):
@@ -250,6 +313,17 @@ def test_monotonicity_boundary_and_guards():
     h_neg = PiecewiseConstant(np.array([0.0]), np.array([-0.1]))
     with pytest.raises(errors.BaselineQuenchedEarly):
         quench_monotonicity_check(g=None, h=h_neg, y0=np.array([0.98, 2.0]), T=1.0)
+
+
+def test_monotonicity_check_reads_every_cell():
+    # h = +0.5 on a cell 1e-6 wide, between two probe points, is not h <= 0
+    starts = np.array([0.0, 0.1, 0.1 + 1e-6])
+    h = PiecewiseConstant(starts, np.array([-0.1, 0.5, -0.1]))
+    with pytest.raises(ValueError, match="needs h <= 0"):
+        quench_monotonicity_check(g=None, h=h, y0=np.array([0.0, 0.5]), T=0.3)
+    h = PiecewiseConstant(starts, np.array([0.1, -0.5, 0.1]))
+    with pytest.raises(ValueError, match="needs h >= 0"):
+        quench_monotonicity_check(g=None, h=h, y0=np.array([2.0, 0.5]), T=0.3)
 
 
 def test_table_csv(tmp_path, table20):

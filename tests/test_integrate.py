@@ -29,7 +29,7 @@ from relaxtoc.integrate import (
     integrate_forward,
 )
 from relaxtoc.relaxed import ClassicalSchedule, RelaxedSchedule
-from relaxtoc.target import Hyperplane, Point
+from relaxtoc.target import Ball, HalfSpace, Hyperplane, Point
 
 QUENCH_FREE_HIT = 0.65376084  # fixed-step RK4 + analytic tail, h -> 0
 
@@ -99,6 +99,78 @@ def test_flythrough_point_target():
     )
     assert traj.hit.status == HIT_TARGET
     assert abs(traj.hit.time - 0.5) <= 1e-6
+
+
+def _scan(tgt, y0, f0, y1, f1, h, hit_tol, t=0.0):
+    """(clearance verdict, scan event) of one Hermite step against tgt."""
+    dense = lambda tau: _rk.hermite(t, y0, f0, t + h, y1, f1, tau)
+    d0, d1 = tgt.distance(y0), tgt.distance(y1)
+    clears = integrate._step_clears(d0, d1, y0, f0, y1, f1, h, hit_tol, integrate._target_scale(tgt))
+    event = integrate._scan_step(
+        dense, t, h, y0, y1, d0, d1, tgt.distance, integrate._signed_gap(tgt), hit_tol
+    )
+    return clears, event, dense
+
+
+_coord = st.floats(-2.0, 2.0)
+_vec2 = st.tuples(_coord, _coord).map(np.array)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(["hyperplane", "halfspace", "ball", "point"]),
+    alpha=st.sampled_from([0.0, 1e-3, 0.3]),
+    y0=_vec2,
+    dy=_vec2,
+    f0=_vec2,
+    f1=_vec2,
+    h=st.floats(1e-3, 1.0),
+    s_near=st.floats(0.0, 1.0),
+    gap=st.floats(0.0, 0.2),
+    unit=st.floats(0.0, 2.0 * np.pi),
+    log_tol=st.floats(-8.0, -2.0),
+)
+def test_step_clearance_bound_implies_an_empty_scan(kind, alpha, y0, dy, f0, f1, h, s_near, gap, unit, log_tol):
+    # the target sits gap (plus its inflation) from one point of the step's
+    # dense output, so the bound is often close to the tolerance; whenever
+    # it clears the step, the full scan (samples, golden minimum, signed
+    # crossings) finds no event and a fine sweep stays outside hit_tol
+    y1 = y0 + dy
+    hit_tol = 10.0**log_tol
+    near = _rk.hermite(0.0, y0, f0, h, y1, f1, s_near * h)
+    e = np.array([np.cos(unit), np.sin(unit)])
+    if kind == "hyperplane":
+        tgt = Hyperplane(axis=0, level=float(near[0]) + gap + alpha)
+    elif kind == "halfspace":
+        tgt = HalfSpace(normal=e, offset=float(e @ near) - gap - alpha)
+    elif kind == "ball":
+        tgt = Ball(center=near + (gap + alpha + 0.5) * e, radius=0.5)
+    else:
+        tgt = Point(location=near + (gap + alpha) * e)
+    tgt = tgt.with_alpha(alpha)
+    if tgt.distance(y0) <= hit_tol:
+        return  # the integrator never starts a step within the tolerance
+    clears, event, dense = _scan(tgt, y0, f0, y1, f1, h, hit_tol)
+    if clears:
+        assert event is None
+        assert min(tgt.distance(dense(tau)) for tau in np.linspace(0.0, h, 1001)) > hit_tol
+
+
+def test_step_clearance_keeps_grazing_hits_and_crossings():
+    # the dense output below dips to (0.5, 0) and runs through (0.4, 0.04)
+    # between the scan's samples at 0.25 and 0.5; both a grazing ball and a
+    # line crossed between the last two samples must still be found
+    y0, y1 = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    f0, f1 = np.array([1.0, -4.0]), np.array([1.0, 4.0])
+    graze = Point(location=np.array([0.4, 0.04])).with_alpha(1e-3)
+    cross = Hyperplane(axis=0, level=0.9)
+    for tgt, t_hit in ((graze, 0.4), (cross, 0.9)):
+        clears, event, _ = _scan(tgt, y0, f0, y1, f1, 1.0, 1e-8)
+        assert not clears
+        assert event is not None and event[1] == "hit" and abs(event[0] - t_hit) < 0.01
+    # far from either target the bound clears the step
+    clears, event, _ = _scan(graze, y0 + 3.0, f0, y1 + 3.0, f1, 1.0, 1e-8)
+    assert clears and event is None
 
 
 def test_scalar_blowup_closed_form(blowup_free_g1):
@@ -424,10 +496,12 @@ def test_cursor_matches_interp_bit_for_bit(monkeypatch, quench_sys):
     # the backward sweep reads y(t) through the cursor at every stage; each
     # read must equal interp's, and so must reads at the sample times (knots
     # included) walked backward, forward and in random order
-    grid = np.linspace(0.0, 0.3, 7)
-    values = np.stack([np.cos(2.5 * np.arange(6)), np.sin(2.5 * np.arange(6))], axis=1)
+    # eight cells over 0.4: the sweep reads y once per distinct stage time,
+    # and this horizon keeps that above 100 reads
+    grid = np.linspace(0.0, 0.4, 9)
+    values = np.stack([np.cos(2.5 * np.arange(8)), np.sin(2.5 * np.arange(8))], axis=1)
     control = ClassicalSchedule(grid=grid, values=values)
-    quench = integrate_forward(quench_sys, control, np.array([0.0, 0.5]), t_max=0.3)
+    quench = integrate_forward(quench_sys, control, np.array([0.0, 0.5]), t_max=0.4)
     assert set(grid[1:-1]) <= set(quench.times)
 
     blowup = make_blowup_system(n=2, p=2.0, gamma=1.0, r1=2.0)
@@ -450,6 +524,26 @@ def test_cursor_matches_interp_bit_for_bit(monkeypatch, quench_sys):
         times = list(traj.times)
         for t in times[::-1] + times + list(rng.permutation(times)) + [-1.0, 2.0 * times[-1]]:
             assert _same_bits(at(t), traj.interp(t))
+
+
+def test_adjoint_evaluates_the_jacobian_once_per_stage_time(monkeypatch, quench_sys):
+    # DOPRI5's last two stages share t + h; the sweep evaluates the jacobian
+    # there once, and every stage reads y(t) at a time it has a jacobian for
+    grid = np.linspace(0.0, 0.4, 9)
+    values = np.stack([np.cos(2.5 * np.arange(8)), np.sin(2.5 * np.arange(8))], axis=1)
+    control = ClassicalSchedule(grid=grid, values=values)
+    traj = integrate_forward(quench_sys, control, np.array([0.0, 0.5]), t_max=0.4)
+    jac_times, steps = [], []
+    sys_ = dataclasses.replace(
+        quench_sys, jacobian=lambda t, y, u: jac_times.append(t) or quench_sys.jacobian(t, y, u)
+    )
+    step = _rk.step
+    monkeypatch.setattr(_rk, "step", lambda *a: steps.append(a[1]) or step(*a))
+    reads = _sweep_reads(monkeypatch, sys_, traj, control, np.array([1.0, 0.0]), 0.399)
+    assert steps and len(jac_times) == len(set(jac_times)) == len(reads)
+    assert jac_times == [t for t, _, _ in reads]
+    # six stage evaluations per step, five distinct times
+    assert len(jac_times) < 5.5 * len(steps)
 
 
 def test_affine_adjoint_reads_no_control_cell(monkeypatch, quench_sys):
