@@ -9,6 +9,9 @@ on blowup-ex2 each, n = 1 and n = 2). Per workload it records
 - adjoint rhs evaluations and system Jacobian evaluations;
 - adjoint passes (calls of integrate_adjoint) and the seeds they carry
   (columns: a pre-terminal family is one pass of three columns);
+- the same four counts split by the pmp function that ran the pass
+  (`by_caller`: bang_polish's proposal sweeps, verify, and
+  quenching_conclusions), with the rtol of each pass;
 - forward passes inside bang_polish;
 - segment lookups (binary searches of Trajectory.segment_of over a
   trajectory's times) and cell lookups (relaxed._cell_index over a
@@ -45,6 +48,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED, REPEATS = 5, 7
 OPS = {"quench-ladder": (0,), "chart-verify": (0, 1)}
+# the pmp functions that run adjoint passes, by the name by_caller files them under
+CALLERS = {"bang_polish": "polish", "verify": "verify", "quenching_conclusions": "conclusions"}
 
 
 def parse_args(argv):
@@ -104,6 +109,8 @@ COUNTS = (
     "segment_lookups",
     "cell_lookups",
 )
+# the counts by_caller splits
+SPLIT = ("adjoint_rhs_evals", "jacobian_evals", "adjoint_passes", "adjoint_columns")
 
 
 def counted_pass(workloads, name, scratch):
@@ -115,10 +122,18 @@ def counted_pass(workloads, name, scratch):
     from relaxtoc import _rk, cli, dynamics, integrate, pmp, relaxed
 
     counts = dict.fromkeys(COUNTS, 0)
+    by_caller = {}
+    caller = "other"  # the by_caller row of the adjoint pass running now
+
+    def tally(key, n=1):
+        counts[key] += n
+        if key in SPLIT:
+            row = by_caller.setdefault(caller, {**dict.fromkeys(SPLIT, 0), "rtol": {}})
+            row[key] += n
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            tally(key)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -135,9 +150,20 @@ def counted_pass(workloads, name, scratch):
 
     def counted_adjoint(sys_, traj, control, terminal_psi, *args, **kwargs):
         # pmp is the one caller; a 2-D terminal_psi holds one seed per row
-        counts["adjoint_passes"] += 1
-        counts["adjoint_columns"] += len(terminal_psi) if np.ndim(terminal_psi) == 2 else 1
-        return adjoint(sys_, traj, control, terminal_psi, *args, **kwargs)
+        nonlocal caller
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in CALLERS:
+            frame = frame.f_back
+        caller = "other" if frame is None else CALLERS[frame.f_code.co_name]
+        tally("adjoint_passes")
+        tally("adjoint_columns", len(terminal_psi) if np.ndim(terminal_psi) == 2 else 1)
+        rtol = repr((kwargs.get("opts") or integrate.IntegratorOptions()).rtol)
+        rtols = by_caller[caller]["rtol"]
+        rtols[rtol] = rtols.get(rtol, 0) + 1
+        try:
+            return adjoint(sys_, traj, control, terminal_psi, *args, **kwargs)
+        finally:
+            caller = "other"
 
     # integrate_adjoint is the one caller of _rk.integrate_plain through the
     # module attribute; solve and barrier bind the name at import
@@ -165,7 +191,7 @@ def counted_pass(workloads, name, scratch):
     finally:
         for (owner, attr), value in originals.items():
             setattr(owner, attr, value)
-    return counts, digest
+    return counts, by_caller, digest
 
 
 def main(argv=None):
@@ -200,13 +226,14 @@ def main(argv=None):
                 digest, summary, cpu_per_op = run_ops(wl, ops)
                 cpu.append(cpu_per_op)
                 digests.add(digest)
-            counts, counted_digest = counted_pass(workloads, name, scratch)
+            counts, by_caller, counted_digest = counted_pass(workloads, name, scratch)
         digests.add(counted_digest)
         if len(digests) != 1:
             raise SystemExit(f"{name}: outputs differ between passes")
         results[name] = {
             "ops": list(ops),
             "counts": counts,
+            "by_caller": by_caller,
             "cpu_s_per_op_median": statistics.median(cpu),
             "cpu_s_per_op_quartiles": statistics.quantiles(cpu, n=4)[::2],
             "output_sha256": digest,
@@ -237,6 +264,11 @@ def main(argv=None):
             f"segment {c['segment_lookups']:6d}  cell {c['cell_lookups']:6d}  "
             f"cpu/op {row['cpu_s_per_op_median'] * 1e3:7.1f} ms  {row['output_sha256'][:12]}"
         )
+        for who, c in sorted(row["by_caller"].items()):
+            print(
+                f"  {who:12s} adjoint rhs {c['adjoint_rhs_evals']:6d}  jacobian {c['jacobian_evals']:6d}  "
+                f"adjoint passes {c['adjoint_passes']:3d} ({c['adjoint_columns']:3d} columns)  rtol {c['rtol']}"
+            )
 
 
 if __name__ == "__main__":

@@ -56,6 +56,12 @@ class IntegratorOptions:
     max_steps: int = 500_000
     max_step: float = np.inf
 
+    @property
+    def search(self) -> "IntegratorOptions":
+        """These options loosened to rtol >= 1e-7 and atol >= 1e-9, for passes
+        whose output is a proposal that a pass at these options certifies."""
+        return dataclasses.replace(self, rtol=max(self.rtol, 1e-7), atol=max(self.atol, 1e-9))
+
 
 @dataclass
 class HitInfo:
@@ -421,7 +427,7 @@ def integrate_forward(
         else:
             z, zdot = s, v
         gap = z - tgt.project(z)
-        gn = float(np.linalg.norm(gap))
+        gn = _norm(gap)
         if gn == 0.0:
             return 0.0, 0.0
         return gn, float(gap @ zdot) / gn
@@ -529,9 +535,9 @@ def integrate_forward(
         if chart is not None and event is None:
             # hysteresis: switch in at |y| >= 2 r1, back out at |y| <= r1
             if mode:
-                crossed = lambda s: float(np.linalg.norm(s)) ** (-1.0 / chart.gamma) <= r1
+                crossed = lambda s: _norm(s) ** (-1.0 / chart.gamma) <= r1
             else:
-                crossed = lambda s: float(np.linalg.norm(s)) >= 2.0 * r1
+                crossed = lambda s: _norm(s) >= 2.0 * r1
             if crossed(s_new):
                 _, hi = _bisect(
                     lambda x: crossed(dense(x)), t, t_new, 1e-15 * max(1.0, abs(t_new))
@@ -540,7 +546,7 @@ def integrate_forward(
 
         if event is None:
             if chart is None:
-                if float(np.linalg.norm(s_new)) > DIVERGENCE_RADIUS:
+                if _norm(s_new) > DIVERGENCE_RADIUS:
                     event = (t_new, "diverged")
             elif mode:
                 # |z| -> 0 is |y| -> infinity; without a target there to stop
@@ -548,7 +554,7 @@ def integrate_forward(
                 # The band sits above atol: past z = 0 the chart field flips
                 # sign, so the solution chatters at the atol scale and would
                 # never reach a narrower band.
-                zn = float(np.linalg.norm(s_new))
+                zn = _norm(s_new)
                 if zn <= max(DIVERGENCE_RADIUS ** (-chart.gamma), 10.0 * opts.atol):
                     event = (t_new, "diverged")
 

@@ -30,6 +30,7 @@ from .integrate import (
     HIT_TARGET,
     IntegratorOptions,
     Trajectory,
+    _norm,
     _resolve_cell,
     integrate_adjoint,
     integrate_forward,
@@ -88,7 +89,7 @@ def _linear_argmax(cs, q, tiny):
     answers with its center.
     """
     if isinstance(cs, BallSet):
-        qn = float(np.linalg.norm(q))
+        qn = _norm(q)
         if qn <= tiny or cs.radius == 0.0:
             return np.zeros(cs.dim), 0.0, qn <= tiny
         return (cs.radius / qn) * q, cs.radius * qn, False
@@ -125,7 +126,7 @@ def max_hamiltonian(sys: ControlSystem, t: float, y, psi) -> HamiltonianMax:
     g = np.asarray(sys.affine.drift(t, y), dtype=float)
     B = np.atleast_2d(np.asarray(sys.affine.input_matrix(t), dtype=float))
     base = float(psi @ g)
-    scale = 1e-12 * (1.0 + float(np.linalg.norm(psi))) * max(1.0, float(np.linalg.norm(B)))
+    scale = 1e-12 * (1.0 + _norm(psi)) * max(1.0, float(np.linalg.norm(B)))
     u_star, gain, degenerate = _linear_argmax(cs, B.T @ psi, scale)
     return HamiltonianMax(base + gain, u_star, degenerate)
 
@@ -410,6 +411,22 @@ def _cell_switching_vector(sys, adj, a, b):
     return q
 
 
+def _proposed_atoms(sys, adj, grid, t_end, atoms):
+    """A copy of atoms (one row of atoms per cell of grid) with every atom of
+    each cell set to the argmax of the cell's switching vector, read up to
+    t_end; a cell where that vector vanishes keeps its atoms."""
+    atoms = np.array(atoms, dtype=float, copy=True)
+    for i in range(len(grid) - 1):
+        a, b = float(grid[i]), min(float(grid[i + 1]), t_end)
+        if b <= a:
+            continue
+        q = _cell_switching_vector(sys, adj, a, b)
+        u_i, _, degenerate = _linear_argmax(sys.control_set, q, 1e-14 * (b - a))
+        if not degenerate:
+            atoms[i, :, :] = u_i
+    return atoms
+
+
 def _control_scale(cs) -> float:
     """Largest control magnitude of a centered ball or a box."""
     if isinstance(cs, BallSet):
@@ -442,7 +459,9 @@ def bang_polish(
     cone at the exit of the best trajectory so far, replaces each cell's
     control by the argmax of the cell-averaged switching vector B^T psi (a
     cell where that vector vanishes keeps its control), and integrates the
-    new schedule forward.  Descent methods stall on this last stretch (the
+    new schedule forward.  The sweep runs at opts.search, since its argmax is
+    only a proposal, and the forward pass at opts, which certifies the
+    proposal's hit time.  Descent methods stall on this last stretch (the
     hit time is flat in the control to first order at the optimum), while
     the fixed point lands on the extremal of the piecewise-constant class
     directly.  Stops at the first round that does not cut w by POLISH_W_TOL,
@@ -451,14 +470,14 @@ def bang_polish(
     of the maximum condition), and returns the best triple seen, which is
     `certified` itself when no round improves on it; None when the system is
     not affine with a ball or box control set.  certified is a hit: w is the
-    hit time of the trajectory, the schedule integrated with these options
+    hit time of the trajectory, the schedule integrated with opts
     (solve._certify makes one), so the polish starts at the costate sweep.
+    Every w returned is thus the hit time of a forward pass at opts.
     """
     if not polishable(sys):
         return None
-    cs = sys.control_set
     opts = opts or IntegratorOptions()
-    atom_tol = POLISH_ATOM_TOL * _control_scale(cs)
+    atom_tol = POLISH_ATOM_TOL * _control_scale(sys.control_set)
     best = certified
     w, sched, traj = certified
     n_cells = sched.weights.shape[0]
@@ -466,19 +485,11 @@ def bang_polish(
         t_end = min(w, float(traj.times[-1]))
         seed = exit_covector(sys, tgt, traj, t_end)
         try:
-            adj = integrate_adjoint(sys, traj, sched, seed, t_end=t_end, opts=opts)
+            adj = integrate_adjoint(sys, traj, sched, seed, t_end=t_end, opts=opts.search)
         except errors.Error:
             break
         grid = np.linspace(0.0, w, n_cells + 1)
-        atoms = np.array(sched.atoms[:n_cells], dtype=float, copy=True)
-        for i in range(n_cells):
-            a, b = float(grid[i]), min(float(grid[i + 1]), t_end)
-            if b <= a:
-                continue
-            q = _cell_switching_vector(sys, adj, a, b)
-            u_i, _, degenerate = _linear_argmax(cs, q, 1e-14 * (b - a))
-            if not degenerate:
-                atoms[i, :, :] = u_i
+        atoms = _proposed_atoms(sys, adj, grid, t_end, sched.atoms[:n_cells])
         if _applies_same_control(sched, grid, atoms, atom_tol):
             break
         sched = RelaxedSchedule(grid=grid, atoms=atoms, weights=np.array(sched.weights, copy=True))

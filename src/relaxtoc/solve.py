@@ -66,11 +66,6 @@ class SolveOptions:
     seed: int = 0
     final: IntegratorOptions = field(default_factory=IntegratorOptions)
 
-    @property
-    def inner(self) -> IntegratorOptions:
-        """final loosened to rtol >= 1e-7 and atol >= 1e-9 for the search passes."""
-        return replace(self.final, rtol=max(self.final.rtol, 1e-7), atol=max(self.final.atol, 1e-9))
-
 
 @dataclass(eq=False)
 class SolveResult:
@@ -180,7 +175,7 @@ def _random_schedule(sys, opts, idx) -> RelaxedSchedule:
 def _probe_w(sys, tgt_a, y0, sched_unit, opts):
     """Integrate the unit schedule stretched to w_max; returns a starting w."""
     phys = sched_unit.scaled_grid(opts.w_max)
-    tr = integrate_forward(sys, phys, y0, tgt=tgt_a, t_max=opts.w_max, opts=opts.inner)
+    tr = integrate_forward(sys, phys, y0, tgt=tgt_a, t_max=opts.w_max, opts=opts.final.search)
     if tr.hit.status == HIT_TARGET:
         return min(tr.hit.time, opts.w_max), True
     if tr.hit.status == MAX_TIME:
@@ -339,6 +334,7 @@ def _optimize_seed(sys, tgt_a, y0, sched0, opts):
     shape_a = sched0.atoms.shape
     shape_w = sched0.weights.shape
     freeze_atoms = isinstance(sys.control_set, FiniteSet)
+    search = opts.final.search
 
     w, hit0 = _probe_w(sys, tgt_a, y0, sched0, opts)
     atoms = sched0.atoms.copy()
@@ -350,14 +346,14 @@ def _optimize_seed(sys, tgt_a, y0, sched0, opts):
 
     for _round in range(PENALTY_ROUNDS):
         sched = RelaxedSchedule(grid=grid, atoms=atoms, weights=weights)
-        J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, penalty, opts.inner)
+        J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, penalty, search)
         while s_h is not None:
             w = max(w * s_h, W_MIN)
-            J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, penalty, opts.inner)
+            J, d_term, s_h, traj = _eval_objective(sys, tgt_a, sched, w, y0, penalty, search)
         for _it in range(MAX_ITERS):
             if not np.isfinite(J):
                 break
-            _, grad = _gradient_from_trajectory(sys, tgt_a, sched, w, traj, penalty, opts.inner)
+            _, grad = _gradient_from_trajectory(sys, tgt_a, sched, w, traj, penalty, search)
             g = _pack(grad["d_w"], grad["d_atoms"], grad["d_weights"])
             theta = _pack(w, atoms, weights)
             accepted = False
@@ -371,13 +367,13 @@ def _optimize_seed(sys, tgt_a, y0, sched0, opts):
                     break
                 w_t, atoms_t, weights_t = _unpack(trial, shape_a, shape_w)
                 sched_t = RelaxedSchedule(grid=grid, atoms=atoms_t, weights=weights_t)
-                J_t, d_t, s_h, traj_t = _eval_objective(sys, tgt_a, sched_t, w_t, y0, penalty, opts.inner)
+                J_t, d_t, s_h, traj_t = _eval_objective(sys, tgt_a, sched_t, w_t, y0, penalty, search)
                 if s_h is not None:
                     w_t = max(w_t * s_h, W_MIN)
-                    J_t, d_t, s_h2, traj_t = _eval_objective(sys, tgt_a, sched_t, w_t, y0, penalty, opts.inner)
+                    J_t, d_t, s_h2, traj_t = _eval_objective(sys, tgt_a, sched_t, w_t, y0, penalty, search)
                     if s_h2 is not None:
                         w_t = max(w_t * s_h2, W_MIN)
-                        J_t, d_t, _, traj_t = _eval_objective(sys, tgt_a, sched_t, w_t, y0, penalty, opts.inner)
+                        J_t, d_t, _, traj_t = _eval_objective(sys, tgt_a, sched_t, w_t, y0, penalty, search)
                 if J_t <= J - 1e-4 * step_norm * step_norm / max(eta, 1e-16):
                     w, atoms, weights = w_t, atoms_t, weights_t
                     sched, J, d_term, traj = sched_t, J_t, d_t, traj_t

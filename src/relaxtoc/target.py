@@ -16,6 +16,7 @@ return float('inf') so reports remain totally ordered.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +215,8 @@ class Point(TargetSet):
         object.__setattr__(self, "location", _vec(self.location))
 
     def base_distance(self, x):
-        return float(np.linalg.norm(_vec(x) - self.location))
+        d = _vec(x) - self.location
+        return math.sqrt(float(d @ d))
 
     def base_project(self, x):
         return self.location.copy()

@@ -268,6 +268,65 @@ def test_bang_polish_keeps_or_improves(quench_sys, quench_y0):
     assert polished.weights.shape == sched.weights.shape
 
 
+def test_polish_sweeps_at_search_and_certifies_at_final(monkeypatch, quench_sys, quench_y0):
+    # each round's costate sweep only proposes atoms, so it runs at the
+    # search tolerance; each forward pass certifies a hit time, at final
+    final = IntegratorOptions(rtol=1e-10, atol=1e-12)
+    assert final.search == IntegratorOptions(rtol=1e-7, atol=1e-9)
+    tgt = Hyperplane(axis=0, level=1.0).with_alpha(0.25)
+    sched = RelaxedSchedule(
+        grid=[0.0, 0.4, 0.8],
+        atoms=np.array([[[1.0, 0.0]], [[1.0, 0.0]]]),
+        weights=np.ones((2, 1)),
+    )
+    baseline = integrate_forward(quench_sys, sched, quench_y0, tgt=tgt, t_max=1.0, opts=final)
+    seen = {"adjoint": [], "forward": []}
+    adjoint, forward = pmp.integrate_adjoint, pmp.integrate_forward
+
+    def recording(key, fn):
+        def wrapper(*args, **kwargs):
+            seen[key].append(kwargs["opts"])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pmp, "integrate_adjoint", recording("adjoint", adjoint))
+    monkeypatch.setattr(pmp, "integrate_forward", recording("forward", forward))
+    w, _, traj = bang_polish(quench_sys, tgt, (baseline.hit.time, sched, baseline), quench_y0, opts=final)
+    assert len(seen["adjoint"]) >= 2 and len(seen["forward"]) >= 1
+    assert all(opts == final.search for opts in seen["adjoint"])
+    assert all(opts == final for opts in seen["forward"])
+    assert w < baseline.hit.time and w == traj.hit.time
+
+
+def _proposed_atoms(sys_, res, opts):
+    """The atoms bang_polish proposes from res, swept at opts."""
+    t_end = min(res.w, float(res.trajectory.times[-1]))
+    seed = pmp.exit_covector(sys_, res.target, res.trajectory, t_end)
+    adj = pmp.integrate_adjoint(sys_, res.trajectory, res.schedule, seed, t_end=t_end, opts=opts)
+    grid = np.linspace(0.0, res.w, res.schedule.weights.shape[0] + 1)
+    return pmp._proposed_atoms(sys_, adj, grid, t_end, res.schedule.atoms)
+
+
+@pytest.mark.parametrize("case", ["quench", "blowup"])
+def test_search_sweep_proposes_the_tight_argmax(case, quench_sys, quench_target, quench_y0):
+    # the premise of sweeping at the search tolerance: the argmax it proposes
+    # on every cell agrees with an rtol-1e-13 sweep's far inside the polish's
+    # progress per round (quench: 5.0e-7 apart, a final sweep 1.7e-8;
+    # blowup: 1.1e-16 either way)
+    if case == "quench":
+        sys_, y0, tgt, alpha = quench_sys, quench_y0, quench_target, 0.1
+        opts = SolveOptions(n_cells=8, n_atoms=2, multi_starts=2)
+    else:
+        sys_, y0 = make_blowup_system(n=2, p=2.0, gamma=1.0), np.full(2, 4.0 / np.sqrt(2.0))
+        tgt, alpha = Point(location=np.zeros(2)), 0.05
+        opts = SolveOptions(n_cells=4, n_atoms=2, multi_starts=1)
+    res = solve_alpha(sys_, tgt, y0, alpha, opts=opts)
+    tight = _proposed_atoms(sys_, res, IntegratorOptions(rtol=1e-13, atol=1e-15))
+    search = _proposed_atoms(sys_, res, opts.final.search)
+    assert np.abs(search - tight).max() <= 1e-5 * pmp._control_scale(sys_.control_set)
+
+
 def _chart_verify_solve(monkeypatch, n):
     """solve_alpha on a chart-verify config of blowup-ex2, with the polish's
     input, output and forward passes recorded."""

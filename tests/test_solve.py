@@ -209,9 +209,9 @@ def test_polish_starts_from_the_certified_hit(monkeypatch, quench_sys, quench_ta
     res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
     assert len(forwards) == 6 - 1
     assert res.reason == "seed+polish"
-    assert res.w == 0.36874818471715803
+    assert res.w == 0.36874818471394416
     digest = hashlib.sha256(res.schedule.hash_bytes()).hexdigest()
-    assert digest == "8ed6477d95046d7fa6e0491c856546e5563d619ae1bdf574031bd1400b1c2b74"
+    assert digest == "37193c4b80a4d1854249cb139767327622fa7808432de5321e0fe6cc7754e19a"
 
 
 def test_finite_control_set_falls_back_to_descent(toy_target):
