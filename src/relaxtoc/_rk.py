@@ -1,4 +1,12 @@
-"""Dormand-Prince 5(4) stepping primitives shared by the integrators."""
+"""Dormand-Prince 5(4) stepping primitives shared by the integrators.
+
+Both integrators size their steps with one rule, `next_step`: a rejected
+trial shrinks by the error-norm factor (halves when the norm is not finite),
+and an accepted trial grows by it, except right after a rejection, when it
+may not grow (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Without that
+cap the retried step grows back about 4.6x next to a singular set and is
+rejected again, in a cycle.
+"""
 
 from __future__ import annotations
 
@@ -68,6 +76,20 @@ def next_factor(err_norm):
     return min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err_norm ** -0.2))
 
 
+def next_step(h, err_norm, after_rejection=False):
+    """Size of the trial after one of size h with this error norm.
+
+    A rejected trial (err_norm not <= 1) shrinks by next_factor, or halves
+    when the norm is not finite (a stage left the field's domain or
+    overflowed).  An accepted trial grows by next_factor, but not past h
+    when after_rejection: it was a retry of a rejected trial.
+    """
+    if not err_norm <= 1.0:
+        return h * (next_factor(err_norm) if math.isfinite(err_norm) else 0.5)
+    factor = next_factor(err_norm)
+    return h * (min(1.0, factor) if after_rejection else factor)
+
+
 def initial_step(rhs, t0, y0, f0, direction, rtol, atol):
     """Hairer-style first step guess from the local solution scale.
 
@@ -115,10 +137,11 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
     first-same-as-last derivative carried into the knot is the left limit,
     so f is evaluated afresh one ulp into the next leg (and into the first
     one), where a left-continuous signal already reads its new cell.  A
-    backward step landing on a knot still evaluates its last stage there, in
-    the cell ahead.  When `record` is a sorted array of times (in travel
-    order) the state is recorded exactly at those times and (times, states)
-    is returned; otherwise the terminal state.
+    backward leg ends a few ulps short of its knot instead: a step landing on
+    the knot would evaluate its last stages there, where a left-continuous
+    signal reads the cell ahead.  When `record` is a sorted array of times
+    (in travel order) the state is recorded exactly at those times and
+    (times, states) is returned; otherwise the terminal state.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
@@ -151,8 +174,14 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
             if h is None:
                 atol_max = np.max(np.atleast_1d(atol))
                 h = min(initial_step(rhs, t, y, f, direction, rtol, atol_max), span)
+        short = direction < 0 and stop != stops[-1]  # a backward leg into a knot
         while (stop - t) * direction > 1e-15 * max(1.0, abs(t)):
             h = min(h, abs(stop - t))
+            if short and t - h <= stop:
+                h = t - math.nextafter(stop, t)
+                while t - h <= stop:
+                    h -= math.ulp(t)
+            rejected = False
             while True:
                 n_steps += 1
                 if n_steps > max_steps:
@@ -165,7 +194,8 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
                     err_norm = np.inf  # an overflowing stage rejects the step
                 if err_norm <= 1.0:
                     break
-                h *= next_factor(err_norm)
+                rejected = True
+                h = next_step(h, err_norm)
                 if h < 1e-15 * max(1.0, abs(t)):
                     raise errors.IntegrationFailed("step underflow in plain integration")
             if rec_times:
@@ -174,7 +204,7 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
                     rec_out.append(tr)
                     rec_states.append(hermite(t, y, f, t_new, y_new, f_new, tr))
             t, y, f = t_new, y_new, f_new
-            h *= next_factor(err_norm)
+            h = next_step(h, err_norm, rejected)
         t = stop  # the leg ended within roundoff of its stop
     if record is not None:
         # Anything left records the terminal state (guards roundoff at t1).

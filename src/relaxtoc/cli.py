@@ -304,7 +304,7 @@ def _task_verify(config, sys_, tgt, y0, opts, outdir, seed):
         )
         if cont.hit.status == "hit-target":
             conc = quenching_conclusions(
-                (cont.hit.time, cont, res.schedule), sys=sys_, tgt=true_tgt
+                (cont.hit.time, cont, res.schedule), sys=sys_, tgt=true_tgt, opts=opts.final
             )
             payload["quenching_conclusions"] = conc.to_json_dict()
             failed = failed or not conc.ok
@@ -548,7 +548,7 @@ def main(argv=None) -> int:
     except errors.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except errors.Error as exc:
+    except Exception as exc:  # a crash is a runtime error (exit 2), not a failed check
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,13 @@ Systems with a compactification chart integrate in chart coordinates outside
 the switch radius (hysteresis band [r1, 2 r1]); for such systems the target
 is interpreted in chart coordinates.  Step underflow near a singular set is
 reported as a "singular-stall" status, never as a crash.
+
+Step control follows `_rk.next_step`, so a step accepted right after a
+rejection does not grow.  Stop sets are approached geometrically
+(`_approach_cap`): while the distance to the target, or in the chart |z|
+to the divergence band around z = 0, is shrinking, one step covers at most
+0.8 of the way to a quarter of the band, so no step jumps across the set
+and is rejected for it.
 """
 
 from __future__ import annotations
@@ -319,6 +326,23 @@ def _step_clears(d0, d1, y0, f0, y1, f1, h, hit_tol, tgt_scale):
     return max(d0 - r0, d1 - r1) > hit_tol + margin
 
 
+def _approach_cap(h, gap, band, v, rate_of, lipschitz=True):
+    """h capped so that one step cannot overshoot a stop set.
+
+    gap is the distance to the set, band its tolerance, v the velocity and
+    rate_of() the rate of change of the gap.  While the gap is shrinking, a
+    step covers at most 0.8 of the way to a quarter of the band, so the
+    approach resolves geometrically.  When the gap is 1-Lipschitz in the
+    integration coordinates, -rate <= |v|, and the cap cannot bind while
+    h |v| is below the room: rate_of is then not read.
+    """
+    room = 0.8 * max(gap - 0.25 * band, 0.25 * band)
+    if lipschitz and room >= h * _norm(v) * (1.0 + 1e-7):
+        return h
+    rate = rate_of()
+    return min(h, room / -rate) if rate < 0.0 else h
+
+
 def _scan_step(dense, t, h, y0, y1, d0, d1, distance, signed_of, hit_tol):
     """First target event of an accepted step: (time, "hit") or None.
 
@@ -395,6 +419,12 @@ def integrate_forward(
         return tgt.distance(z)
 
     signed_of = _signed_gap(tgt) if chart is None else None
+    # in the chart, |z| -> 0 is |y| -> infinity: this band around z = 0 is a
+    # stop set like the target.  It sits above atol: past z = 0 the chart
+    # field flips sign, so the solution chatters at the atol scale and would
+    # never reach a narrower band.
+    if chart is not None:
+        band = max(DIVERGENCE_RADIUS ** (-chart.gamma), 10.0 * opts.atol)
     tgt_scale = _target_scale(tgt) if tgt is not None else 0.0
 
     mode = False
@@ -444,6 +474,7 @@ def integrate_forward(
     f = None
     n_steps = 0
     h = None
+    rejected = False  # the trial at hand retries a rejected one
     status = None
     hit_time = None
     terminal_distance = None
@@ -488,14 +519,13 @@ def integrate_forward(
         # on a chart system outside its chart, where it is read through it
         lipschitz = chart is None or mode
         if tgt is not None and np.isfinite(d_state) and d_state > 0.0:
-            # while the distance is shrinking, cap h so a single step cannot
-            # overshoot the target; the approach then resolves geometrically.
-            # The cap cannot bind when h_try |f| is below the room: -rate <= |f|
-            room = 0.8 * max(d_state - 0.25 * opts.hit_tol, 0.25 * opts.hit_tol)
-            if not (lipschitz and room >= h_try * _norm(f) * (1.0 + 1e-7)):
-                _, d_rate = gap_and_rate(state, f, mode)
-                if d_rate < 0.0:
-                    h_try = min(h_try, room / (-d_rate))
+            h_try = _approach_cap(
+                h_try, d_state, opts.hit_tol, f, lambda: gap_and_rate(state, f, mode)[1], lipschitz
+            )
+        if mode:
+            # no step may jump across z = 0 into the flipped chart field
+            zn = _norm(state)
+            h_try = _approach_cap(h_try, zn, band, f, lambda: float(state @ f) / zn)
         n_steps += 1
         if n_steps > opts.max_steps:
             raise errors.IntegrationFailed("forward integration exceeded the step budget")
@@ -508,7 +538,8 @@ def integrate_forward(
             err_norm = np.inf
             failed = True
         if failed or err_norm > 1.0:
-            h = h_try * (0.5 if not math.isfinite(err_norm) else _rk.next_factor(err_norm))
+            h = _rk.next_step(h_try, np.inf if failed else err_norm)
+            rejected = True
             if h < _STALL_FLOOR * max(1.0, abs(t)):
                 status = SINGULAR_STALL
                 hit_time = t
@@ -548,22 +579,18 @@ def integrate_forward(
             if chart is None:
                 if _norm(s_new) > DIVERGENCE_RADIUS:
                     event = (t_new, "diverged")
-            elif mode:
-                # |z| -> 0 is |y| -> infinity; without a target there to stop
-                # at, the state has left every compact set: report divergence.
-                # The band sits above atol: past z = 0 the chart field flips
-                # sign, so the solution chatters at the atol scale and would
-                # never reach a narrower band.
-                zn = _norm(s_new)
-                if zn <= max(DIVERGENCE_RADIUS ** (-chart.gamma), 10.0 * opts.atol):
-                    event = (t_new, "diverged")
+            elif mode and _norm(s_new) <= band:
+                # without a target there to stop at, the state has left
+                # every compact set: report divergence
+                event = (t_new, "diverged")
 
         if event is None:
             times.append(t_new)
             emit(t_new, s_new, f_new, mode)
             t, state, f = t_new, s_new, f_new
             d_state = d_new
-            h = h_try * _rk.next_factor(err_norm)
+            h = _rk.next_step(h_try, err_norm, rejected)
+            rejected = False
             continue
 
         tau, kind = event
@@ -596,7 +623,8 @@ def integrate_forward(
             t = tau
             d_state = distance_of(state, mode)
             new_segment()
-            h = h_try * _rk.next_factor(err_norm)
+            h = _rk.next_step(h_try, err_norm, rejected)
+            rejected = False
 
     traj = Trajectory(
         times=np.array(times),

@@ -13,7 +13,7 @@ import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relaxtoc import cli, errors
+from relaxtoc import cli, errors, pmp
 
 
 def _toy_config(**extra):
@@ -350,6 +350,41 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["run", str(edge), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [AlphaOutOfRange]") and "Traceback" not in err
+
+
+def test_crash_is_exit_two(tmp_path, monkeypatch, capsys):
+    # an unexpected exception is a runtime error, not a failed check: exit 2
+    # and one line naming it, with no traceback
+    cfg_path = tmp_path / "toy.json"
+    cfg_path.write_text(json.dumps(_toy_config()))
+
+    def crashing_run(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run", crashing_run)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error [RuntimeError]: boom\n"
+
+
+def test_verify_conclusions_use_the_configured_tolerances(tmp_path, monkeypatch):
+    # the conclusions' pre-terminal sweep runs at the run's final tolerances,
+    # like verify, not at the integrator defaults
+    seen = []
+    adjoint = pmp.integrate_adjoint
+
+    def recording_adjoint(*args, **kwargs):
+        seen.append(kwargs.get("opts"))
+        return adjoint(*args, **kwargs)
+
+    monkeypatch.setattr(pmp, "integrate_adjoint", recording_adjoint)
+    cfg = copy.deepcopy(cli.list_examples()["quenching-ex1"]["default_config"])
+    cfg["solver"] = {"n_cells": 4, "multi_starts": 1}
+    assert cli.run(cfg, out_dir=tmp_path, tol_overrides={"rtol": 1e-11, "atol": 1e-13}) == 0
+    payload = json.loads((tmp_path / "pmp_report.json").read_text())
+    assert payload["quenching_conclusions"]["ok"] is True
+    assert seen and None not in seen
+    # the conclusions run last
+    assert (seen[-1].rtol, seen[-1].atol) == (1e-11, 1e-13)
 
 
 def test_main_lists_catalog(capsys):

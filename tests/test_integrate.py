@@ -230,6 +230,69 @@ def test_status_diverged_in_chart(blowup_free_g1):
     assert abs(traj.times[-1] - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("radius", [3.0, 5.0])
+def test_blowup_reaches_the_divergence_band_without_rejections(monkeypatch, n, radius):
+    # |y|' = |y|^2 blows up at 1 / |y0|; the chart approaches z = 0 the way
+    # the target is approached, so no step jumps across it and is rejected
+    trials = _record_trials(monkeypatch)
+    y0 = radius * (np.array([1.0]) if n == 1 else np.array([0.6, 0.8]))
+    traj = integrate_forward(make_blowup_system(n=n, p=2.0, gamma=1.0), None, y0, t_max=1.0)
+    assert traj.hit.status == DIVERGED
+    assert abs(traj.hit.time - 1.0 / radius) <= 3e-9
+    assert _rejections(trials) <= 2
+
+
+def _record_trials(monkeypatch):
+    """(t, h) of every _rk.step call from here on."""
+    trials = []
+    step = _rk.step
+
+    def recording_step(rhs, t, y, f, h):
+        trials.append((t, h))
+        return step(rhs, t, y, f, h)
+
+    monkeypatch.setattr(_rk, "step", recording_step)
+    return trials
+
+
+def _rejections(trials):
+    # a rejected trial is retried from the same time
+    return sum(a[0] == b[0] for a, b in zip(trials, trials[1:]))
+
+
+def test_no_step_growth_right_after_a_rejection(monkeypatch, quench_sys):
+    # an accepted retry may not propose a larger next step: next to the
+    # singular line and the chart origin it would be rejected again
+    quench_sched = RelaxedSchedule(
+        grid=[0.0, 0.2, 0.4],
+        atoms=np.array([[[1.0, 0.0], [0.6, 0.8]], [[0.8, -0.6], [1.0, 0.0]]]),
+        weights=np.array([[0.5, 0.5], [0.25, 0.75]]),
+    )
+    angles = np.array([0.3, 2.1, 4.0, 5.2, 1.1, 3.3])
+    envelope = ClassicalSchedule(
+        grid=np.linspace(0.0, 5.0, 7), values=np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    )
+    trials = _record_trials(monkeypatch)
+    for sys_, control, y0, tgt, t_max, status in (
+        (quench_sys, quench_sched, [0.0, 0.5], Hyperplane(axis=0, level=1.0), 1.0, HIT_TARGET),
+        (make_blowup_system(n=2, p=2.0, gamma=1.0), envelope, [1.2, 1.6], None, 5.0, DIVERGED),
+    ):
+        trials.clear()
+        traj = integrate_forward(
+            sys_, control, np.array(y0), tgt=tgt, t_max=t_max, opts=IntegratorOptions(hit_tol=1e-6)
+        )
+        assert traj.hit.status == status
+        retries = [
+            i
+            for i in range(1, len(trials) - 1)
+            if trials[i - 1][0] == trials[i][0] != trials[i + 1][0]
+        ]
+        assert retries
+        for i in retries:
+            assert trials[i + 1][1] <= trials[i][1]
+
+
 def test_status_diverged_without_chart():
     # bare exponential growth in original coordinates: left every compact set
     # once |y| passes the divergence radius
@@ -300,6 +363,19 @@ def test_plain_restarts_past_each_knot(monkeypatch):
     assert abs(y[0] - (0.3 - 0.8 + 1.2 + 0.2)) <= 1e-14
     # a rejected trial step is retried from the same time
     assert len(trial_starts) == len(set(trial_starts))
+
+
+def test_plain_backward_stops_short_of_each_knot(monkeypatch):
+    # backward over the same signal: a step landing on a knot would evaluate
+    # its last stages in the cell ahead, so each leg ends just short of its
+    # knot, and DOPRI5 is exact on each leg again
+    signal = PiecewiseConstant([0.0, 0.3, 0.7, 1.1], [1.0, -2.0, 3.0, 0.5])
+    trials = _record_trials(monkeypatch)
+    y = _rk.integrate_plain(
+        lambda t, y: np.array([signal(t)]), 1.5, 0.0, np.zeros(1), 1e-9, 1e-11, knots=signal.knots
+    )
+    assert abs(y[0] + 0.9) <= 1e-12
+    assert len(trials) <= 16
 
 
 def test_dense_output_after_a_knot(quench_sys):
@@ -437,8 +513,8 @@ def test_adjoint_family_matches_solo_sweeps():
     assert q_traj.hit.status == HIT_TARGET
     tight = IntegratorOptions(rtol=1e-13, atol=1e-15)
     for sys_, tgt, traj, control, digest in (
-        (blowup, b_tgt, b_traj, None, "be908e112c75329f331ea23a94ef5bc0a2a8ab63218e59c26da4a48880ce907f"),
-        (quench, q_tgt, q_traj, sched, "ca67261b003427ef6655e6e637a90afc8cbdc3da2710f491155eba31bc0b7ecf"),
+        (blowup, b_tgt, b_traj, None, "fcb1c7166ad2569a28def1c0cfa4d2edc2a64d40cf1c1a32145edc2586197cd5"),
+        (quench, q_tgt, q_traj, sched, "0522d1e3d8bea3eb74f2ffee716c956ef9f4472662c04cba982839f70b5c1f2e"),
     ):
         t_ends, seeds = _preterminal_family(sys_, tgt, traj)
         family = integrate_adjoint(sys_, traj, control, seeds, t_end=t_ends)

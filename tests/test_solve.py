@@ -209,9 +209,9 @@ def test_polish_starts_from_the_certified_hit(monkeypatch, quench_sys, quench_ta
     res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
     assert len(forwards) == 6 - 1
     assert res.reason == "seed+polish"
-    assert res.w == 0.36874818471394416
+    assert res.w == 0.36874818469713055
     digest = hashlib.sha256(res.schedule.hash_bytes()).hexdigest()
-    assert digest == "37193c4b80a4d1854249cb139767327622fa7808432de5321e0fe6cc7754e19a"
+    assert digest == "8bd444c960052b1e0fc28c8552ab28f3d8716d378d75115c87c746a11552df43"
 
 
 def test_finite_control_set_falls_back_to_descent(toy_target):
