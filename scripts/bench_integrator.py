@@ -20,6 +20,11 @@ odd ones). Per kind it records
   sample order). Two sides of a change that keeps results bit for bit must
   show the same digest.
 
+A `kernel` section times the DOPRI5 primitives alone: the median
+microseconds of one trial (`_rk.step` plus `_rk.error_norm`) on the linear
+field y' = M y and of one `_rk.hermite` call, at each state size of
+KERNEL_SIZES.  The field's own cost is in the trial time.
+
 Results merge into --out under runs[--label], so two checkouts can be
 recorded side by side:
 
@@ -44,6 +49,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KINDS = ("envelope", "lower-bound", "monotonicity-i", "monotonicity-ii")
 MONO_T = 0.3  # the monotonicity horizon of BoundSweeps.sample
 SEED, ROUNDS, REPEATS = 5, 20, 7
+KERNEL_SIZES, KERNEL_CALLS = (1, 2, 6, 9, 20), 2000
 
 
 def parse_args(argv):
@@ -165,6 +171,43 @@ def counted_pass(wl, samples):
     return per_kind, verdicts
 
 
+def kernel_timings():
+    """Median microseconds per trial step and per Hermite call, by state size."""
+    import numpy as np
+
+    from relaxtoc import _rk
+
+    def per_call_us(fn):
+        runs = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            for _ in range(KERNEL_CALLS):
+                fn()
+            runs.append((time.perf_counter() - t0) / KERNEL_CALLS * 1e6)
+        return statistics.median(runs)
+
+    out = {}
+    for n in KERNEL_SIZES:
+        rng = np.random.default_rng(n)
+        M = rng.normal(size=(n, n)) / n
+        y0, y1, f1 = rng.normal(size=(3, n))
+
+        def rhs(t, y):
+            return M @ y
+
+        f0 = rhs(0.0, y0)
+
+        def trial():
+            y_new, _, err = _rk.step(rhs, 0.0, y0, f0, 0.01)
+            return _rk.error_norm(err, y0, y_new, 1e-9, 1e-11)
+
+        out[str(n)] = {
+            "step_error_norm_us": per_call_us(trial),
+            "hermite_us": per_call_us(lambda: _rk.hermite(0.0, y0, f0, 0.01, y1, f1, 0.004)),
+        }
+    return out
+
+
 def main(argv=None):
     args = parse_args(argv)
     try:
@@ -211,14 +254,22 @@ def main(argv=None):
         row["max_error_vs_per_cell_dop853"] = worst or None
         row["all_ok"] = all(verdicts[j].ok for j in samples if wl.kind(j) == kind)
 
+    kernel = kernel_timings()
     verdict_json = json.dumps([verdicts[j].to_json_dict() for j in samples], sort_keys=True)
     digest = hashlib.sha256(verdict_json.encode()).hexdigest()
 
     doc["what"] = __doc__.split("\n\n")[0]
-    doc["inputs"] = {"seed": SEED, "rounds": ROUNDS, "repeats": REPEATS}
+    doc["inputs"] = {
+        "seed": SEED,
+        "rounds": ROUNDS,
+        "repeats": REPEATS,
+        "kernel_sizes": list(KERNEL_SIZES),
+        "kernel_calls": KERNEL_CALLS,
+    }
     doc.setdefault("runs", {})[args.label] = {
         "kinds": per_kind,
         "output_sha256": digest,
+        "kernel": kernel,
         "environment": {
             "cpus_usable": len(os.sched_getaffinity(0)),
             "machine": platform.machine(),
@@ -237,6 +288,11 @@ def main(argv=None):
             f"rhs {row['rhs_evals']:6d}  quad {row['barrier_quads']:4d}  "
             f"inverse {row['inverse_map_evals']:5d}  distance {row['target_distances']:5d}  "
             f"cpu/sample {row['cpu_s_per_sample_median'] * 1e3:7.2f} ms"
+        )
+    for n, row in kernel.items():
+        print(
+            f"kernel n={n:>2s}  step+error_norm {row['step_error_norm_us']:6.1f} us  "
+            f"hermite {row['hermite_us']:5.1f} us"
         )
     print(f"verdicts {digest[:12]}")
 

@@ -316,13 +316,24 @@ def _step_clears(d0, d1, y0, f0, y1, f1, h, hit_tol, tgt_scale):
     step is at least max(d0 - R0, d1 - R1).  The bound must clear hit_tol by
     a margin far above the roundoff of the scan's own samples and distances.
     """
-    a = (h / 3.0) * f0
-    b = (h / 3.0) * f1
-    dy = y1 - y0
-    na, nb, ndy = _norm(a), _norm(b), _norm(dy)
-    r0 = max(na, _norm(dy - b), ndy)
-    r1 = max(ndy, _norm(dy - a), nb)
-    margin = 1e-12 * (1.0 + tgt_scale + _norm(y0) + ndy + 3.0 * (na + nb))
+    third = h / 3.0
+    # squared norms of a = h f0 / 3, b = h f1 / 3, y1 - y0, y1 - y0 - b,
+    # y1 - y0 - a and y0, in one pass over the components
+    sa = sb = sdy = sdb = sda = sy0 = 0.0
+    for p, fp, q, fq in zip(y0.tolist(), f0.tolist(), y1.tolist(), f1.tolist()):
+        a = third * fp
+        b = third * fq
+        dy = q - p
+        sa += a * a
+        sb += b * b
+        sdy += dy * dy
+        sdb += (dy - b) * (dy - b)
+        sda += (dy - a) * (dy - a)
+        sy0 += p * p
+    na, nb, ndy = math.sqrt(sa), math.sqrt(sb), math.sqrt(sdy)
+    r0 = max(na, math.sqrt(sdb), ndy)
+    r1 = max(ndy, math.sqrt(sda), nb)
+    margin = 1e-12 * (1.0 + tgt_scale + math.sqrt(sy0) + ndy + 3.0 * (na + nb))
     return max(d0 - r0, d1 - r1) > hit_tol + margin
 
 

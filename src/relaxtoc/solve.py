@@ -235,36 +235,42 @@ def _gradient_from_trajectory(sys, tgt, schedule, w, traj, penalty, opts):
     affine = sys.affine is not None
 
     q = np.concatenate([lam, [0.0], np.zeros(K * m), np.zeros(K)])
+    y_at = traj.cursor()
     for i in range(N - 1, -1, -1):
         s_hi, s_lo = float(grid[i + 1]), float(grid[i])
         if s_hi <= s_lo:
             continue
         atoms_i = schedule.atoms[i]
         mu_i = schedule.weights[i]
+        # DOPRI5's last two stages share s + h: the second reuses the first's
+        # fields and Jacobians
+        at_s, at = None, None
 
         def rhs(s, qv):
+            nonlocal at_s, at
+            if s != at_s:
+                t_phys = w * s
+                y = y_at(t_phys)
+                fk = np.stack([np.asarray(sys.field(t_phys, y, a), dtype=float) for a in atoms_i])
+                jac = relaxed_jacobian(sys, t_phys, y, atoms_i, mu_i)
+                if finite_u:
+                    fus = None
+                elif affine:
+                    fus = [control_jacobian(sys, t_phys, y, atoms_i[0])] * K
+                else:
+                    fus = [control_jacobian(sys, t_phys, y, a) for a in atoms_i]
+                at_s, at = s, (fk, mu_i @ fk, jac, fus)
+            fk, F, jac, fus = at
             lam_s = qv[:n]
-            t_phys = w * s
-            y = traj.interp(t_phys)
-            fk = np.stack([np.asarray(sys.field(t_phys, y, a), dtype=float) for a in atoms_i])
-            F = mu_i @ fk
-            jac = relaxed_jacobian(sys, t_phys, y, atoms_i, mu_i)
             out = np.empty_like(qv)
             out[:n] = -w * (jac @ lam_s)
             out[n] = -(lam_s @ F)
-            if finite_u:
+            if fus is None:
                 out[n + 1 : n + 1 + K * m] = 0.0
             else:
-                if affine:
-                    fu = control_jacobian(sys, t_phys, y, atoms_i[0])
-                    fut_lam = fu.T @ lam_s
-                    blocks = [-w * mu_i[k] * fut_lam for k in range(K)]
-                else:
-                    blocks = [
-                        -w * mu_i[k] * (control_jacobian(sys, t_phys, y, atoms_i[k]).T @ lam_s)
-                        for k in range(K)
-                    ]
-                out[n + 1 : n + 1 + K * m] = np.concatenate(blocks)
+                out[n + 1 : n + 1 + K * m] = np.concatenate(
+                    [-w * mu_i[k] * (fus[k].T @ lam_s) for k in range(K)]
+                )
             out[n + 1 + K * m :] = -w * (fk @ lam_s)
             return out
 

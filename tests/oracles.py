@@ -239,3 +239,51 @@ def per_cell_dop853(field_of_cell, edges, y0, rtol=1e-13, atol=1e-15):
         )
         y = sol.y[:, -1]
     return y
+
+
+# ---------------------------------------------------------------------------
+# DOPRI5 kernel: the NumPy formulas of relaxtoc._rk, one vector op per term
+
+DOPRI5_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+DOPRI5_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+DOPRI5_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+DOPRI5_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+
+def dopri5_step(rhs, t, y, f, h):
+    """One DOPRI5 trial with matmul stage sums; returns (y_new, f_new, err)."""
+    k = np.empty((7, len(y)))
+    k[0] = f
+    for i in range(1, 7):
+        k[i] = rhs(t + DOPRI5_C[i] * h, y + h * (k[:i].T @ DOPRI5_A[i]))
+    return y + h * (k.T @ DOPRI5_B5), k[6], h * (k.T @ DOPRI5_E)
+
+
+def dopri5_error_norm(err, y0, y1, rtol, atol, cols=1):
+    """Largest column RMS of err over atol + rtol max(|y0|, |y1|)."""
+    with np.errstate(all="ignore"):
+        q = err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1)))
+        q = q.reshape(cols, -1)
+        return float(np.sqrt(np.add.reduce(q * q, axis=1).max() / q.shape[1]))
+
+
+def hermite(t0, y0, f0, t1, y1, f1, t):
+    """Cubic Hermite interpolation between (t0, y0, f0) and (t1, y1, f1)."""
+    h = t1 - t0
+    s = (t - t0) / h
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2 * s3 - 3 * s2 + 1) * y0
+        + (s3 - 2 * s2 + s) * h * f0
+        + (-2 * s3 + 3 * s2) * y1
+        + (s3 - s2) * h * f1
+    )

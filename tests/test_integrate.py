@@ -378,6 +378,73 @@ def test_plain_backward_stops_short_of_each_knot(monkeypatch):
     assert len(trials) <= 16
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+def test_step_matches_the_matmul_tableau(n):
+    # the unrolled stage sums round differently from the tableau matmuls,
+    # so the two agree to roundoff, not bit for bit
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        M, c = rng.normal(size=(n, n)), rng.normal(size=n)
+        rhs = lambda t, y: M @ y + np.cos(t) * c
+        t, y, h = float(rng.uniform(-1.0, 1.0)), rng.normal(size=n), float(rng.uniform(-0.3, 0.3))
+        f = rhs(t, y)
+        y_new, f_new, err = _rk.step(rhs, t, y, f, h)
+        ref_y, ref_f, ref_err = oracles.dopri5_step(rhs, t, y, f, h)
+        scale = np.abs(ref_y).max()
+        assert np.abs(y_new - ref_y).max() <= 1e-13 * scale
+        assert np.abs(f_new - ref_f).max() <= 1e-13 * np.abs(ref_f).max()
+        assert np.abs(np.asarray(err) - ref_err).max() <= 1e-13 * scale
+        # f_new is the field at y_new, the first-same-as-last derivative
+        assert _same_bits(f_new, rhs(t + h, y_new))
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("vector_atol", [False, True])
+def test_error_norm_matches_numpy_bit_for_bit(cols, vector_atol):
+    # every column is shorter than 8 elements, where NumPy's add.reduce sums
+    # left to right like the kernel
+    rng = np.random.default_rng(3 * cols + vector_atol)
+    for width in range(1, 8):
+        size = cols * width
+        for _ in range(50):
+            err = rng.normal(size=size) * 10.0 ** rng.uniform(-14, -6, size=size)
+            y0, y1 = rng.normal(size=size), rng.normal(size=size)
+            y1[rng.random(size) < 0.2] = 0.0
+            atol = 10.0 ** rng.uniform(-14, -9, size=size) if vector_atol else 1e-11
+            for e in (err, err.tolist()):
+                got = _rk.error_norm(e, y0, y1, 1e-9, atol, cols)
+                assert got == oracles.dopri5_error_norm(err, y0, y1, 1e-9, atol, cols)
+
+
+def test_error_norm_fails_on_a_zero_scale_or_a_non_finite_error():
+    # the NumPy norm returned inf or nan here under errstate; float division
+    # raises instead, and the kernel must still return a failing norm
+    zero = np.zeros(2)
+    for err in ([1e-9, 0.0], [0.0, 0.0]):
+        assert not _rk.error_norm(err, zero, zero, 1e-9, 0.0) <= 1.0
+        assert not _rk.error_norm(err, zero, zero, 1e-9, np.zeros(2)) <= 1.0
+    y = np.ones(6)
+    for bad in (np.nan, np.inf, -np.inf):
+        for j in range(6):
+            err = np.zeros(6)
+            err[j] = bad
+            for cols in (1, 2, 3):
+                assert not _rk.error_norm(err, y, y, 1e-9, 1e-11, cols) <= 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_hermite_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        t0 = float(rng.uniform(-1.0, 1.0))
+        t1 = t0 + float(rng.uniform(-0.5, 0.5))
+        y0, f0, y1, f1 = rng.normal(size=(4, n))
+        # sample times come as floats and, from trajectories, as NumPy scalars
+        for t in (t0, t1, t0 + 0.3 * (t1 - t0), np.float64(t0 + 0.7 * (t1 - t0))):
+            got = _rk.hermite(np.float64(t0), y0, f0, t1, y1, f1, t)
+            assert _same_bits(got, oracles.hermite(np.float64(t0), y0, f0, t1, y1, f1, t))
+
+
 def test_dense_output_after_a_knot(quench_sys):
     # the control jumps at every knot; interpolation in the step after a
     # knot must start from the right-limit derivative, not the left one
@@ -513,8 +580,8 @@ def test_adjoint_family_matches_solo_sweeps():
     assert q_traj.hit.status == HIT_TARGET
     tight = IntegratorOptions(rtol=1e-13, atol=1e-15)
     for sys_, tgt, traj, control, digest in (
-        (blowup, b_tgt, b_traj, None, "fcb1c7166ad2569a28def1c0cfa4d2edc2a64d40cf1c1a32145edc2586197cd5"),
-        (quench, q_tgt, q_traj, sched, "0522d1e3d8bea3eb74f2ffee716c956ef9f4472662c04cba982839f70b5c1f2e"),
+        (blowup, b_tgt, b_traj, None, "691e189fcdb7f99b8b5d6a2f32cbcf9509305770d45df96c626a1d5c6b79ace3"),
+        (quench, q_tgt, q_traj, sched, "1eee36141f8c3fc6fcd60f4082e2b29221e006bd7037417183487992dcbc31db"),
     ):
         t_ends, seeds = _preterminal_family(sys_, tgt, traj)
         family = integrate_adjoint(sys_, traj, control, seeds, t_end=t_ends)
