@@ -16,11 +16,10 @@ vector a NumPy call costs far more in dispatch than in arithmetic.  On a
 kernels timed in one process) a trial, `step` plus `error_norm`, took 42 us
 on floats and 70 us as NumPy calls, `error_norm` alone 1.9 and 11.3 us, and
 `hermite` 5.5 and 9.6 us.  Floats lose from about 12-15 components: at 12 the trial took
-73 us on floats and 80 on NumPy, at 20 it took 96 and 73.  The largest
-states stay at or below that crossover: the forward state has n components,
-the pre-terminal adjoint family 3n (three stacked covector columns), and
-descent's gradient sweep n + 1 + K(m + 1), which for the two-dimensional
-quench is 9 with K = 2 atoms and 12 at the default K = 3.
+73 us on floats and 80 on NumPy, at 20 it took 96 and 73.  The built-in
+examples stay below that crossover: the forward state has n components, and
+the largest state, the pre-terminal adjoint family, 3n (three stacked
+covector columns), which is 6 for the two-dimensional quench.
 `scripts/bench_integrator.py` records the kernel timings at 1, 2, 6, 9 and
 20 components in `BENCH_integrator.json`.
 

@@ -212,6 +212,7 @@ def build_solve_options(cfg, path, seed, integrator):
     return SolveOptions(
         n_cells=_int(cfg, "n_cells", path, 12, lo=1),
         n_atoms=_int(cfg, "n_atoms", path, 3, lo=1),
+        # validated and without effect: the solver has one route and one start
         multi_starts=_int(cfg, "multi_starts", path, 8, lo=1),
         w_max=_num(cfg, "w_max", path, 50.0, gt=0.0),
         seed=seed,
@@ -473,7 +474,7 @@ EXAMPLES = {
             "seed": 0,
             "system": {"example": "toy-integrator", "n": 1},
             "alpha": 0.0,
-            "solver": {"n_cells": 4, "n_atoms": 2, "multi_starts": 3},
+            "solver": {"n_cells": 4, "n_atoms": 2},
         },
     },
     "quenching-ex1": {
@@ -484,7 +485,7 @@ EXAMPLES = {
             "seed": 0,
             "system": {"example": "quenching-ex1", "rho0": 1.0},
             "alpha": 0.25,
-            "solver": {"n_cells": 8, "multi_starts": 2},
+            "solver": {"n_cells": 8},
         },
     },
     "blowup-ex2": {

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import errors
-from .dynamics import BallSet, BoxSet, ControlSystem, FiniteSet, eval_field
+from .dynamics import BallSet, ControlSystem, FiniteSet, eval_field
 from .integrate import (
     AdjointTrajectory,
     HIT_TARGET,
@@ -76,18 +76,28 @@ def relaxed_hamiltonian(sys: ControlSystem, t: float, y, psi, atoms, weights) ->
 
 
 def polishable(sys: ControlSystem) -> bool:
-    """True for the systems bang_polish accepts: affine with a ball or box control set."""
-    return sys.affine is not None and isinstance(sys.control_set, (BallSet, BoxSet))
+    """True for the systems bang_polish accepts: the control-affine ones,
+    whose argmax over every control set (ball, box, finite) is closed-form."""
+    return sys.affine is not None
 
 
 def _linear_argmax(cs, q, tiny):
-    """(u, <q, u>, degenerate) for a maximizer u of <q, u> over a ball or box.
+    """(u, <q, u>, degenerate) for a maximizer u of <q, u> over a ball, box
+    or finite set.
 
-    The ball answer is rho q / |q| and the box answer the componentwise sign
-    rule (the midpoint where a component of q is zero).  degenerate means q
-    is within tiny of zero, where every control maximizes; the ball then
-    answers with its center.
+    The ball answer is rho q / |q|, the box answer the componentwise sign
+    rule (the midpoint where a component of q is zero), and the finite-set
+    answer the point with the largest <q, p> (the first on an exact tie).
+    degenerate means q is within tiny of zero, where every control of a ball
+    or box maximizes (the ball then answers with its center), or that the
+    top two points of a finite set tie within tiny.
     """
+    if isinstance(cs, FiniteSet):
+        vals = cs.points @ q
+        best = int(np.argmax(vals))
+        rest = np.delete(vals, best)
+        tie = rest.size > 0 and float(vals[best] - np.max(rest)) <= tiny
+        return cs.points[best].copy(), float(vals[best]), bool(tie)
     if isinstance(cs, BallSet):
         qn = _norm(q)
         if qn <= tiny or cs.radius == 0.0:
@@ -121,7 +131,7 @@ def max_hamiltonian(sys: ControlSystem, t: float, y, psi) -> HamiltonianMax:
 
     if not polishable(sys):
         raise errors.UnsupportedControlSet(
-            "closed-form argmax needs an affine system with a ball or box control set"
+            "closed-form argmax over a ball or box needs a control-affine system"
         )
     g = np.asarray(sys.affine.drift(t, y), dtype=float)
     B = np.atleast_2d(np.asarray(sys.affine.input_matrix(t), dtype=float))
@@ -414,7 +424,8 @@ def _cell_switching_vector(sys, adj, a, b):
 def _proposed_atoms(sys, adj, grid, t_end, atoms):
     """A copy of atoms (one row of atoms per cell of grid) with every atom of
     each cell set to the argmax of the cell's switching vector, read up to
-    t_end; a cell where that vector vanishes keeps its atoms."""
+    t_end; a cell whose argmax is degenerate (the vector vanishes, or two
+    points of a finite set tie) keeps its atoms."""
     atoms = np.array(atoms, dtype=float, copy=True)
     for i in range(len(grid) - 1):
         a, b = float(grid[i]), min(float(grid[i + 1]), t_end)
@@ -428,9 +439,11 @@ def _proposed_atoms(sys, adj, grid, t_end, atoms):
 
 
 def _control_scale(cs) -> float:
-    """Largest control magnitude of a centered ball or a box."""
+    """Largest control magnitude of a centered ball, a box or a finite set."""
     if isinstance(cs, BallSet):
         return float(cs.radius)
+    if isinstance(cs, FiniteSet):
+        return float(np.max(np.abs(cs.points)))
     return float(np.max(np.maximum(np.abs(cs.lower), np.abs(cs.upper))))
 
 
@@ -458,10 +471,10 @@ def bang_polish(
     Each round runs a backward costate sweep seeded in the target's normal
     cone at the exit of the best trajectory so far, replaces each cell's
     control by the argmax of the cell-averaged switching vector B^T psi (a
-    cell where that vector vanishes keeps its control), and integrates the
+    cell whose argmax is degenerate keeps its control), and integrates the
     new schedule forward.  The sweep runs at opts.search, since its argmax is
     only a proposal, and the forward pass at opts, which certifies the
-    proposal's hit time.  Descent methods stall on this last stretch (the
+    proposal's hit time.  Gradient methods stall on this last stretch (the
     hit time is flat in the control to first order at the optimum), while
     the fixed point lands on the extremal of the piecewise-constant class
     directly.  Stops at the first round that does not cut w by POLISH_W_TOL,
@@ -469,8 +482,8 @@ def bang_polish(
     current one applies, to POLISH_ATOM_TOL, on every new cell (a fixed point
     of the maximum condition), and returns the best triple seen, which is
     `certified` itself when no round improves on it; None when the system is
-    not affine with a ball or box control set.  certified is a hit: w is the
-    hit time of the trajectory, the schedule integrated with opts
+    not affine with a ball, box or finite control set.  certified is a hit:
+    w is the hit time of the trajectory, the schedule integrated with opts
     (solve._certify makes one), so the polish starts at the costate sweep.
     Every w returned is thus the hit time of a forward pass at opts.
     """

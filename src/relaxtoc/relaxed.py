@@ -286,17 +286,3 @@ def chattering_realization(schedule: RelaxedSchedule, subdivisions: int) -> Clas
         grids.append(b)
         values.append(v)
     return ClassicalSchedule(grid=np.concatenate(grids), values=np.concatenate(values))
-
-
-def project_simplex(v) -> np.ndarray:
-    """Euclidean projection of v onto the probability simplex."""
-    v = _vec(v)
-    if v.size == 1:
-        return np.ones(1)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    cond = u - css / ks > 0.0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.clip(v - theta, 0.0, None)

@@ -16,11 +16,10 @@ from relaxtoc import cli
 from relaxtoc.barrier import build_barrier_table, invert, xi_lower_time, xi_upper_time
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
 from relaxtoc.pmp import quenching_conclusions, verify
-from relaxtoc.relaxed import RelaxedSchedule
-from relaxtoc.solve import SolveOptions, alpha_ladder, classicalize, objective_gradient, solve_alpha
+from relaxtoc.solve import SolveOptions, alpha_ladder, classicalize, solve_alpha
 from relaxtoc.target import Point
 
-TOY_OPTS = SolveOptions(n_cells=4, n_atoms=2, multi_starts=3, seed=0)
+TOY_OPTS = SolveOptions(n_cells=4, n_atoms=2, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,7 @@ def toy_solution(toy_sys, toy_target):
 
 @pytest.fixture(scope="module")
 def quench_e2e(quench_sys, quench_target, quench_y0):
-    opts = SolveOptions(n_cells=8, n_atoms=2, multi_starts=2, seed=0)
+    opts = SolveOptions(n_cells=8, n_atoms=2, seed=0)
     res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
     report = verify(quench_sys, quench_target.with_alpha(0.1), res, opts=opts.final)
     return res, report, opts
@@ -177,48 +176,6 @@ def test_quadrature_closed_forms_and_round_trip():
         f"PASS quadrature: |Xi*(1)-ln2| = {up_err:.1e}, |Xi_*(2)-ln2| = {lo_err:.1e}, "
         f"round-trip {worst:.1e}"
     )
-
-
-def test_gradient_matches_finite_differences_on_20_instances(quench_sys, quench_target):
-    opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
-    y0 = np.array([0.0, 0.5])
-    # short enough that no sampled control reaches the singular line by s = 1
-    w0 = 0.4
-    h = 1e-6
-    worst = 0.0
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        atoms = 0.6 * rng.standard_normal((2, 2, 2))
-        atoms /= np.maximum(1.0, np.linalg.norm(atoms, axis=-1, keepdims=True) / 0.6)
-        weights = np.column_stack([np.full(2, 0.35), np.full(2, 0.65)])
-        sched = RelaxedSchedule(grid=np.linspace(0.0, 1.0, 3), atoms=atoms, weights=weights)
-
-        def J(s, w):
-            v, _ = objective_gradient(quench_sys, quench_target, s, w, y0, penalty=1.0, opts=opts)
-            return v
-
-        _, grad = objective_gradient(
-            quench_sys, quench_target, sched, w0, y0, penalty=1.0, opts=opts
-        )
-        from dataclasses import replace
-
-        fd_w = (J(sched, w0 + h) - J(sched, w0 - h)) / (2.0 * h)
-        worst = max(worst, abs(fd_w - grad["d_w"]) / (1.0 + abs(fd_w)))
-
-        i, k, j = int(rng.integers(2)), int(rng.integers(2)), int(rng.integers(2))
-        bump = np.zeros_like(atoms)
-        bump[i, k, j] = h
-        fd_a = (J(replace(sched, atoms=atoms + bump), w0) - J(replace(sched, atoms=atoms - bump), w0)) / (2.0 * h)
-        worst = max(worst, abs(fd_a - grad["d_atoms"][i, k, j]) / (1.0 + abs(fd_a)))
-
-        i = int(rng.integers(2))
-        dw = np.zeros_like(weights)
-        dw[i, 0], dw[i, 1] = h, -h
-        fd_l = (J(replace(sched, weights=weights + dw), w0) - J(replace(sched, weights=weights - dw), w0)) / (2.0 * h)
-        an_l = grad["d_weights"][i, 0] - grad["d_weights"][i, 1]
-        worst = max(worst, abs(fd_l - an_l) / (1.0 + abs(fd_l)))
-    assert worst <= 1e-4
-    print(f"PASS gradient check: worst relative error {worst:.2e} over 20 instances")
 
 
 def test_quenching_end_to_end_beats_one_switch_oracle(

@@ -176,7 +176,7 @@ _FUZZ_BASES = {
         "task": "solve",
         "system": {"example": "toy-integrator", "n": 1},
         "alpha": 0.0,
-        "solver": {"n_cells": 2, "n_atoms": 1, "multi_starts": 1},
+        "solver": {"n_cells": 2, "n_atoms": 1},
     },
     "monotonicity": {
         "schema_version": 1,
@@ -195,7 +195,7 @@ _FUZZ_BASES = {
         "task": "verify",
         "system": {"example": "quenching-ex1"},
         "alpha": 0.25,
-        "solver": {"n_cells": 2, "multi_starts": 1},
+        "solver": {"n_cells": 2},
     },
 }
 _FUZZ_FIELDS = [
@@ -292,7 +292,7 @@ def test_monotonicity_sweep_runs_clean(tmp_path):
 
 def test_verify_bound_violation_is_exit_one(tmp_path):
     cfg = copy.deepcopy(cli.list_examples()["quenching-ex1"]["default_config"])
-    cfg["solver"] = {"n_cells": 6, "multi_starts": 2}
+    cfg["solver"] = {"n_cells": 6}
     # an unreachable residual bound turns the report into a failure without
     # making the run itself erroneous
     cfg["verify"] = {"max_hamiltonian_residual": 0.0}
@@ -309,7 +309,7 @@ def test_piecewise_b_verify_certifies_the_per_cell_hit_time(tmp_path):
     B = [np.eye(2), np.diag([0.5, 1.0])]
     cfg = copy.deepcopy(cli.list_examples()["quenching-ex1"]["default_config"])
     cfg["system"]["B"] = {"starts": [0.0, 0.3], "values": [b.tolist() for b in B]}
-    cfg["solver"] = {"n_cells": 4, "multi_starts": 1}
+    cfg["solver"] = {"n_cells": 4}
     assert cli.run(cfg, out_dir=tmp_path) == 0
     res = json.loads((tmp_path / "solve_result.json").read_text())
     w, grid, u = res["w"], np.array(res["classical"]["grid"]), np.array(res["classical"]["values"])
@@ -378,7 +378,7 @@ def test_verify_conclusions_use_the_configured_tolerances(tmp_path, monkeypatch)
 
     monkeypatch.setattr(pmp, "integrate_adjoint", recording_adjoint)
     cfg = copy.deepcopy(cli.list_examples()["quenching-ex1"]["default_config"])
-    cfg["solver"] = {"n_cells": 4, "multi_starts": 1}
+    cfg["solver"] = {"n_cells": 4}
     assert cli.run(cfg, out_dir=tmp_path, tol_overrides={"rtol": 1e-11, "atol": 1e-13}) == 0
     payload = json.loads((tmp_path / "pmp_report.json").read_text())
     assert payload["quenching_conclusions"]["ok"] is True

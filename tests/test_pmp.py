@@ -100,6 +100,11 @@ def test_finite_set_tie_is_flagged():
     sys = make_integrator_system(1, control_set=FiniteSet(points=[[-1.0], [1.0]]))
     res = max_hamiltonian(sys, 0.0, [0.0], [0.0])
     assert res.degenerate and res.value == 0.0
+    # the polish's linear rule: the top two points of <q, p> tie within tiny
+    cs = FiniteSet(points=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    u, value, degenerate = pmp._linear_argmax(cs, np.array([2.0, 1.0]), 1e-14)
+    assert np.array_equal(u, [1.0, 0.0]) and value == 2.0 and not degenerate
+    assert pmp._linear_argmax(cs, np.array([1.0, 1.0]), 1e-14)[2]
 
 
 def test_degenerate_when_input_cannot_act():
@@ -316,11 +321,11 @@ def test_search_sweep_proposes_the_tight_argmax(case, quench_sys, quench_target,
     # blowup: 1.1e-16 either way)
     if case == "quench":
         sys_, y0, tgt, alpha = quench_sys, quench_y0, quench_target, 0.1
-        opts = SolveOptions(n_cells=8, n_atoms=2, multi_starts=2)
+        opts = SolveOptions(n_cells=8, n_atoms=2)
     else:
         sys_, y0 = make_blowup_system(n=2, p=2.0, gamma=1.0), np.full(2, 4.0 / np.sqrt(2.0))
         tgt, alpha = Point(location=np.zeros(2)), 0.05
-        opts = SolveOptions(n_cells=4, n_atoms=2, multi_starts=1)
+        opts = SolveOptions(n_cells=4, n_atoms=2)
     res = solve_alpha(sys_, tgt, y0, alpha, opts=opts)
     tight = _proposed_atoms(sys_, res, IntegratorOptions(rtol=1e-13, atol=1e-15))
     search = _proposed_atoms(sys_, res, opts.final.search)
@@ -346,7 +351,7 @@ def _chart_verify_solve(monkeypatch, n):
     monkeypatch.setattr(pmp, "bang_polish", recording_polish)
     sys_ = make_blowup_system(n=n, p=2.0, gamma=1.0)
     y0 = np.full(n, 4.0 / np.sqrt(n))
-    opts = SolveOptions(n_cells=4, n_atoms=2, multi_starts=1)
+    opts = SolveOptions(n_cells=4, n_atoms=2)
     res = solve_alpha(sys_, Point(location=np.zeros(n)), y0, 0.05, opts=opts)
     monkeypatch.undo()
     return sys_, y0, res, seen
@@ -392,15 +397,20 @@ def test_cell_switching_vector_reads_b_inside_each_interval():
     assert np.allclose(q, 0.3 * psi + 0.2 * np.array([0.5, 2.0]), rtol=1e-14, atol=0.0)
 
 
-def test_bang_polish_declines_finite_sets():
-    sys = make_integrator_system(1, control_set=FiniteSet(points=[[-1.0], [1.0]]))
+def test_bang_polish_accepts_finite_sets():
+    # a certified crawl at the point 0.25: the costate points at the target,
+    # the argmax over the points is 1, and one round certifies the exact w = 1
+    sys = make_integrator_system(1, control_set=FiniteSet(points=[[-1.0], [0.25], [1.0]]))
     sched = RelaxedSchedule(
-        grid=[0.0, 1.2], atoms=np.ones((1, 1, 1)), weights=np.ones((1, 1))
+        grid=[0.0, 4.8], atoms=np.full((1, 1, 1), 0.25), weights=np.ones((1, 1))
     )
     tgt = Point(location=[1.0])
-    traj = integrate_forward(sys, sched, [0.0], tgt=tgt, t_max=1.2)
+    traj = integrate_forward(sys, sched, [0.0], tgt=tgt, t_max=4.8)
     assert traj.hit.status == HIT_TARGET
-    assert bang_polish(sys, tgt, (traj.hit.time, sched, traj), [0.0]) is None
+    assert pmp.polishable(sys)
+    w, polished, _ = bang_polish(sys, tgt, (traj.hit.time, sched, traj), [0.0])
+    assert np.all(polished.atoms == 1.0)
+    assert abs(w - 1.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from relaxtoc.relaxed import (
     chattering_realization,
     common_refinement,
     filippov_select,
-    project_simplex,
     relaxed_field,
     to_dirac,
 )
@@ -40,15 +39,6 @@ def test_simplex_invariant_on_construction(rows):
     sched = _schedule(rows)
     assert np.all(sched.weights >= 0.0)
     assert np.abs(sched.weights.sum(axis=1) - 1.0).max() <= 1e-14
-
-
-@given(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6))
-def test_project_simplex(v):
-    p = project_simplex(np.asarray(v))
-    assert np.all(p >= -1e-15)
-    assert abs(p.sum() - 1.0) <= 1e-12
-    q = project_simplex(p)
-    assert np.abs(q - p).max() <= 1e-12
 
 
 def test_to_dirac_matches_classical():

@@ -1,4 +1,4 @@
-"""Solver behavior: exactness on the toy, ladders, brackets, gradients."""
+"""Solver behavior: exactness on the toy, ladders, brackets, the route."""
 
 import hashlib
 from dataclasses import replace
@@ -7,25 +7,19 @@ import numpy as np
 import pytest
 
 from relaxtoc.barrier import build_barrier_table, xi_lower_time, xi_upper_time
-from relaxtoc.dynamics import FiniteSet, make_blowup_system, make_integrator_system
-from relaxtoc import pmp, solve
+from relaxtoc.dynamics import FiniteSet, make_blowup_system, make_integrator_system, make_penalized_system
+from relaxtoc import errors, pmp, solve
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
-from relaxtoc.relaxed import RelaxedSchedule
-from relaxtoc.solve import (
-    SolveOptions,
-    alpha_ladder,
-    classicalize,
-    objective_gradient,
-    solve_alpha,
-)
+from relaxtoc.relaxed import ClassicalSchedule
+from relaxtoc.solve import SolveOptions, alpha_ladder, classicalize, solve_alpha
 from relaxtoc.target import Point
 
-SMALL = SolveOptions(n_cells=4, n_atoms=2, multi_starts=3, seed=0)
+SMALL = SolveOptions(n_cells=4, n_atoms=2, seed=0)
 
 
 @pytest.fixture(scope="module")
 def quench_solution(quench_sys, quench_target, quench_y0):
-    opts = SolveOptions(n_cells=6, n_atoms=2, multi_starts=2, seed=0)
+    opts = SolveOptions(n_cells=6, n_atoms=2, seed=0)
     return solve_alpha(quench_sys, quench_target, quench_y0, 0.25, opts=opts), opts
 
 
@@ -70,7 +64,7 @@ def test_toy_ladder_tracks_inflation(toy_sys, toy_target):
 
 
 def test_quench_ladder_monotone(quench_sys, quench_target, quench_y0):
-    opts = SolveOptions(n_cells=6, n_atoms=2, multi_starts=2, seed=0)
+    opts = SolveOptions(n_cells=6, n_atoms=2, seed=0)
     trace = alpha_ladder(
         quench_sys, quench_target, quench_y0, alpha0=0.2, ratio=0.5, k_max=3, opts=opts
     )
@@ -93,55 +87,6 @@ def test_blowup_solve_lands_in_barrier_bracket(blowup_sys_g1):
     fast = xi_upper_time(table, y0) - xi_upper_time(table, 1.0 / alpha)
     slow = xi_lower_time(table, y0) - xi_lower_time(table, 1.0 / alpha)
     assert fast - 1e-3 <= res.w <= slow + 1e-3
-
-
-def test_gradient_matches_central_differences(quench_sys, quench_target):
-    # the adjoint-based gradient of J = w + penalty d^2 against central
-    # differences, in directions that keep the weights on the simplex
-    opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
-    y0 = np.array([0.0, 0.5])
-    w0 = 0.5
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        atoms = 0.6 * _unit_rows(rng, (3, 2, 2))
-        weights = np.column_stack([np.full(3, 0.3), np.full(3, 0.7)])
-        sched = RelaxedSchedule(grid=np.linspace(0.0, 1.0, 4), atoms=atoms, weights=weights)
-        value, grad = objective_gradient(
-            quench_sys, quench_target, sched, w0, y0, penalty=1.0, opts=opts
-        )
-
-        def J(sched_p, w_p):
-            v, _ = objective_gradient(
-                quench_sys, quench_target, sched_p, w_p, y0, penalty=1.0, opts=opts
-            )
-            return v
-
-        h = 1e-6
-        fd_w = (J(sched, w0 + h) - J(sched, w0 - h)) / (2.0 * h)
-        assert abs(fd_w - grad["d_w"]) <= 1e-4 * (1.0 + abs(grad["d_w"]))
-
-        i, k, j = rng.integers(3), rng.integers(2), rng.integers(2)
-        bump = np.zeros_like(atoms)
-        bump[i, k, j] = h
-        fd_a = (
-            J(replace(sched, atoms=atoms + bump), w0) - J(replace(sched, atoms=atoms - bump), w0)
-        ) / (2.0 * h)
-        assert abs(fd_a - grad["d_atoms"][i, k, j]) <= 1e-4 * (1.0 + abs(fd_a))
-
-        i = rng.integers(3)
-        dw = np.zeros_like(weights)
-        dw[i, 0], dw[i, 1] = h, -h
-        fd_l = (
-            J(replace(sched, weights=weights + dw), w0)
-            - J(replace(sched, weights=weights - dw), w0)
-        ) / (2.0 * h)
-        an_l = grad["d_weights"][i, 0] - grad["d_weights"][i, 1]
-        assert abs(fd_l - an_l) <= 1e-4 * (1.0 + abs(fd_l))
-
-
-def _unit_rows(rng, shape):
-    v = rng.standard_normal(shape)
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def test_classicalize_reproduces_hit(quench_sys, quench_target, quench_y0, quench_solution):
@@ -172,8 +117,6 @@ def test_same_seed_same_answer(toy_sys, toy_target):
 
 
 def test_alpha_must_leave_room(toy_sys, toy_target):
-    from relaxtoc import errors
-
     with pytest.raises(errors.AlphaOutOfRange):
         solve_alpha(toy_sys, toy_target, [0.0], 1.5, opts=SMALL)
     with pytest.raises(errors.AlphaOutOfRange):
@@ -205,7 +148,7 @@ def test_polish_starts_from_the_certified_hit(monkeypatch, quench_sys, quench_ta
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(pmp, "integrate_forward", counting_forward)
-    opts = SolveOptions(n_cells=8, n_atoms=2, multi_starts=2)
+    opts = SolveOptions(n_cells=8, n_atoms=2)
     res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
     assert len(forwards) == 6 - 1
     assert res.reason == "seed+polish"
@@ -214,56 +157,51 @@ def test_polish_starts_from_the_certified_hit(monkeypatch, quench_sys, quench_ta
     assert digest == "baa5a518cca8d714a742b220691a114d7358aa2493635f2a0c4e531b167a26fa"
 
 
-def test_finite_control_set_falls_back_to_descent(toy_target):
-    # a finite control set has no closed-form polish: the multi-start
-    # descent certifies the answer, here the exact 1 - alpha
-    sys_ = make_integrator_system(1, control_set=FiniteSet(points=[[-1.0], [1.0]]))
-    res = solve_alpha(sys_, toy_target, [0.0], 0.25, opts=SMALL)
-    assert res.reason == "descent"
-    assert res.trajectory.hit.status == HIT_TARGET
-    assert res.w == pytest.approx(0.75, abs=1e-3)
-
-
-def test_descent_without_polish_is_no_better(quench_sys, quench_target, quench_y0, quench_solution):
-    # descent from the greedy seed, unpolished, certifies a hit that cannot
-    # beat the seed -> polish answer beyond the integration tolerance
-    routed, opts = quench_solution
-    opts = replace(opts, multi_starts=1)
-    tgt_a = quench_target.with_alpha(0.25)
-    greedy = solve._greedy_schedule(quench_sys, tgt_a, quench_y0, opts)
-    best = solve._best_candidate(
-        solve._descent_candidates(quench_sys, tgt_a, quench_y0, [greedy], opts)
-    )
-    assert best is not None
-    w, _sched, traj = best
-    assert traj.hit.status == HIT_TARGET
-    assert w >= routed.w - 1e-8 * (1.0 + routed.w)
-
-
-def test_gradient_sweep_evaluates_each_stage_time_once(quench_sys, quench_target, quench_y0):
-    # DOPRI5's last two stages share a time: the descent's costate sweep
-    # evaluates the fields and the Jacobian there once.  A cell's first
-    # stage, one ulp of s inside it, may map to the physical time of the
-    # previous cell's last stage; it evaluates at its own cell's atom.
-    calls = []
-    jacobian = quench_sys.jacobian
-    sys_ = replace(
-        quench_sys, jacobian=lambda t, y, u: calls.append((t, tuple(u))) or jacobian(t, y, u)
-    )
-    opts = SolveOptions(n_cells=6, n_atoms=2, multi_starts=1, seed=0)
-    tgt_a = quench_target.with_alpha(0.25)
-    greedy = solve._greedy_schedule(sys_, tgt_a, quench_y0, opts)
-    best = solve._best_candidate(solve._descent_candidates(sys_, tgt_a, quench_y0, [greedy], opts))
-    assert best is not None and best[2].hit.status == HIT_TARGET
-    assert len(calls) > 10_000
-    assert sum(a == b for a, b in zip(calls, calls[1:])) == 0
-
-
 def test_seed_leaves_an_undriven_axis_alone():
     # the drive toward (1, 0) from the origin has a zero second component;
     # the greedy seed must not push that axis to a corner, or it misses the
-    # target and the solve falls back to descent above the exact 0.9
+    # target and the solve has no certified hit to polish
     sys_ = make_integrator_system(2)
     res = solve_alpha(sys_, Point(location=[1.0, 0.0]), [0.0, 0.0], 0.1, opts=SMALL)
     assert res.reason.startswith("seed")
     assert res.w == pytest.approx(0.9, abs=1e-9)
+
+
+def test_finite_control_set_solves_on_the_seed_route(toy_target):
+    # the maximum condition over a finite set is the point with the largest
+    # <B^T psi, p>: the greedy seed certifies the exact 1 - alpha
+    sys_ = make_integrator_system(1, control_set=FiniteSet(points=[[-1.0], [1.0]]))
+    res = solve_alpha(sys_, toy_target, [0.0], 0.25, opts=SMALL)
+    assert res.reason.startswith("seed")
+    assert res.trajectory.hit.status == HIT_TARGET
+    assert abs(res.w - 0.75) <= 1e-9
+
+
+def test_finite_set_argmax_finds_the_off_axis_point():
+    # toward (1, 1) the point (0.6, 0.6) drives at 0.6 sqrt(2), faster than
+    # any mixture of the axis points, whose best is 1 / sqrt(2); the argmax
+    # over the points picks it, and the straight run to the ball of radius
+    # 0.1 about (1, 1) takes (sqrt(2) - 0.1) / (0.6 sqrt(2)) exactly
+    points = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.6, 0.6]]
+    sys_ = make_integrator_system(2, control_set=FiniteSet(points=points))
+    res = solve_alpha(sys_, Point(location=[1.0, 1.0]), [0.0, 0.0], 0.1, opts=SMALL)
+    assert res.reason.startswith("seed")
+    assert np.all(res.schedule.atoms == 0.6)
+    assert abs(res.w - (np.sqrt(2.0) - 0.1) / (0.6 * np.sqrt(2.0))) <= 1e-9
+    assert res.classical is None
+
+
+def test_non_affine_system_is_unsupported(monkeypatch, quench_sys, quench_target, quench_y0):
+    # the auxiliary system's penalty makes the field non-affine in u: the
+    # maximum condition has no closed form there, and nothing is integrated
+    candidate = ClassicalSchedule(grid=np.array([0.0, 1.0]), values=np.array([[0.3, 0.1]]))
+    pen = make_penalized_system(quench_sys, candidate, "quench")
+    monkeypatch.setattr(solve, "integrate_forward", lambda *a, **k: pytest.fail("integrated"))
+    with pytest.raises(errors.UnsupportedControlSet):
+        solve_alpha(pen, quench_target, quench_y0, 0.1, opts=SMALL)
+
+
+def test_no_certified_hit_is_infeasible(toy_sys, toy_target):
+    # the toy needs w = 1; a horizon of 0.5 leaves no seed a hit
+    with pytest.raises(errors.Infeasible):
+        solve_alpha(toy_sys, toy_target, [0.0], 0.0, opts=replace(SMALL, w_max=0.5))
