@@ -87,17 +87,15 @@ def _linear_argmax(cs, q, tiny):
 
     The ball answer is rho q / |q|, the box answer the componentwise sign
     rule (the midpoint where a component of q is zero), and the finite-set
-    answer the point with the largest <q, p> (the first on an exact tie).
-    degenerate means q is within tiny of zero, where every control of a ball
-    or box maximizes (the ball then answers with its center), or that the
-    top two points of a finite set tie within tiny.
+    answer the first point with the largest <q, p>.  degenerate means that
+    every control maximizes to within tiny: q is within tiny of zero for a
+    ball or box (the ball then answers with its center), and all points of a
+    finite set tie within tiny.
     """
     if isinstance(cs, FiniteSet):
         vals = cs.points @ q
         best = int(np.argmax(vals))
-        rest = np.delete(vals, best)
-        tie = rest.size > 0 and float(vals[best] - np.max(rest)) <= tiny
-        return cs.points[best].copy(), float(vals[best]), bool(tie)
+        return cs.points[best].copy(), float(vals[best]), float(vals[best] - vals.min()) <= tiny
     if isinstance(cs, BallSet):
         qn = _norm(q)
         if qn <= tiny or cs.radius == 0.0:
@@ -424,8 +422,8 @@ def _cell_switching_vector(sys, adj, a, b):
 def _proposed_atoms(sys, adj, grid, t_end, atoms):
     """A copy of atoms (one row of atoms per cell of grid) with every atom of
     each cell set to the argmax of the cell's switching vector, read up to
-    t_end; a cell whose argmax is degenerate (the vector vanishes, or two
-    points of a finite set tie) keeps its atoms."""
+    t_end; a cell whose argmax is degenerate (every control maximizes) keeps
+    its atoms."""
     atoms = np.array(atoms, dtype=float, copy=True)
     for i in range(len(grid) - 1):
         a, b = float(grid[i]), min(float(grid[i + 1]), t_end)
@@ -481,14 +479,13 @@ def bang_polish(
     or before the forward pass when the new schedule applies the control the
     current one applies, to POLISH_ATOM_TOL, on every new cell (a fixed point
     of the maximum condition), and returns the best triple seen, which is
-    `certified` itself when no round improves on it; None when the system is
-    not affine with a ball, box or finite control set.  certified is a hit:
-    w is the hit time of the trajectory, the schedule integrated with opts
-    (solve._certify makes one), so the polish starts at the costate sweep.
-    Every w returned is thus the hit time of a forward pass at opts.
+    `certified` itself when no round improves on it.  sys must be
+    control-affine (polishable), with a ball, box or finite control set.
+    certified is a hit: w is the hit time of the trajectory, the schedule
+    integrated with opts (solve._certify makes one), so the polish starts at
+    the costate sweep.  Every w returned is thus the hit time of a forward
+    pass at opts.
     """
-    if not polishable(sys):
-        return None
     opts = opts or IntegratorOptions()
     atom_tol = POLISH_ATOM_TOL * _control_scale(sys.control_set)
     best = certified

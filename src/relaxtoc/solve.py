@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import _rk, errors, pmp
-from .dynamics import ControlSystem, control_jacobian
+from .dynamics import ControlSystem
 from .integrate import HIT_TARGET, IntegratorOptions, Trajectory, integrate_forward
 from .relaxed import ClassicalSchedule, RelaxedSchedule, filippov_select
 from .target import TargetSet
@@ -121,18 +121,18 @@ def _target_direction(sys, tgt_a, y0):
     return direction
 
 
-def _bang_atom(sys, t, y, direction, rng):
+def _bang_atom(sys, t, direction, rng):
     """Atom maximizing the instantaneous drive along `direction`."""
     cs = sys.control_set
-    fu = control_jacobian(sys, t, y, cs.project(np.zeros(sys.dim_control)))
-    u, _, degenerate = pmp._linear_argmax(cs, fu.T @ direction, 1e-14)
+    B = np.atleast_2d(np.asarray(sys.affine.input_matrix(t), dtype=float))
+    u, _, degenerate = pmp._linear_argmax(cs, B.T @ direction, 1e-14)
     return cs.project(cs.boundary_sample(rng)) if degenerate else u
 
 
 def _greedy_schedule(sys, tgt_a, y0, opts) -> RelaxedSchedule:
     rng = np.random.default_rng([opts.seed, 7])
     direction = _target_direction(sys, tgt_a, y0)
-    atom = _bang_atom(sys, 0.0, np.asarray(y0, dtype=float), direction, rng)
+    atom = _bang_atom(sys, 0.0, direction, rng)
     grid = np.linspace(0.0, 1.0, opts.n_cells + 1)
     atoms = np.tile(atom, (opts.n_cells, opts.n_atoms, 1))
     weights = np.full((opts.n_cells, opts.n_atoms), 1.0 / opts.n_atoms)

@@ -100,11 +100,14 @@ def test_finite_set_tie_is_flagged():
     sys = make_integrator_system(1, control_set=FiniteSet(points=[[-1.0], [1.0]]))
     res = max_hamiltonian(sys, 0.0, [0.0], [0.0])
     assert res.degenerate and res.value == 0.0
-    # the polish's linear rule: the top two points of <q, p> tie within tiny
+    # the polish's linear rule: degenerate only when every point ties, as
+    # for a ball or box; a tie of some points answers with the first of them
     cs = FiniteSet(points=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     u, value, degenerate = pmp._linear_argmax(cs, np.array([2.0, 1.0]), 1e-14)
     assert np.array_equal(u, [1.0, 0.0]) and value == 2.0 and not degenerate
-    assert pmp._linear_argmax(cs, np.array([1.0, 1.0]), 1e-14)[2]
+    u, value, degenerate = pmp._linear_argmax(cs, np.array([1.0, 1.0]), 1e-14)
+    assert np.array_equal(u, [1.0, 0.0]) and value == 1.0 and not degenerate
+    assert pmp._linear_argmax(cs, np.zeros(2), 1e-14)[2]
 
 
 def test_degenerate_when_input_cannot_act():

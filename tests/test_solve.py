@@ -12,7 +12,7 @@ from relaxtoc import errors, pmp, solve
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
 from relaxtoc.relaxed import ClassicalSchedule
 from relaxtoc.solve import SolveOptions, alpha_ladder, classicalize, solve_alpha
-from relaxtoc.target import Point
+from relaxtoc.target import Hyperplane, Point
 
 SMALL = SolveOptions(n_cells=4, n_atoms=2, seed=0)
 
@@ -189,6 +189,19 @@ def test_finite_set_argmax_finds_the_off_axis_point():
     assert np.all(res.schedule.atoms == 0.6)
     assert abs(res.w - (np.sqrt(2.0) - 0.1) / (0.6 * np.sqrt(2.0))) <= 1e-9
     assert res.classical is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_finite_set_tie_between_two_maximizers_keeps_the_first(seed):
+    # toward the plane y1 = 1 the corners (1, 1) and (1, -1) tie: two points
+    # maximize but not all, so the greedy seed takes the first maximizer on
+    # every seed, never a random corner that drives away from the target
+    corners = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+    sys_ = make_integrator_system(2, control_set=FiniteSet(points=corners))
+    tgt = Hyperplane(axis=0, level=1.0)
+    res = solve_alpha(sys_, tgt, [0.0, 0.0], 0.0, opts=replace(SMALL, seed=seed))
+    assert res.reason.startswith("seed")
+    assert abs(res.w - 1.0) <= 1e-9
 
 
 def test_non_affine_system_is_unsupported(monkeypatch, quench_sys, quench_target, quench_y0):
