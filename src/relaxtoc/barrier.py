@@ -315,20 +315,17 @@ def envelope_bracket_check(
     )
 
 
-def mtilde(table: BarrierTable, alpha: float, use_upper: bool = False) -> float:
+def mtilde(table: BarrierTable, alpha: float) -> float:
     """Radius threshold above which the damping lower bound applies.
 
     The exponential factor reads the lower blowup-time integral just above
-    r0; use_upper switches to the upper integral (alternative reading).
+    r0.
     """
     p, M, r0 = table.p, table.M, table.r0
     if not (0.0 < alpha < p - 1.0):
         raise errors.AlphaOutOfRange("need 0 < alpha < p - 1")
     r_edge = r0 * (1.0 + _GUARD_BAND)
-    xi_edge = (
-        xi_upper_time(table, r_edge) if use_upper else xi_lower_time(table, r_edge)
-    )
-    e_xi = float(np.exp(xi_edge))
+    e_xi = float(np.exp(xi_lower_time(table, r_edge)))
     terms = (
         r0,
         (4.0 * alpha / (p - 1.0 - alpha)) ** (1.0 / (p - 1.0)),

@@ -267,9 +267,9 @@ class Compactification:
 class ControlSystem:
     """Controlled ODE y' = field(t, y, u), possibly singular on a target-like set.
 
-    jacobian is in gradient layout (see module docstring).  control_jacobian
-    is in standard layout, entry (i, j) = d field_i / d u_j; when None it is
-    approximated by central differences where needed.
+    jacobian is in gradient layout (see module docstring).  affine, when
+    given, decomposes the field as drift + input_matrix @ u; the solver and
+    the maximum-principle check read the control's action from it alone.
     """
 
     name: str
@@ -282,7 +282,6 @@ class ControlSystem:
     singular_set: Optional[TargetSet] = None
     affine: Optional[AffineStructure] = None
     chart: Optional[Compactification] = None
-    control_jacobian: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
     time_knots: tuple = ()
 
     def __post_init__(self):
@@ -327,20 +326,6 @@ def eval_jacobian(sys: ControlSystem, t: float, y, u) -> np.ndarray:
     return out
 
 
-def control_jacobian(sys: ControlSystem, t: float, y, u, eps: float = 1e-6) -> np.ndarray:
-    """Standard-layout d field / d u, analytic when available else central differences."""
-    y = _vec(y)
-    u = _vec(u)
-    if sys.control_jacobian is not None:
-        return np.asarray(sys.control_jacobian(t, y, u), dtype=float)
-    cols = []
-    for j in range(u.size):
-        du = np.zeros_like(u)
-        du[j] = eps
-        cols.append((sys.field(t, y, u + du) - sys.field(t, y, u - du)) / (2.0 * eps))
-    return np.column_stack(cols)
-
-
 def _input_matrix(B, n, m):
     if B is None:
         return PiecewiseConstant.constant(np.eye(n, m))
@@ -358,9 +343,6 @@ def _affine_system(
     def jac(t, y, u):
         return drift_jacobian(t, y)
 
-    def cjac(t, y, u):
-        return Bsig(t)
-
     return ControlSystem(
         name=name,
         kind=kind,
@@ -372,7 +354,6 @@ def _affine_system(
         singular_set=singular_set,
         affine=AffineStructure(drift=drift, input_matrix=Bsig),
         chart=chart,
-        control_jacobian=cjac,
         time_knots=Bsig.knots,
     )
 
@@ -543,10 +524,6 @@ def quenching_transformed_system(B=None, rho0: float = 1.0) -> ControlSystem:
             raise errors.SingularJacobian("transformed jacobian undefined at x1 = 0")
         return np.array([[-bu[0] / s, -0.5 / s], [-2.0, 1.0]])
 
-    def cjac(t, x, u):
-        s = np.sqrt(max(x[0], 0.0))
-        return np.diag([-2.0 * s, 1.0]) @ Bsig(t)
-
     return ControlSystem(
         name="quenching-ex1-transformed",
         kind="custom",
@@ -555,7 +532,6 @@ def quenching_transformed_system(B=None, rho0: float = 1.0) -> ControlSystem:
         field=field,
         jacobian=jac,
         control_set=BallSet(radius=float(rho0), dim=2),
-        control_jacobian=cjac,
         time_knots=Bsig.knots,
     )
 
@@ -588,11 +564,6 @@ def make_penalized_system(sys: ControlSystem, candidate, variant: str) -> Contro
 
         jac = sys.jacobian
 
-        def cjac(t, y, u):
-            fu = control_jacobian(sys, t, y, u).copy()
-            fu[0, :] -= 2.0 * (u - candidate.value_at(t))
-            return fu
-
     else:
         coeff = 1.0 / (4.0 * sys.control_set.radius**2)
 
@@ -606,10 +577,6 @@ def make_penalized_system(sys: ControlSystem, candidate, variant: str) -> Contro
                 dev @ dev
             ) * np.eye(sys.dim_state)
 
-        def cjac(t, y, u):
-            dev = u - candidate.value_at(t)
-            return control_jacobian(sys, t, y, u) - 2.0 * coeff * np.outer(y, dev)
-
     return ControlSystem(
         name=sys.name + "-penalized",
         kind=sys.kind + "-penalized",
@@ -621,6 +588,5 @@ def make_penalized_system(sys: ControlSystem, candidate, variant: str) -> Contro
         singular_set=sys.singular_set,
         affine=None,
         chart=sys.chart,
-        control_jacobian=cjac,
         time_knots=knots,
     )

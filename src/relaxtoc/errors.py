@@ -37,10 +37,6 @@ class ZeroTerminalCovector(Error):
     """Adjoint seed is the zero covector."""
 
 
-class SingularStall(Error):
-    """Integration stalled at the singular set where a status cannot be returned."""
-
-
 class IntegrationFailed(Error):
     """Adaptive integration ran out of its step budget or its step size underflowed."""
 

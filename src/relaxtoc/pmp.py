@@ -8,6 +8,11 @@ backward from a normal-cone seed, normalizes |psi(0)| = 1, and fills a report
 by sampling along the trajectory grid.  Nothing here certifies sufficiency;
 the report measures how badly the necessary conditions fail.
 
+Both verify() and bang_polish() need a control-affine field f = g + B u, for
+which H(u) = <psi, g> + <B^T psi, u> and the maximum condition over a ball,
+a box or a finite set is the one linear argmax _linear_argmax: the checker
+reads the condition the solver imposes.
+
 Targets the state only reaches in the limit (a point target, or any set read
 through a compactification chart) admit no terminal covector: the adjoint
 norm vanishes as t -> T.  For those the seed is planted on a shrinking family
@@ -35,7 +40,7 @@ from .integrate import (
     integrate_adjoint,
     integrate_forward,
 )
-from .relaxed import RelaxedSchedule, _cell_index, relaxed_field
+from .relaxed import RelaxedSchedule, _cell_index
 from .target import Ball, HalfSpace, Hyperplane, Point, TargetSet, transformed_transversality_residual
 
 # relative pre-terminal offsets T - delta * T of the adjoint seed family
@@ -58,9 +63,14 @@ DECAY_RATIO = 0.7
 
 
 class HamiltonianMax(NamedTuple):
+    """max_u H(u) = base + <switching, control>, with base = <psi, g> and
+    switching = B^T psi."""
+
     value: float
     control: np.ndarray
     degenerate: bool
+    base: float
+    switching: np.ndarray
 
 
 def hamiltonian(sys: ControlSystem, t: float, y, psi, u) -> float:
@@ -69,15 +79,10 @@ def hamiltonian(sys: ControlSystem, t: float, y, psi, u) -> float:
     return float(psi @ eval_field(sys, t, y, u))
 
 
-def relaxed_hamiltonian(sys: ControlSystem, t: float, y, psi, atoms, weights) -> float:
-    """<psi, averaged field of the cell>; linear in the measure."""
-    psi = np.asarray(psi, dtype=float)
-    return float(psi @ relaxed_field(sys, t, y, atoms, weights))
-
-
 def polishable(sys: ControlSystem) -> bool:
-    """True for the systems bang_polish accepts: the control-affine ones,
-    whose argmax over every control set (ball, box, finite) is closed-form."""
+    """True for the systems bang_polish and verify accept: the control-affine
+    ones, whose argmax over every control set (ball, box, finite) is
+    closed-form."""
     return sys.affine is not None
 
 
@@ -109,34 +114,24 @@ def _linear_argmax(cs, q, tiny):
 def max_hamiltonian(sys: ControlSystem, t: float, y, psi) -> HamiltonianMax:
     """Maximize u -> <psi, f(t, y, u)> over the control set, in closed form.
 
-    Finite sets are enumerated through the full field, so they work for any
-    dynamics.  Ball and box sets require the affine decomposition
-    f = g + B u: the maximizer is rho B^T psi / |B^T psi| for a ball and the
-    componentwise sign rule for a box.  When B^T psi vanishes every control
-    maximizes and the result is flagged degenerate (the principle says
-    nothing at such times).
+    The system must be control-affine, f = g + B u: H(u) = <psi, g> +
+    <B^T psi, u>, maximized by _linear_argmax (rho B^T psi / |B^T psi| for a
+    ball, the componentwise sign rule for a box, the first best point of a
+    finite set).  When every control maximizes, to within roundoff of psi
+    and B, the result is flagged degenerate (the principle says nothing at
+    such times).
     """
+    if not polishable(sys):
+        raise errors.UnsupportedControlSet("closed-form argmax needs a control-affine system")
     y = np.asarray(y, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    cs = sys.control_set
-
-    if isinstance(cs, FiniteSet):
-        vals = [float(psi @ np.asarray(sys.field(t, y, u), dtype=float)) for u in cs.points]
-        order = np.argsort(vals)[::-1]
-        best = int(order[0])
-        tie = len(vals) > 1 and vals[best] - vals[int(order[1])] <= 1e-12 * (1.0 + abs(vals[best]))
-        return HamiltonianMax(vals[best], np.array(cs.points[best], dtype=float), tie)
-
-    if not polishable(sys):
-        raise errors.UnsupportedControlSet(
-            "closed-form argmax over a ball or box needs a control-affine system"
-        )
     g = np.asarray(sys.affine.drift(t, y), dtype=float)
     B = np.atleast_2d(np.asarray(sys.affine.input_matrix(t), dtype=float))
     base = float(psi @ g)
+    switching = B.T @ psi
     scale = 1e-12 * (1.0 + _norm(psi)) * max(1.0, float(np.linalg.norm(B)))
-    u_star, gain, degenerate = _linear_argmax(cs, B.T @ psi, scale)
-    return HamiltonianMax(base + gain, u_star, degenerate)
+    u_star, gain, degenerate = _linear_argmax(sys.control_set, switching, scale)
+    return HamiltonianMax(base + gain, u_star, degenerate, base, switching)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +232,9 @@ class PmpReport:
     exactly under the default normalization.  terminal_decay is None for
     regular targets and a ((delta, |psi(T - delta)|), ...) trend for targets
     seeded on the shrinking pre-terminal family.  Times where the argmax is
-    degenerate are excluded from bang_bang_agreement and accounted in
-    degenerate_time_fraction.
+    degenerate (every control maximizes: B^T psi vanishes for a ball or box,
+    every point of a finite set ties) are excluded from bang_bang_agreement
+    and accounted in degenerate_time_fraction.
     """
 
     hamiltonian_residual: float
@@ -316,8 +312,13 @@ def verify(
     time-averaged weight on atoms whose H falls short of max H by more than
     1e-6 * (1 + sup |max H|), relative because H scales with both psi and the
     field: weight lambda parked on a strictly suboptimal atom for the whole
-    horizon comes back as lambda.
+    horizon comes back as lambda.  H is read from the affine structure
+    exactly as bang_polish reads it (see max_hamiltonian), so sys must be
+    control-affine; any other system raises UnsupportedControlSet before the
+    costate is integrated.
     """
+    if not polishable(sys):
+        raise errors.UnsupportedControlSet("maximum-principle verification needs a control-affine system")
     w, traj, schedule = _unpack_triple(triple)
     if traj.hit is None or traj.hit.status != HIT_TARGET:
         raise errors.NotHit("maximum-principle verification needs a hitting trajectory")
@@ -359,16 +360,14 @@ def verify(
         y = y_at(t)
         atoms, weights = _resolve_cell(schedule, sys, t)
         best = max_hamiltonian(sys, t, y, psi)
-        h_cand = relaxed_hamiltonian(sys, t, y, psi, atoms, weights)
-        residual = max(residual, best.value - h_cand)
+        u_mean = weights @ atoms
+        residual = max(residual, best.value - (best.base + float(best.switching @ u_mean)))
         sup_h = max(sup_h, abs(best.value))
-        h_atoms = [float(psi @ np.asarray(sys.field(t, y, u), dtype=float)) for u in atoms]
-        rows.append((dt, weights, h_atoms, best.value))
+        rows.append((dt, weights, best.base + atoms @ best.switching, best.value))
         if best.degenerate:
             degenerate_time += dt
             continue
         live_time += dt
-        u_mean = weights @ atoms
         if float(np.linalg.norm(u_mean - best.control)) <= AGREEMENT_TOL * (
             1.0 + float(np.linalg.norm(best.control))
         ):

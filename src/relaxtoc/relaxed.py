@@ -194,24 +194,6 @@ def common_refinement(grid_a, grid_b) -> np.ndarray:
     return pts
 
 
-def relaxed_field(sys: ControlSystem, t: float, y, atoms, weights) -> np.ndarray:
-    """Averaged velocity sum_i weights[i] * field(t, y, atoms[i]).
-
-    Control-affine systems use a single field evaluation at the barycenter,
-    which is exact by linearity in u.
-    """
-    y = _vec(y)
-    atoms = np.atleast_2d(_vec(atoms))
-    weights = _vec(weights)
-    if sys.affine is not None:
-        return _vec(sys.field(t, y, weights @ atoms))
-    out = np.zeros(sys.dim_state)
-    for lam, atom in zip(weights, atoms):
-        if lam > 0.0:
-            out += lam * _vec(sys.field(t, y, atom))
-    return out
-
-
 def relaxed_jacobian(sys: ControlSystem, t: float, y, atoms, weights) -> np.ndarray:
     """Averaged state jacobian sum_i weights[i] * jacobian(t, y, atoms[i]).
 

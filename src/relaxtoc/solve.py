@@ -56,7 +56,6 @@ class SolveResult:
     classical: Optional[ClassicalSchedule]
     trajectory: Trajectory
     alpha: float
-    converged: bool
     reason: str
     terminal_distance: float
     system: ControlSystem
@@ -66,7 +65,6 @@ class SolveResult:
         return {
             "w": float(self.w),
             "alpha": float(self.alpha),
-            "converged": bool(self.converged),
             "reason": self.reason,
             "terminal_distance": float(self.terminal_distance),
             "schedule": self.schedule.to_json_dict(),
@@ -247,7 +245,6 @@ def solve_alpha(
         classical=None,
         trajectory=traj,
         alpha=alpha,
-        converged=True,
         reason=reason,
         terminal_distance=traj.hit.terminal_distance,
         system=sys,

@@ -224,8 +224,6 @@ def test_mtilde_frozen_value(table20):
         mtilde(table20, 0.0)
     with pytest.raises(errors.AlphaOutOfRange):
         mtilde(table20, 1.0)
-    # alternative reading of the edge integral stays finite and positive
-    assert mtilde(table20, 0.5, use_upper=True) > 0.0
 
 
 def test_lower_bound_check_verdict(table20):

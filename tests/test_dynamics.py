@@ -9,7 +9,6 @@ from relaxtoc.dynamics import (
     Compactification,
     FiniteSet,
     PiecewiseConstant,
-    control_jacobian,
     eval_field,
     eval_jacobian,
     input_bound,
@@ -75,14 +74,6 @@ def test_affine_decomposition_exact(quench_sys, blowup_sys_g1, rng):
             # exact up to the one rounding of drift + Bu
             scale = 1.0 + np.abs(f0).max() + np.abs(rhs).max()
             assert np.abs(lhs - rhs).max() <= 4.0 * np.finfo(float).eps * scale
-
-
-def test_control_jacobian_is_input_matrix(quench_sys, rng):
-    for _ in range(20):
-        y = _sample_point("quenching", rng)
-        u = quench_sys.control_set.boundary_sample(rng)
-        B = control_jacobian(quench_sys, 0.3, y, u)
-        assert np.allclose(B, quench_sys.affine.input_matrix(0.3), atol=0.0)
 
 
 def test_singular_guard_raises(quench_sys):

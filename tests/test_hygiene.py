@@ -1,5 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it, and
-`import relaxtoc` loads no SciPy."""
+"""Source hygiene: every name a package module imports is used in it, every
+error class is raised somewhere, and `import relaxtoc` loads no SciPy."""
 
 import ast
 import os
@@ -26,6 +26,18 @@ def test_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    declared = {n.name for n in errors.body if isinstance(n, ast.ClassDef)} - {"Error"}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert not declared - raised, sorted(declared - raised)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -316,7 +316,6 @@ def test_status_diverged_without_chart():
             input_matrix=PiecewiseConstant.constant(np.zeros((1, 1))),
         ),
         chart=None,
-        control_jacobian=lambda t, y, u: np.zeros((1, 1)),
         time_knots=(),
     )
     traj = integrate_forward(sys1, None, np.array([1.0]), tgt=None, t_max=10.0)

@@ -15,6 +15,7 @@ from relaxtoc.dynamics import (
     PiecewiseConstant,
     make_blowup_system,
     make_integrator_system,
+    make_penalized_system,
     make_quenching_system,
 )
 from relaxtoc.integrate import HIT_TARGET, AdjointTrajectory, IntegratorOptions, integrate_forward
@@ -24,10 +25,9 @@ from relaxtoc.pmp import (
     max_hamiltonian,
     normal_cone_seed,
     quenching_conclusions,
-    relaxed_hamiltonian,
     verify,
 )
-from relaxtoc.relaxed import RelaxedSchedule
+from relaxtoc.relaxed import ClassicalSchedule, RelaxedSchedule, to_dirac
 from relaxtoc.solve import SolveOptions, solve_alpha
 from relaxtoc.target import Ball, HalfSpace, Hyperplane, Point
 
@@ -88,10 +88,11 @@ def test_box_argmax_is_sign_rule(rng):
         assert best.value >= max(float(psi @ c) for c in corners) - 1e-14
 
 
-def test_finite_set_enumerates_full_field():
+def test_finite_set_argmax_reads_the_switching_vector():
     sys = make_integrator_system(1, control_set=FiniteSet(points=[[-1.0], [0.25], [1.0]]))
     up = max_hamiltonian(sys, 0.0, [0.0], [2.0])
     assert up.value == pytest.approx(2.0) and up.control[0] == 1.0 and not up.degenerate
+    assert up.base == 0.0 and np.array_equal(up.switching, [2.0])
     down = max_hamiltonian(sys, 0.0, [0.0], [-1.5])
     assert down.value == pytest.approx(1.5) and down.control[0] == -1.0
 
@@ -128,7 +129,7 @@ def test_max_dominates_every_relaxed_cell(quench_sys, rng):
         atoms = _uniform_ball(rng, 2, rho, 3)
         weights = rng.uniform(size=3)
         weights /= weights.sum()
-        h_rel = relaxed_hamiltonian(quench_sys, 0.0, y, psi, atoms, weights)
+        h_rel = sum(lam * hamiltonian(quench_sys, 0.0, y, psi, u) for lam, u in zip(weights, atoms))
         best = max_hamiltonian(quench_sys, 0.0, y, psi)
         assert h_rel <= best.value + 1e-12 * (1.0 + abs(best.value))
 
@@ -242,6 +243,42 @@ def test_verify_explicit_seed_disables_family(toy_extremal):
     assert report.terminal_adjoint_norm == pytest.approx(1.0, rel=1e-9)
     assert report.nontriviality == pytest.approx(1.0, abs=1e-12)
     assert report.hamiltonian_residual <= 1e-8 * report.hamiltonian_scale
+
+
+@pytest.mark.parametrize(
+    "points, tgt, alpha, w_exact",
+    [
+        ([[-1.0], [1.0]], Point(location=[1.0]), 0.25, 0.75),
+        # toward y1 = 1 the corners (1, 1) and (1, -1) tie: degenerate only
+        # when every point ties, as for a ball or box
+        ([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], Hyperplane(axis=0, level=1.0), 0.0, 1.0),
+    ],
+)
+def test_verify_on_finite_control_sets(points, tgt, alpha, w_exact):
+    sys = make_integrator_system(len(points[0]), control_set=FiniteSet(points=points))
+    res = solve_alpha(sys, tgt, np.zeros(sys.dim_state), alpha, opts=SolveOptions(n_cells=4, n_atoms=2))
+    assert abs(res.w - w_exact) <= 1e-9
+    report = verify(sys, tgt.with_alpha(alpha), res)
+    assert report.hamiltonian_residual <= 1e-12 * report.hamiltonian_scale
+    assert report.support_violation_mass == 0.0
+    assert report.bang_bang_agreement == 1.0
+    assert report.degenerate_time_fraction == 0.0
+
+
+def test_verify_refuses_non_affine_before_integrating(monkeypatch, quench_sys, quench_target, quench_y0):
+    candidate = ClassicalSchedule(grid=[0.0, 1.0], values=[[0.0, 0.0]])
+    sys = make_penalized_system(quench_sys, candidate, "quench")
+    sched = to_dirac(candidate)
+    tgt = quench_target.with_alpha(0.25)
+    traj = integrate_forward(sys, sched, quench_y0, tgt=tgt, t_max=1.0)
+    assert traj.hit.status == HIT_TARGET
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the costate was integrated")
+
+    monkeypatch.setattr(pmp, "integrate_adjoint", no_sweep)
+    with pytest.raises(errors.UnsupportedControlSet):
+        verify(sys, tgt, (traj.hit.time, traj, sched))
 
 
 def test_verify_rejects_non_hitting_trajectory():
