@@ -120,11 +120,9 @@ def counted_pass(wl, samples):
         return wrapped
 
     def counted_system(sys_):
-        # an affine system's forward rhs calls its drift, not its field; the
-        # field's own drift call goes through the closure, so no rhs counts twice
-        affine = sys_.affine
-        if affine is not None:
-            affine = dataclasses.replace(affine, drift=counting(affine.drift))
+        # the forward rhs calls the drift, not the field; the field's own
+        # drift call goes through its closure, so no rhs counts twice
+        affine = dataclasses.replace(sys_.affine, drift=counting(sys_.affine.drift))
         return dataclasses.replace(sys_, field=counting(sys_.field), affine=affine)
 
     step, error_norm = _rk.step, _rk.error_norm

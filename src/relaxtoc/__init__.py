@@ -27,7 +27,6 @@ from .relaxed import (
     ClassicalSchedule,
     RelaxedSchedule,
     chattering_realization,
-    common_refinement,
     filippov_select,
     to_dirac,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "ClassicalSchedule",
     "RelaxedSchedule",
     "chattering_realization",
-    "common_refinement",
     "filippov_select",
     "to_dirac",
     "AdjointTrajectory",

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import errors
 from ._rk import integrate_plain
-from .dynamics import BallSet, ControlSystem, PiecewiseConstant, quench_drift, quench_drift_jacobian
+from .dynamics import BallSet, PiecewiseConstant, _affine_system, quench_drift, quench_drift_jacobian
 from .integrate import HIT_TARGET, MAX_TIME, IntegratorOptions, integrate_forward
 from .target import Hyperplane
 
@@ -471,19 +471,20 @@ class MonotonicityVerdict:
 
 
 def _quench_forced_system(g_fn, h_fn, knots):
-    def field(t, y, u):
+    """The uncontrolled quench field plus the forcing g + (h, 0): an affine
+    system with a zero input matrix and a zero-radius control ball."""
+
+    def drift(t, y):
         return quench_drift(t, y) + (g_fn(t) + np.array([float(h_fn(t)), 0.0]))
 
-    def jacobian(t, y, u):
-        return quench_drift_jacobian(t, y)
-
-    return ControlSystem(
+    return _affine_system(
         name="quenching-forced",
         kind="custom",
-        dim_state=2,
-        dim_control=1,
-        field=field,
-        jacobian=jacobian,
+        n=2,
+        m=1,
+        drift=drift,
+        drift_jacobian=quench_drift_jacobian,
+        Bsig=PiecewiseConstant.constant(np.zeros((2, 1))),
         control_set=BallSet(radius=0.0, dim=1),
         singular_set=Hyperplane(axis=0, level=1.0),
         time_knots=knots,

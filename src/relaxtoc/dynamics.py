@@ -265,11 +265,13 @@ class Compactification:
 
 @dataclass(frozen=True, eq=False)
 class ControlSystem:
-    """Controlled ODE y' = field(t, y, u), possibly singular on a target-like set.
+    """Control-affine ODE y' = field(t, y, u) = drift(t, y) + input_matrix(t) @ u,
+    possibly singular on a target-like set.
 
-    jacobian is in gradient layout (see module docstring).  affine, when
-    given, decomposes the field as drift + input_matrix @ u; the solver and
-    the maximum-principle check read the control's action from it alone.
+    affine holds the decomposition and is required: the integrators, the
+    solver and the maximum-principle check read the control's action from it
+    alone.  field is the same map in one call, and jacobian its state
+    jacobian in gradient layout (see module docstring), free of u.
     """
 
     name: str
@@ -279,18 +281,19 @@ class ControlSystem:
     field: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     control_set: ControlSet
+    affine: AffineStructure
     singular_set: Optional[TargetSet] = None
-    affine: Optional[AffineStructure] = None
     chart: Optional[Compactification] = None
     time_knots: tuple = ()
 
     def __post_init__(self):
-        if self.affine is not None:
-            missing = set(self.affine.input_matrix.knots) - {float(k) for k in self.time_knots}
-            if missing:
-                raise ValueError(
-                    f"time_knots must include the input matrix's knots; missing {sorted(missing)}"
-                )
+        if not isinstance(self.affine, AffineStructure):
+            raise TypeError("ControlSystem.affine must be an AffineStructure")
+        missing = set(self.affine.input_matrix.knots) - {float(k) for k in self.time_knots}
+        if missing:
+            raise ValueError(
+                f"time_knots must include the input matrix's knots; missing {sorted(missing)}"
+            )
 
     def guard(self, y) -> None:
         """Raise SingularState when y is numerically on the singular set."""
@@ -335,8 +338,10 @@ def _input_matrix(B, n, m):
 
 
 def _affine_system(
-    name, kind, n, m, drift, drift_jacobian, Bsig, control_set, singular_set=None, chart=None
+    name, kind, n, m, drift, drift_jacobian, Bsig, control_set, singular_set=None, chart=None, time_knots=()
 ):
+    """The system drift + Bsig @ u; time_knots adds knots of the drift to Bsig's."""
+
     def field(t, y, u):
         return drift(t, y) + Bsig(t) @ u
 
@@ -354,7 +359,7 @@ def _affine_system(
         singular_set=singular_set,
         affine=AffineStructure(drift=drift, input_matrix=Bsig),
         chart=chart,
-        time_knots=Bsig.knots,
+        time_knots=tuple(sorted(set(Bsig.knots).union(time_knots))),
     )
 
 
@@ -482,111 +487,4 @@ def make_integrator_system(n: int = 1, control_set: Optional[ControlSet] = None)
         drift_jacobian=drift_jac,
         Bsig=Bsig,
         control_set=control_set,
-    )
-
-
-# ---------------------------------------------------------------------------
-# quenching desingularization transform
-
-
-def transform_quenching(y) -> np.ndarray:
-    """Map y = (y1, y2) to x = ((1 - y1)^2, y2), flattening the singular line."""
-    y = _vec(y)
-    return np.array([(1.0 - y[0]) ** 2, y[1]])
-
-
-def inverse_transform_quenching(x) -> np.ndarray:
-    """Inverse of transform_quenching on the branch y1 < 1."""
-    x = _vec(x)
-    if x[0] < 0.0:
-        raise errors.NegativeTransformCoordinate("first transformed coordinate is negative")
-    return np.array([1.0 - np.sqrt(x[0]), x[1]])
-
-
-def quenching_transformed_system(B=None, rho0: float = 1.0) -> ControlSystem:
-    """The quenching dynamics rewritten in the transformed coordinates.
-
-    x1' = -2 x2 - 2 sqrt(x1) (Bu)_1, x2' = 1 - sqrt(x1) + x2 + (Bu)_2; the
-    field is continuous up to the flattened target {x1 = 0}.  Not affine in
-    the sense tracked here because the input matrix depends on the state.
-    """
-    Bsig = _input_matrix(B, 2, 2)
-
-    def field(t, x, u):
-        bu = Bsig(t) @ u
-        s = np.sqrt(max(x[0], 0.0))
-        return np.array([-2.0 * x[1] - 2.0 * s * bu[0], 1.0 - s + x[1] + bu[1]])
-
-    def jac(t, x, u):
-        bu = Bsig(t) @ u
-        s = np.sqrt(max(x[0], 0.0))
-        if s == 0.0:
-            raise errors.SingularJacobian("transformed jacobian undefined at x1 = 0")
-        return np.array([[-bu[0] / s, -0.5 / s], [-2.0, 1.0]])
-
-    return ControlSystem(
-        name="quenching-ex1-transformed",
-        kind="custom",
-        dim_state=2,
-        dim_control=2,
-        field=field,
-        jacobian=jac,
-        control_set=BallSet(radius=float(rho0), dim=2),
-        time_knots=Bsig.knots,
-    )
-
-
-# ---------------------------------------------------------------------------
-# penalized auxiliary fields used to test strict optimality of a candidate
-
-
-def make_penalized_system(sys: ControlSystem, candidate, variant: str) -> ControlSystem:
-    """Auxiliary field penalizing deviation from a candidate control.
-
-    variant "quench": subtract (|u - ubar(t)|^2, 0, ...) from the field.
-    variant "blowup": subtract |u - ubar(t)|^2 / (4 rho0^2) * y.
-    candidate must provide value_at(t) (a classical schedule).
-    """
-    if variant not in ("quench", "blowup"):
-        raise ValueError("variant must be 'quench' or 'blowup'")
-    if variant == "blowup" and not isinstance(sys.control_set, BallSet):
-        raise errors.UnsupportedControlSet("blowup penalty is normalized by a ball radius")
-
-    knots = tuple(sorted(set(sys.time_knots) | set(candidate.knots)))
-
-    if variant == "quench":
-
-        def field(t, y, u):
-            dev = u - candidate.value_at(t)
-            out = _vec(sys.field(t, y, u)).copy()
-            out[0] -= float(dev @ dev)
-            return out
-
-        jac = sys.jacobian
-
-    else:
-        coeff = 1.0 / (4.0 * sys.control_set.radius**2)
-
-        def field(t, y, u):
-            dev = u - candidate.value_at(t)
-            return _vec(sys.field(t, y, u)) - coeff * float(dev @ dev) * y
-
-        def jac(t, y, u):
-            dev = u - candidate.value_at(t)
-            return np.asarray(sys.jacobian(t, y, u), dtype=float) - coeff * float(
-                dev @ dev
-            ) * np.eye(sys.dim_state)
-
-    return ControlSystem(
-        name=sys.name + "-penalized",
-        kind=sys.kind + "-penalized",
-        dim_state=sys.dim_state,
-        dim_control=sys.dim_control,
-        field=field,
-        jacobian=jac,
-        control_set=sys.control_set,
-        singular_set=sys.singular_set,
-        affine=None,
-        chart=sys.chart,
-        time_knots=knots,
     )

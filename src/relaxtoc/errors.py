@@ -9,10 +9,6 @@ class SingularState(Error):
     """State lies in (or numerically at) the singular set of the field."""
 
 
-class NegativeTransformCoordinate(Error):
-    """Inverse quenching transform got a negative first coordinate."""
-
-
 class InnerRegion(Error):
     """Compactification chart evaluated inside its inner cutoff radius."""
 
@@ -27,10 +23,6 @@ class NotOnBoundary(Error):
 
 class NonConvexControlSet(Error):
     """Operation requires a convex control set."""
-
-
-class NonAffineSystem(Error):
-    """Operation requires control-affine dynamics."""
 
 
 class ZeroTerminalCovector(Error):

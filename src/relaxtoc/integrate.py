@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _rk, errors
 from .dynamics import ControlSystem
-from .relaxed import ClassicalSchedule, relaxed_jacobian
+from .relaxed import ClassicalSchedule
 from .target import HalfSpace, Hyperplane
 
 HIT_TARGET = "hit-target"
@@ -207,28 +207,18 @@ def _cell_rhs(sys, atoms, weights, mode, chart, seg_end):
     """Guarded rhs closure for one (control cell, coordinate mode) segment,
     the one ending at seg_end.
 
-    Affine systems form B u_mean once, from B(seg_end): B is a left-continuous
+    B u_mean is formed once, from B(seg_end): B is a left-continuous
     PiecewiseConstant whose knots are time knots of the system (ControlSystem
     checks both), segments end at every time knot, so B reads a single cell
     over the segment, and every stage is drift(t, y) + B u_mean.  Callers
     evaluate the closure under np.errstate(all="ignore"): an overflow shows
     up as a non-finite stage, which raises _StageFailure and rejects the step.
     """
-    affine = sys.affine
-    if affine is not None:
-        drift = affine.drift
-        Bu = affine.input_matrix(seg_end) @ (weights @ atoms)
-    live = [(lam, atom) for lam, atom in zip(weights, atoms) if lam > 0.0]
+    drift = sys.affine.drift
+    Bu = sys.affine.input_matrix(seg_end) @ (weights @ atoms)
 
     def base_field(t, y):
-        if affine is not None:
-            out = drift(t, y) + Bu
-        else:
-            out = None
-            for lam, atom in live:
-                term = lam * np.asarray(sys.field(t, y, atom), dtype=float)
-                out = term if out is None else out + term
-        out = np.asarray(out, dtype=float)
+        out = drift(t, y) + Bu
         if not _rk.finite(out):
             raise _StageFailure
         return out
@@ -658,10 +648,11 @@ def integrate_adjoint(
     normalize_at_zero: bool = True,
     opts: Optional[IntegratorOptions] = None,
 ):
-    """Integrate psi' = -jacobian(t, y(t), u(t)) psi backward from t_end to 0.
+    """Integrate psi' = -jacobian(t, y(t)) psi backward from t_end to 0.
 
-    The jacobian is in gradient layout so no transpose appears.  For relaxed
-    controls the jacobian is weight-averaged over the cell atoms.  atol is
+    The jacobian is in gradient layout so no transpose appears, and free of
+    u, since the field is affine in u: control only adds its knots to the
+    step breaks, so a relaxed schedule needs no averaging.  atol is
     scaled by the seed magnitude, which makes the sweep exactly homogeneous:
     scaling the seed scales every sample.
 
@@ -694,8 +685,8 @@ def integrate_adjoint(
     ]
 
     y_at = traj.cursor()
-    # an affine field's jacobian is free of u: any cell gives the same one
-    fixed_cell = _resolve_cell(None, sys, 0.0) if sys.affine is not None else None
+    # the jacobian of an affine field is free of u
+    u0 = np.zeros(sys.dim_control)
     n = seeds.shape[1]
     # DOPRI5's last two stages share t + h: the second reuses the first's jacobian
     jac_t, jac = None, None
@@ -703,8 +694,7 @@ def integrate_adjoint(
     def rhs(t, psi):
         nonlocal jac_t, jac
         if t != jac_t:
-            atoms, weights = fixed_cell or _resolve_cell(control, sys, t)
-            jac_t, jac = t, relaxed_jacobian(sys, t, y_at(t), atoms, weights)
+            jac_t, jac = t, np.asarray(sys.jacobian(t, y_at(t), u0), dtype=float)
         if len(psi) == n:
             return -(jac @ psi)
         # live columns stacked end to end: row c of the product is jac @ psi_c

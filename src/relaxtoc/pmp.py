@@ -8,10 +8,10 @@ backward from a normal-cone seed, normalizes |psi(0)| = 1, and fills a report
 by sampling along the trajectory grid.  Nothing here certifies sufficiency;
 the report measures how badly the necessary conditions fail.
 
-Both verify() and bang_polish() need a control-affine field f = g + B u, for
-which H(u) = <psi, g> + <B^T psi, u> and the maximum condition over a ball,
-a box or a finite set is the one linear argmax _linear_argmax: the checker
-reads the condition the solver imposes.
+Every system is control-affine, f = g + B u, so H(u) = <psi, g> +
+<B^T psi, u> and the maximum condition over a ball, a box or a finite set is
+the one linear argmax _linear_argmax, which verify() and bang_polish() both
+read: the checker reads the condition the solver imposes.
 
 Targets the state only reaches in the limit (a point target, or any set read
 through a compactification chart) admit no terminal covector: the adjoint
@@ -79,13 +79,6 @@ def hamiltonian(sys: ControlSystem, t: float, y, psi, u) -> float:
     return float(psi @ eval_field(sys, t, y, u))
 
 
-def polishable(sys: ControlSystem) -> bool:
-    """True for the systems bang_polish and verify accept: the control-affine
-    ones, whose argmax over every control set (ball, box, finite) is
-    closed-form."""
-    return sys.affine is not None
-
-
 def _linear_argmax(cs, q, tiny):
     """(u, <q, u>, degenerate) for a maximizer u of <q, u> over a ball, box
     or finite set.
@@ -114,15 +107,12 @@ def _linear_argmax(cs, q, tiny):
 def max_hamiltonian(sys: ControlSystem, t: float, y, psi) -> HamiltonianMax:
     """Maximize u -> <psi, f(t, y, u)> over the control set, in closed form.
 
-    The system must be control-affine, f = g + B u: H(u) = <psi, g> +
-    <B^T psi, u>, maximized by _linear_argmax (rho B^T psi / |B^T psi| for a
-    ball, the componentwise sign rule for a box, the first best point of a
-    finite set).  When every control maximizes, to within roundoff of psi
-    and B, the result is flagged degenerate (the principle says nothing at
-    such times).
+    With f = g + B u, H(u) = <psi, g> + <B^T psi, u>, maximized by
+    _linear_argmax (rho B^T psi / |B^T psi| for a ball, the componentwise
+    sign rule for a box, the first best point of a finite set).  When every
+    control maximizes, to within roundoff of psi and B, the result is
+    flagged degenerate (the principle says nothing at such times).
     """
-    if not polishable(sys):
-        raise errors.UnsupportedControlSet("closed-form argmax needs a control-affine system")
     y = np.asarray(y, dtype=float)
     psi = np.asarray(psi, dtype=float)
     g = np.asarray(sys.affine.drift(t, y), dtype=float)
@@ -313,12 +303,8 @@ def verify(
     1e-6 * (1 + sup |max H|), relative because H scales with both psi and the
     field: weight lambda parked on a strictly suboptimal atom for the whole
     horizon comes back as lambda.  H is read from the affine structure
-    exactly as bang_polish reads it (see max_hamiltonian), so sys must be
-    control-affine; any other system raises UnsupportedControlSet before the
-    costate is integrated.
+    exactly as bang_polish reads it (see max_hamiltonian).
     """
-    if not polishable(sys):
-        raise errors.UnsupportedControlSet("maximum-principle verification needs a control-affine system")
     w, traj, schedule = _unpack_triple(triple)
     if traj.hit is None or traj.hit.status != HIT_TARGET:
         raise errors.NotHit("maximum-principle verification needs a hitting trajectory")
@@ -478,12 +464,11 @@ def bang_polish(
     or before the forward pass when the new schedule applies the control the
     current one applies, to POLISH_ATOM_TOL, on every new cell (a fixed point
     of the maximum condition), and returns the best triple seen, which is
-    `certified` itself when no round improves on it.  sys must be
-    control-affine (polishable), with a ball, box or finite control set.
-    certified is a hit: w is the hit time of the trajectory, the schedule
-    integrated with opts (solve._certify makes one), so the polish starts at
-    the costate sweep.  Every w returned is thus the hit time of a forward
-    pass at opts.
+    `certified` itself when no round improves on it.  sys has a ball, box or
+    finite control set.  certified is a hit: w is the hit time of the
+    trajectory, the schedule integrated with opts (solve._certify makes
+    one), so the polish starts at the costate sweep.  Every w returned is
+    thus the hit time of a forward pass at opts.
     """
     opts = opts or IntegratorOptions()
     atom_tol = POLISH_ATOM_TOL * _control_scale(sys.control_set)

@@ -1,10 +1,12 @@
 """Finitely atomic relaxed control schedules and their classical realizations.
 
 A relaxed schedule stores, per grid cell, K atoms in the control set and a
-probability weight vector over them.  K is meant to respect the Caratheodory
-bound K <= n + 2 for an n-dimensional state, which suffices to realize any
-relaxed velocity; the solver enforces that default.  Weights are clipped and
-renormalized on construction so the simplex invariant holds exactly.
+probability weight vector over them.  The Caratheodory bound K <= n + 2 for
+an n-dimensional state suffices to realize any relaxed velocity, but nothing
+enforces it: a schedule takes any K >= 1, and the solver's K is
+SolveOptions.n_atoms.  On a control-affine field the velocity reads only
+the weighted mean of the atoms.  Weights are clipped and renormalized on
+construction so the simplex invariant holds exactly.
 """
 
 from __future__ import annotations
@@ -177,48 +179,13 @@ def to_dirac(schedule: ClassicalSchedule) -> RelaxedSchedule:
     )
 
 
-def common_refinement(grid_a, grid_b) -> np.ndarray:
-    """Sorted union of two breakpoint grids over their common span."""
-    grid_a = _vec(grid_a)
-    grid_b = _vec(grid_b)
-    lo = max(grid_a[0], grid_b[0])
-    hi = min(grid_a[-1], grid_b[-1])
-    if hi <= lo:
-        raise ValueError("grids do not overlap")
-    pts = np.union1d(grid_a, grid_b)
-    pts = pts[(pts >= lo) & (pts <= hi)]
-    if pts[0] != lo:
-        pts = np.concatenate([[lo], pts])
-    if pts[-1] != hi:
-        pts = np.concatenate([pts, [hi]])
-    return pts
-
-
-def relaxed_jacobian(sys: ControlSystem, t: float, y, atoms, weights) -> np.ndarray:
-    """Averaged state jacobian sum_i weights[i] * jacobian(t, y, atoms[i]).
-
-    Control-affine systems have a jacobian free of u, so one evaluation at
-    the first atom is exact.
-    """
-    if sys.affine is not None:
-        return _vec(sys.jacobian(t, y, atoms[0]))
-    out = None
-    for lam, atom in zip(weights, atoms):
-        if lam > 0.0:
-            term = lam * _vec(sys.jacobian(t, y, atom))
-            out = term if out is None else out + term
-    return out
-
-
 def filippov_select(sys: ControlSystem, t: float, atoms, weights) -> np.ndarray:
     """Single control matching the relaxed velocity of a cell exactly.
 
-    For control-affine dynamics with a convex control set the barycenter
-    sum_i weights[i] atoms[i] does it: B(t) applied to the mean equals the
-    mean of B(t) applied to the atoms.
+    Every system is control-affine, so with a convex control set the
+    barycenter sum_i weights[i] atoms[i] does it: B(t) applied to the mean
+    equals the mean of B(t) applied to the atoms.
     """
-    if sys.affine is None:
-        raise errors.NonAffineSystem("Filippov selection implemented for affine systems only")
     if not sys.control_set.is_convex:
         raise errors.NonConvexControlSet("barycenter may leave a non-convex control set")
     atoms = np.atleast_2d(_vec(atoms))

@@ -11,10 +11,9 @@ and the best of them is finished by the maximum-condition fixed point of
 the verification module (pmp.bang_polish): each cell takes the argmax of
 its cell-integrated switching vector, and the result is kept only when the
 certified hit time does not get worse.  The relaxed maximum principle is
-thus the solver, not only its check.  The argmax is closed-form for
-control-affine dynamics with a ball, box or finite control set; any other
-system raises UnsupportedControlSet, and a route without a certified hit
-raises Infeasible.
+thus the solver, not only its check.  The argmax is closed-form because
+every system is control-affine and every control set a ball, a box or a
+finite set; a route without a certified hit raises Infeasible.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ def _certify(sys, tgt_a, y0, sched_phys, opts):
 
 
 def classicalize(result: SolveResult) -> ClassicalSchedule:
-    """Per-cell barycenter selection of the relaxed schedule (affine systems)."""
+    """Per-cell barycenter selection of the relaxed schedule."""
     sys = result.system
     sched = result.schedule
     values = []
@@ -210,16 +209,11 @@ def solve_alpha(
     greedy seed are certified by tight re-integration; the earliest certified
     hit is polished by the maximum condition (pmp.bang_polish).  The
     result's reason names the certifying path: "seed" or "seed+polish".
-    Raises UnsupportedControlSet, before any integration, unless the system
-    is control-affine (pmp.polishable); AlphaOutOfRange when the start lies
-    within the hit tolerance of the inflated target; and Infeasible when no
-    seed yields a certified hit within opts.w_max.
+    Raises AlphaOutOfRange when the start lies within the hit tolerance of
+    the inflated target, and Infeasible when no seed yields a certified hit
+    within opts.w_max.
     """
     opts = opts or SolveOptions()
-    if not pmp.polishable(sys):
-        raise errors.UnsupportedControlSet(
-            "solve_alpha needs control-affine dynamics: the maximum condition has no closed form here"
-        )
     y0 = np.asarray(y0, dtype=float)
     d0 = initial_distance(sys, tgt.with_alpha(0.0), y0)
     room = d0 - opts.final.hit_tol

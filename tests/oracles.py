@@ -150,7 +150,9 @@ def one_switch_bang_bang(alpha, y0=(0.0, 0.5), rho=_RHO, h=2e-4):
         c2, s2 = rho * np.cos(a2), rho * np.sin(a2)
         hit = np.full(n, np.inf)
         t = 0.0
-        while t < 3.0 and np.any(np.isinf(hit)):
+        # a candidate still short of the level at t hits at t or later, so
+        # none can beat the best hit once t reaches it
+        while t < min(3.0, hit.min()):
             u1 = np.where(t < ts, c1, c2)
             u2 = np.where(t < ts, s1, s2)
 

@@ -12,16 +12,9 @@ from relaxtoc.dynamics import (
     eval_field,
     eval_jacobian,
     input_bound,
-    inverse_transform_quenching,
     make_blowup_system,
     make_integrator_system,
-    make_penalized_system,
-    make_quenching_system,
-    quenching_transformed_system,
-    transform_quenching,
 )
-from relaxtoc.integrate import IntegratorOptions, integrate_forward
-from relaxtoc.relaxed import ClassicalSchedule
 
 
 def _fd_jacobian(sys, t, y, u, h=1e-6):
@@ -84,62 +77,6 @@ def test_singular_guard_raises(quench_sys):
 def test_field_rejects_control_outside_set(quench_sys):
     with pytest.raises(ValueError):
         eval_field(quench_sys, 0.0, np.array([0.0, 0.5]), np.array([5.0, 0.0]))
-
-
-def test_transform_conjugacy(quench_sys):
-    # integrate the transformed field in x, map back, compare to the direct
-    # run; valid while the direct run stays >= 0.05 from the singular line
-    tsys = quenching_transformed_system()
-    y0 = np.array([0.0, 0.5])
-    control = ClassicalSchedule(
-        grid=np.array([0.0, 0.1, 0.25]),
-        values=np.array([[0.4, -0.2], [-0.3, 0.5]]),
-    )
-    # small max_step keeps the dense-output error of the sample-time
-    # comparison far below the bound being asserted
-    opts = IntegratorOptions(rtol=1e-10, atol=1e-12, max_step=0.005)
-    direct = integrate_forward(quench_sys, control, y0, tgt=None, t_max=0.25, opts=opts)
-    assert direct.states[:, 0].max() < 0.95
-    lifted = integrate_forward(
-        tsys, control, transform_quenching(y0), tgt=None, t_max=0.25, opts=opts
-    )
-    gap = 0.0
-    for t, y in zip(direct.times, direct.states):
-        x = lifted.interp(min(t, lifted.times[-1]))
-        gap = max(gap, float(np.linalg.norm(inverse_transform_quenching(x) - y)))
-    assert gap <= 1e-6
-
-
-def test_transform_round_trip(rng):
-    for _ in range(100):
-        y = rng.normal(size=2)
-        y[0] = min(y[0], 0.999)
-        x = transform_quenching(y)
-        assert x[0] >= 0.0
-        assert np.allclose(inverse_transform_quenching(x), y, atol=1e-12)
-    with pytest.raises(errors.NegativeTransformCoordinate):
-        inverse_transform_quenching(np.array([-1e-9, 0.0]))
-
-
-def test_penalized_field_coincides_on_candidate(quench_sys, blowup_sys_g1, rng):
-    candidate = ClassicalSchedule(
-        grid=np.array([0.0, 0.5, 1.0]),
-        values=np.array([[0.3, 0.1], [-0.2, 0.4]]),
-    )
-    pen_q = make_penalized_system(quench_sys, candidate, "quench")
-    cand1 = ClassicalSchedule(grid=np.array([0.0, 1.0]), values=np.array([[0.6]]))
-    pen_b = make_penalized_system(blowup_sys_g1, cand1, "blowup")
-    for _ in range(30):
-        t = rng.uniform(0.0, 1.0)
-        y2 = _sample_point("quenching", rng)
-        u = candidate.value_at(t)
-        assert np.array_equal(eval_field(pen_q, t, y2, u), eval_field(quench_sys, t, y2, u))
-        y1 = _sample_point("blowup", rng)
-        u1 = cand1.value_at(t)
-        assert np.array_equal(eval_field(pen_b, t, y1, u1), eval_field(blowup_sys_g1, t, y1, u1))
-        # off the candidate the penalty bites
-        off = u + np.array([0.2, 0.0])
-        assert eval_field(pen_q, t, y2, off)[0] < eval_field(quench_sys, t, y2, off)[0]
 
 
 def test_piecewise_constant_left_continuous_eval():

@@ -24,7 +24,6 @@ from relaxtoc.integrate import (
     SINGULAR_STALL,
     IntegratorOptions,
     Trajectory,
-    _resolve_cell,
     integrate_adjoint,
     integrate_forward,
 )
@@ -688,28 +687,6 @@ def test_adjoint_evaluates_the_jacobian_once_per_stage_time(monkeypatch, quench_
     assert len(jac_times) < 5.5 * len(steps)
 
 
-def test_affine_adjoint_reads_no_control_cell(monkeypatch, quench_sys):
-    # relaxed_jacobian ignores u on an affine system, so the sweep resolves
-    # one fixed cell; it must equal a sweep over the same field without the
-    # affine structure, which looks the cell up at every stage (weights of
-    # one half make that cell average exact)
-    grid = np.array([0.0, 0.1, 0.1, 0.25, 0.4])
-    sched = RelaxedSchedule(
-        grid=grid, atoms=np.arange(16.0).reshape(4, 2, 2) / 16.0, weights=np.full((4, 2), 0.5)
-    )
-    traj = integrate_forward(quench_sys, sched, np.array([0.0, 0.5]), t_max=0.4)
-    lookups = []
-    resolve = integrate._resolve_cell
-    monkeypatch.setattr(integrate, "_resolve_cell", lambda c, s, t: lookups.append(t) or resolve(c, s, t))
-    sweep = integrate_adjoint(quench_sys, traj, sched, np.array([1.0, 0.5]))
-    assert len(lookups) == 1
-    ref = integrate_adjoint(
-        dataclasses.replace(quench_sys, affine=None), traj, sched, np.array([1.0, 0.5])
-    )
-    assert len(lookups) > 100
-    assert _same_bits(sweep.times, ref.times) and _same_bits(sweep.psis, ref.psis)
-
-
 def test_affine_input_matrix_knots_must_be_time_knots():
     # the forward integrator forms B u once per segment, which is exact only
     # for a piecewise-constant B whose knots end segments
@@ -731,6 +708,9 @@ def test_affine_input_matrix_knots_must_be_time_knots():
     )
     with pytest.raises(ValueError, match="time_knots"):
         ControlSystem(**fields)
+    # every system is control-affine: no system without the structure
+    with pytest.raises(TypeError, match="AffineStructure"):
+        ControlSystem(**{**fields, "affine": None}, time_knots=B.knots)
     sys1 = ControlSystem(**fields, time_knots=B.knots)
     control = ClassicalSchedule(grid=np.array([0.0, 0.5]), values=np.array([[1.0]]))
     traj = integrate_forward(sys1, control, np.array([0.0]), tgt=None, t_max=0.5)

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from relaxtoc import errors, pmp
 from relaxtoc.dynamics import (
-    BallSet,
-    BoxSet,
     FiniteSet,
     PiecewiseConstant,
     make_blowup_system,
     make_integrator_system,
-    make_penalized_system,
     make_quenching_system,
 )
 from relaxtoc.integrate import HIT_TARGET, AdjointTrajectory, IntegratorOptions, integrate_forward
@@ -27,7 +24,7 @@ from relaxtoc.pmp import (
     quenching_conclusions,
     verify,
 )
-from relaxtoc.relaxed import ClassicalSchedule, RelaxedSchedule, to_dirac
+from relaxtoc.relaxed import RelaxedSchedule
 from relaxtoc.solve import SolveOptions, solve_alpha
 from relaxtoc.target import Ball, HalfSpace, Hyperplane, Point
 
@@ -265,22 +262,6 @@ def test_verify_on_finite_control_sets(points, tgt, alpha, w_exact):
     assert report.degenerate_time_fraction == 0.0
 
 
-def test_verify_refuses_non_affine_before_integrating(monkeypatch, quench_sys, quench_target, quench_y0):
-    candidate = ClassicalSchedule(grid=[0.0, 1.0], values=[[0.0, 0.0]])
-    sys = make_penalized_system(quench_sys, candidate, "quench")
-    sched = to_dirac(candidate)
-    tgt = quench_target.with_alpha(0.25)
-    traj = integrate_forward(sys, sched, quench_y0, tgt=tgt, t_max=1.0)
-    assert traj.hit.status == HIT_TARGET
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the costate was integrated")
-
-    monkeypatch.setattr(pmp, "integrate_adjoint", no_sweep)
-    with pytest.raises(errors.UnsupportedControlSet):
-        verify(sys, tgt, (traj.hit.time, traj, sched))
-
-
 def test_verify_rejects_non_hitting_trajectory():
     sys = make_integrator_system(1)
     sched = RelaxedSchedule(
@@ -447,7 +428,6 @@ def test_bang_polish_accepts_finite_sets():
     tgt = Point(location=[1.0])
     traj = integrate_forward(sys, sched, [0.0], tgt=tgt, t_max=4.8)
     assert traj.hit.status == HIT_TARGET
-    assert pmp.polishable(sys)
     w, polished, _ = bang_polish(sys, tgt, (traj.hit.time, sched, traj), [0.0])
     assert np.all(polished.atoms == 1.0)
     assert abs(w - 1.0) <= 1e-9

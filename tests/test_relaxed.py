@@ -11,7 +11,6 @@ from relaxtoc.relaxed import (
     ClassicalSchedule,
     RelaxedSchedule,
     chattering_realization,
-    common_refinement,
     filippov_select,
     to_dirac,
 )
@@ -69,13 +68,6 @@ def test_filippov_rejects_nonconvex():
     object.__setattr__(sys, "control_set", FiniteSet(points=np.array([[0.0, 0.0], [1.0, 0.0]])))
     with pytest.raises(errors.NonConvexControlSet):
         filippov_select(sys, 0.0, np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
-
-
-def test_common_refinement():
-    g = common_refinement(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.3, 1.0]))
-    assert np.array_equal(g, [0.0, 0.3, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        common_refinement(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
 
 
 def test_with_grid_preserves_cell_values(rng):

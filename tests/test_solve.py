@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from relaxtoc.barrier import build_barrier_table, xi_lower_time, xi_upper_time
-from relaxtoc.dynamics import FiniteSet, make_blowup_system, make_integrator_system, make_penalized_system
-from relaxtoc import errors, pmp, solve
+from relaxtoc.dynamics import FiniteSet, make_integrator_system
+from relaxtoc import errors, pmp
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
-from relaxtoc.relaxed import ClassicalSchedule
 from relaxtoc.solve import SolveOptions, alpha_ladder, classicalize, solve_alpha
 from relaxtoc.target import Hyperplane, Point
 
@@ -200,16 +199,6 @@ def test_finite_set_tie_between_two_maximizers_keeps_the_first(seed):
     res = solve_alpha(sys_, tgt, [0.0, 0.0], 0.0, opts=replace(SMALL, seed=seed))
     assert res.reason.startswith("seed")
     assert abs(res.w - 1.0) <= 1e-9
-
-
-def test_non_affine_system_is_unsupported(monkeypatch, quench_sys, quench_target, quench_y0):
-    # the auxiliary system's penalty makes the field non-affine in u: the
-    # maximum condition has no closed form there, and nothing is integrated
-    candidate = ClassicalSchedule(grid=np.array([0.0, 1.0]), values=np.array([[0.3, 0.1]]))
-    pen = make_penalized_system(quench_sys, candidate, "quench")
-    monkeypatch.setattr(solve, "integrate_forward", lambda *a, **k: pytest.fail("integrated"))
-    with pytest.raises(errors.UnsupportedControlSet):
-        solve_alpha(pen, quench_target, quench_y0, 0.1, opts=SMALL)
 
 
 def test_no_certified_hit_is_infeasible(toy_sys, toy_target):
