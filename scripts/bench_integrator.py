@@ -120,10 +120,9 @@ def counted_pass(wl, samples):
         return wrapped
 
     def counted_system(sys_):
-        # the forward rhs calls the drift, not the field; the field's own
-        # drift call goes through its closure, so no rhs counts twice
+        # the forward rhs calls the drift; nothing calls the one-call field
         affine = dataclasses.replace(sys_.affine, drift=counting(sys_.affine.drift))
-        return dataclasses.replace(sys_, field=counting(sys_.field), affine=affine)
+        return dataclasses.replace(sys_, affine=affine)
 
     step, error_norm = _rk.step, _rk.error_norm
     plain, forced = barrier.integrate_plain, barrier._quench_forced_system

@@ -27,7 +27,6 @@ from .relaxed import (
     ClassicalSchedule,
     RelaxedSchedule,
     chattering_realization,
-    filippov_select,
     to_dirac,
 )
 from .integrate import (
@@ -83,7 +82,6 @@ __all__ = [
     "ClassicalSchedule",
     "RelaxedSchedule",
     "chattering_realization",
-    "filippov_select",
     "to_dirac",
     "AdjointTrajectory",
     "IntegratorOptions",

@@ -28,7 +28,14 @@ import numpy as np
 
 from . import errors
 from ._rk import integrate_plain
-from .dynamics import BallSet, PiecewiseConstant, _affine_system, quench_drift, quench_drift_jacobian
+from .dynamics import (
+    AffineStructure,
+    BallSet,
+    ControlSystem,
+    PiecewiseConstant,
+    quench_drift,
+    quench_drift_jacobian,
+)
 from .integrate import HIT_TARGET, MAX_TIME, IntegratorOptions, integrate_forward
 from .target import Hyperplane
 
@@ -477,16 +484,12 @@ def _quench_forced_system(g_fn, h_fn, knots):
     def drift(t, y):
         return quench_drift(t, y) + (g_fn(t) + np.array([float(h_fn(t)), 0.0]))
 
-    return _affine_system(
+    return ControlSystem(
         name="quenching-forced",
         kind="custom",
-        n=2,
-        m=1,
-        drift=drift,
-        drift_jacobian=quench_drift_jacobian,
-        Bsig=PiecewiseConstant.constant(np.zeros((2, 1))),
+        jacobian=quench_drift_jacobian,
         control_set=BallSet(radius=0.0, dim=1),
-        singular_set=Hyperplane(axis=0, level=1.0),
+        affine=AffineStructure(drift=drift, input_matrix=PiecewiseConstant.constant(np.zeros((2, 1)))),
         time_knots=knots,
     )
 

@@ -4,10 +4,11 @@ Jacobian convention (used everywhere in this package): jacobians of vector
 fields are stored in gradient layout, entry (i, j) = d f_j / d y_i, i.e. the
 transpose of the usual layout.  With this choice the costate equation reads
 
-    psi'(t) = -jacobian(t, y, u) @ psi(t)
+    psi'(t) = -jacobian(t, y) @ psi(t)
 
-with no transpose.  Consequence for checks: jacobian(t, y, u).T must match
-finite differences of field in y.
+with no transpose.  Every field is control-affine, so its state jacobian is
+the drift's and free of u.  Consequence for checks: jacobian(t, y).T must
+match finite differences of the drift in y.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import errors
-from .target import Hyperplane, TargetSet
-
-# Distance to the singular set below which field evaluation refuses to proceed.
-SINGULAR_GUARD = 1e-12
 
 
 def _vec(x):
@@ -180,7 +177,7 @@ class AffineStructure:
 
     input_matrix is piecewise constant: the forward integrator forms
     input_matrix @ u once per segment, and a ControlSystem carrying this
-    structure must list the input matrix's knots among its time_knots.
+    structure adds the input matrix's knots to its time_knots.
     """
 
     drift: Callable[[float, np.ndarray], np.ndarray]
@@ -265,68 +262,48 @@ class Compactification:
 
 @dataclass(frozen=True, eq=False)
 class ControlSystem:
-    """Control-affine ODE y' = field(t, y, u) = drift(t, y) + input_matrix(t) @ u,
-    possibly singular on a target-like set.
+    """Control-affine ODE y' = drift(t, y) + input_matrix(t) @ u, possibly
+    singular on a target-like set.
 
-    affine holds the decomposition and is required: the integrators, the
-    solver and the maximum-principle check read the control's action from it
-    alone.  field is the same map in one call, and jacobian its state
-    jacobian in gradient layout (see module docstring), free of u.
+    affine holds the decomposition, and everything else derives from it: the
+    dimensions are the input matrix's shape, and time_knots gains the input
+    matrix's knots.  jacobian is the drift's state jacobian (t, y) in
+    gradient layout (see module docstring).  field is the same map as affine
+    in one call; it defaults to drift(t, y) + input_matrix(t) @ u, and no
+    integrator, solver or check reads it.
     """
 
     name: str
     kind: str
-    dim_state: int
-    dim_control: int
-    field: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    jacobian: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Callable[[float, np.ndarray], np.ndarray]
     control_set: ControlSet
     affine: AffineStructure
-    singular_set: Optional[TargetSet] = None
     chart: Optional[Compactification] = None
     time_knots: tuple = ()
+    field: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not isinstance(self.affine, AffineStructure):
             raise TypeError("ControlSystem.affine must be an AffineStructure")
-        missing = set(self.affine.input_matrix.knots) - {float(k) for k in self.time_knots}
-        if missing:
-            raise ValueError(
-                f"time_knots must include the input matrix's knots; missing {sorted(missing)}"
-            )
+        B = self.affine.input_matrix
+        knots = {float(k) for k in self.time_knots}.union(B.knots)
+        object.__setattr__(self, "time_knots", tuple(sorted(knots)))
+        if self.field is None:
+            drift = self.affine.drift
+            object.__setattr__(self, "field", lambda t, y, u: drift(t, y) + B(t) @ u)
 
-    def guard(self, y) -> None:
-        """Raise SingularState when y is numerically on the singular set."""
-        if self.singular_set is not None and self.singular_set.distance(y) < SINGULAR_GUARD:
-            raise errors.SingularState(f"state within {SINGULAR_GUARD:.0e} of the singular set")
+    @property
+    def dim_state(self) -> int:
+        return self.affine.input_matrix.values.shape[-2]
+
+    @property
+    def dim_control(self) -> int:
+        return self.affine.input_matrix.values.shape[-1]
 
     def target_coords(self, y) -> np.ndarray:
         """y in the coordinates targets are read in: its chart image when there is a chart."""
         y = _vec(y)
         return self.chart.to_chart(y) if self.chart is not None else y
-
-
-def eval_field(sys: ControlSystem, t: float, y, u) -> np.ndarray:
-    """Evaluate the field with the singular-set guard and control validation."""
-    y = _vec(y)
-    u = _vec(u)
-    if not sys.control_set.contains(u, tol=1e-7):
-        raise ValueError("control value outside the control set")
-    sys.guard(y)
-    out = _vec(sys.field(t, y, u))
-    if not np.all(np.isfinite(out)):
-        raise errors.SingularState("field evaluated to a non-finite value")
-    return out
-
-
-def eval_jacobian(sys: ControlSystem, t: float, y, u) -> np.ndarray:
-    """Evaluate the gradient-layout state jacobian with the singular-set guard."""
-    y = _vec(y)
-    sys.guard(y)
-    out = np.asarray(sys.jacobian(t, y, _vec(u)), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise errors.SingularState("jacobian evaluated to a non-finite value")
-    return out
 
 
 def _input_matrix(B, n, m):
@@ -335,32 +312,6 @@ def _input_matrix(B, n, m):
     if isinstance(B, PiecewiseConstant):
         return B
     return PiecewiseConstant.constant(np.asarray(B, dtype=float).reshape(n, m))
-
-
-def _affine_system(
-    name, kind, n, m, drift, drift_jacobian, Bsig, control_set, singular_set=None, chart=None, time_knots=()
-):
-    """The system drift + Bsig @ u; time_knots adds knots of the drift to Bsig's."""
-
-    def field(t, y, u):
-        return drift(t, y) + Bsig(t) @ u
-
-    def jac(t, y, u):
-        return drift_jacobian(t, y)
-
-    return ControlSystem(
-        name=name,
-        kind=kind,
-        dim_state=n,
-        dim_control=m,
-        field=field,
-        jacobian=jac,
-        control_set=control_set,
-        singular_set=singular_set,
-        affine=AffineStructure(drift=drift, input_matrix=Bsig),
-        chart=chart,
-        time_knots=tuple(sorted(set(Bsig.knots).union(time_knots))),
-    )
 
 
 def quench_drift(t, y) -> np.ndarray:
@@ -380,16 +331,12 @@ def make_quenching_system(B=None, rho0: float = 1.0) -> ControlSystem:
     The field is singular on the line y1 = 1, which is also the target of the
     associated time-optimal problem; |u| <= rho0.
     """
-    return _affine_system(
+    return ControlSystem(
         name="quenching-ex1",
         kind="quenching",
-        n=2,
-        m=2,
-        drift=quench_drift,
-        drift_jacobian=quench_drift_jacobian,
-        Bsig=_input_matrix(B, 2, 2),
+        jacobian=quench_drift_jacobian,
         control_set=BallSet(radius=float(rho0), dim=2),
-        singular_set=Hyperplane(axis=0, level=1.0),
+        affine=AffineStructure(drift=quench_drift, input_matrix=_input_matrix(B, 2, 2)),
     )
 
 
@@ -436,15 +383,12 @@ def make_blowup_system(
 
     M = input_bound(Bsig, BallSet(radius=float(rho0), dim=m))
     chart = Compactification(gamma=gamma, base_radius=(p + M) / (p - 1.0), r1=r1)
-    return _affine_system(
+    return ControlSystem(
         name="blowup-ex2",
         kind="blowup",
-        n=n,
-        m=m,
-        drift=drift,
-        drift_jacobian=drift_jac,
-        Bsig=Bsig,
+        jacobian=drift_jac,
         control_set=BallSet(radius=float(rho0), dim=m),
+        affine=AffineStructure(drift=drift, input_matrix=Bsig),
         chart=chart,
     )
 
@@ -470,7 +414,6 @@ def make_integrator_system(n: int = 1, control_set: Optional[ControlSet] = None)
     """Toy system y' = u, smooth everywhere; the default control set is [-1, 1]^n."""
     if control_set is None:
         control_set = BoxSet(lower=-np.ones(n), upper=np.ones(n))
-    Bsig = PiecewiseConstant.constant(np.eye(n))
 
     def drift(t, y):
         return np.zeros(n)
@@ -478,13 +421,10 @@ def make_integrator_system(n: int = 1, control_set: Optional[ControlSet] = None)
     def drift_jac(t, y):
         return np.zeros((n, n))
 
-    return _affine_system(
+    return ControlSystem(
         name="toy-integrator",
         kind="toy",
-        n=n,
-        m=n,
-        drift=drift,
-        drift_jacobian=drift_jac,
-        Bsig=Bsig,
+        jacobian=drift_jac,
         control_set=control_set,
+        affine=AffineStructure(drift=drift, input_matrix=PiecewiseConstant.constant(np.eye(n))),
     )

@@ -685,8 +685,6 @@ def integrate_adjoint(
     ]
 
     y_at = traj.cursor()
-    # the jacobian of an affine field is free of u
-    u0 = np.zeros(sys.dim_control)
     n = seeds.shape[1]
     # DOPRI5's last two stages share t + h: the second reuses the first's jacobian
     jac_t, jac = None, None
@@ -694,7 +692,7 @@ def integrate_adjoint(
     def rhs(t, psi):
         nonlocal jac_t, jac
         if t != jac_t:
-            jac_t, jac = t, np.asarray(sys.jacobian(t, y_at(t), u0), dtype=float)
+            jac_t, jac = t, np.asarray(sys.jacobian(t, y_at(t)), dtype=float)
         if len(psi) == n:
             return -(jac @ psi)
         # live columns stacked end to end: row c of the product is jac @ psi_c

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import errors
-from .dynamics import BallSet, ControlSystem, FiniteSet, eval_field
+from .dynamics import BallSet, ControlSystem, FiniteSet
 from .integrate import (
     AdjointTrajectory,
     HIT_TARGET,
@@ -71,12 +71,6 @@ class HamiltonianMax(NamedTuple):
     degenerate: bool
     base: float
     switching: np.ndarray
-
-
-def hamiltonian(sys: ControlSystem, t: float, y, psi, u) -> float:
-    """<psi, f(t, y, u)>, guarded against evaluation on the singular set."""
-    psi = np.asarray(psi, dtype=float)
-    return float(psi @ eval_field(sys, t, y, u))
 
 
 def _linear_argmax(cs, q, tiny):

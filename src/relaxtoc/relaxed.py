@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors
-from .dynamics import ControlSystem
-
 _WEIGHT_NEG_TOL = 1e-9
 
 
@@ -177,19 +174,6 @@ def to_dirac(schedule: ClassicalSchedule) -> RelaxedSchedule:
         atoms=schedule.values[:, None, :],
         weights=np.ones((schedule.cells, 1)),
     )
-
-
-def filippov_select(sys: ControlSystem, t: float, atoms, weights) -> np.ndarray:
-    """Single control matching the relaxed velocity of a cell exactly.
-
-    Every system is control-affine, so with a convex control set the
-    barycenter sum_i weights[i] atoms[i] does it: B(t) applied to the mean
-    equals the mean of B(t) applied to the atoms.
-    """
-    if not sys.control_set.is_convex:
-        raise errors.NonConvexControlSet("barycenter may leave a non-convex control set")
-    atoms = np.atleast_2d(_vec(atoms))
-    return _vec(weights) @ atoms
 
 
 def chattering_cell(atoms, weights, t_lo: float, t_hi: float, subdivisions: int):

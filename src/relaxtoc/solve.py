@@ -27,7 +27,7 @@ import numpy as np
 from . import _rk, errors, pmp
 from .dynamics import ControlSystem
 from .integrate import HIT_TARGET, IntegratorOptions, Trajectory, integrate_forward
-from .relaxed import ClassicalSchedule, RelaxedSchedule, filippov_select
+from .relaxed import ClassicalSchedule, RelaxedSchedule
 from .target import TargetSet
 
 # no pass of the solver integrates a plain ODE; the name stays bound because
@@ -160,13 +160,14 @@ def _certify(sys, tgt_a, y0, sched_phys, opts):
 
 
 def classicalize(result: SolveResult) -> ClassicalSchedule:
-    """Per-cell barycenter selection of the relaxed schedule."""
-    sys = result.system
+    """Per-cell barycenter of the relaxed schedule: the one control with the
+    cell's relaxed velocity, since B(t) applied to the mean of the atoms is
+    the mean of B(t) applied to them.  A barycenter may leave a non-convex
+    control set, so those are refused."""
+    if not result.system.control_set.is_convex:
+        raise errors.NonConvexControlSet("barycenter may leave a non-convex control set")
     sched = result.schedule
-    values = []
-    for i in range(len(sched.grid) - 1):
-        t_mid = 0.5 * (sched.grid[i] + sched.grid[i + 1])
-        values.append(filippov_select(sys, t_mid, sched.atoms[i], sched.weights[i]))
+    values = [w @ a for a, w in zip(sched.atoms, sched.weights)]
     return ClassicalSchedule(grid=sched.grid.copy(), values=np.stack(values))
 
 
@@ -210,8 +211,9 @@ def solve_alpha(
     hit is polished by the maximum condition (pmp.bang_polish).  The
     result's reason names the certifying path: "seed" or "seed+polish".
     Raises AlphaOutOfRange when the start lies within the hit tolerance of
-    the inflated target, and Infeasible when no seed yields a certified hit
-    within opts.w_max.
+    the inflated target, ValueError when an atom of init lies outside the
+    control set, and Infeasible when no seed yields a certified hit within
+    opts.w_max.
     """
     opts = opts or SolveOptions()
     y0 = np.asarray(y0, dtype=float)
@@ -222,6 +224,8 @@ def solve_alpha(
             f"alpha = {alpha!r} outside [0, d(y0, Q) - hit_tol) = [0, {room!r})"
         )
     tgt_a = tgt.with_alpha(alpha)
+    if init is not None:
+        init.validate_in(sys.control_set)
 
     greedy = _greedy_schedule(sys, tgt_a, y0, opts)
     best = _best_candidate(_seed_candidates(sys, tgt_a, y0, init, greedy, opts))

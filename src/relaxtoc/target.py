@@ -228,9 +228,6 @@ class Point(TargetSet):
         q_star = _vec(q_star)
         psi = _vec(psi)
         self._check_boundary(q_star)
-        if self.alpha == 0.0:
-            worst = float(psi @ (self.location - q_star))
-            return max(0.0, -worst)
         worst = float(psi @ (self.location - q_star)) - self.alpha * float(np.linalg.norm(psi))
         return max(0.0, -worst)
 

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relaxtoc import errors
 from relaxtoc.dynamics import (
     BallSet,
     BoxSet,
     Compactification,
     FiniteSet,
     PiecewiseConstant,
-    eval_field,
-    eval_jacobian,
     input_bound,
     make_blowup_system,
     make_integrator_system,
@@ -23,7 +20,7 @@ def _fd_jacobian(sys, t, y, u, h=1e-6):
     for j in range(n):
         e = np.zeros(n)
         e[j] = h * max(1.0, abs(y[j]))
-        out[:, j] = (eval_field(sys, t, y + e, u) - eval_field(sys, t, y - e, u)) / (2.0 * e[j])
+        out[:, j] = (sys.field(t, y + e, u) - sys.field(t, y - e, u)) / (2.0 * e[j])
     return out
 
 
@@ -40,7 +37,7 @@ def _sample_point(kind, rng):
 
 
 def test_jacobian_matches_finite_differences(quench_sys, blowup_sys_g1, rng):
-    # eval_jacobian uses the gradient layout (i, j) -> df^j / dy_i, so its
+    # the jacobian uses the gradient layout (i, j) -> df^j / dy_i, so its
     # transpose is the conventional Jacobian the differences produce
     for sys in (quench_sys, blowup_sys_g1, make_integrator_system(2)):
         for _ in range(200):
@@ -49,7 +46,7 @@ def test_jacobian_matches_finite_differences(quench_sys, blowup_sys_g1, rng):
                 y = rng.normal(size=sys.dim_state)
             u = sys.control_set.boundary_sample(rng)
             t = rng.uniform(0.0, 1.0)
-            J = eval_jacobian(sys, t, y, u).T
+            J = sys.jacobian(t, y).T
             J_fd = _fd_jacobian(sys, t, y, u)
             scale = 1.0 + np.abs(J_fd).max()
             assert np.abs(J - J_fd).max() <= 1e-5 * scale
@@ -61,22 +58,12 @@ def test_affine_decomposition_exact(quench_sys, blowup_sys_g1, rng):
             y = _sample_point(sys.kind, rng)[: sys.dim_state]
             u = sys.control_set.boundary_sample(rng)
             t = rng.uniform(0.0, 2.0)
-            f0 = eval_field(sys, t, y, np.zeros(sys.dim_control))
-            lhs = eval_field(sys, t, y, u) - f0
+            f0 = sys.field(t, y, np.zeros(sys.dim_control))
+            lhs = sys.field(t, y, u) - f0
             rhs = sys.affine.input_matrix(t) @ u
             # exact up to the one rounding of drift + Bu
             scale = 1.0 + np.abs(f0).max() + np.abs(rhs).max()
             assert np.abs(lhs - rhs).max() <= 4.0 * np.finfo(float).eps * scale
-
-
-def test_singular_guard_raises(quench_sys):
-    with pytest.raises(errors.SingularState):
-        eval_field(quench_sys, 0.0, np.array([1.0 - 1e-13, 0.5]), np.zeros(2))
-
-
-def test_field_rejects_control_outside_set(quench_sys):
-    with pytest.raises(ValueError):
-        eval_field(quench_sys, 0.0, np.array([0.0, 0.5]), np.array([5.0, 0.0]))
 
 
 def test_piecewise_constant_left_continuous_eval():
@@ -166,7 +153,7 @@ def test_blowup_field_and_chart_match_the_textbook_formulas_bit_for_bit(rng):
                 yhat = y / r
                 jac = r ** (p - 1.0) * (np.eye(n) + (p - 1.0) * np.outer(yhat, yhat))
                 assert _same_bits(sys_.affine.drift(0.0, y), r ** (p - 1.0) * y)
-                assert _same_bits(sys_.jacobian(0.0, y, np.zeros(n)), jac)
+                assert _same_bits(sys_.jacobian(0.0, y), jac)
                 z = r ** (-g - 1.0) * y
                 assert _same_bits(chart.to_chart(y), z)
                 s = float(np.linalg.norm(z))
@@ -190,8 +177,3 @@ def test_blowup_gamma_guard():
     with pytest.raises(ValueError):
         make_blowup_system(n=1, p=2.0, gamma=0.5)
     make_blowup_system(n=1, p=2.0, gamma=1.0)  # boundary case admitted
-
-
-def test_quenching_singular_set_is_target_line(quench_sys):
-    assert quench_sys.singular_set is not None
-    assert quench_sys.singular_set.base_distance(np.array([1.0, 7.0])) == 0.0

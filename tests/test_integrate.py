@@ -12,7 +12,6 @@ from relaxtoc.dynamics import (
     BallSet,
     ControlSystem,
     PiecewiseConstant,
-    eval_jacobian,
     make_blowup_system,
     make_integrator_system,
     make_quenching_system,
@@ -295,27 +294,15 @@ def test_no_step_growth_right_after_a_rejection(monkeypatch, quench_sys):
 def test_status_diverged_without_chart():
     # bare exponential growth in original coordinates: left every compact set
     # once |y| passes the divergence radius
-    def field(t, y, u):
-        return 5.0 * y
-
-    def jac(t, y, u):
-        return np.array([[5.0]])
-
     sys1 = ControlSystem(
         name="exp-growth",
         kind="toy",
-        dim_state=1,
-        dim_control=1,
-        field=field,
-        jacobian=jac,
+        jacobian=lambda t, y: np.array([[5.0]]),
         control_set=BallSet(radius=0.0, dim=1),
-        singular_set=None,
         affine=AffineStructure(
             drift=lambda t, y: 5.0 * y,
             input_matrix=PiecewiseConstant.constant(np.zeros((1, 1))),
         ),
-        chart=None,
-        time_knots=(),
     )
     traj = integrate_forward(sys1, None, np.array([1.0]), tgt=None, t_max=10.0)
     assert traj.hit.status == DIVERGED
@@ -476,7 +463,7 @@ def test_gronwall_stability(quench_sys):
         quench_sys, None, y0 + np.array([delta, 0.0]), tgt=None, t_max=0.25, opts=opts
     )
     L = max(
-        float(np.linalg.norm(eval_jacobian(quench_sys, t, y, np.zeros(2)).T, 2))
+        float(np.linalg.norm(quench_sys.jacobian(t, y).T, 2))
         for t, y in zip(base.times, base.states)
     )
     gap = max(
@@ -522,7 +509,7 @@ def test_adjoint_matches_rk4_oracle(quench_sys, quench_short):
     adj = integrate_adjoint(quench_sys, traj, control, seed, normalize_at_zero=False)
 
     def jac_of_t(t):
-        return eval_jacobian(quench_sys, t, traj.interp(t), control.value_at(t))
+        return quench_sys.jacobian(t, traj.interp(t))
 
     psi0 = oracles.adjoint_rk4(jac_of_t, traj.times[-1], seed, steps=20000)
     mine = adj.psis[0]
@@ -676,7 +663,7 @@ def test_adjoint_evaluates_the_jacobian_once_per_stage_time(monkeypatch, quench_
     traj = integrate_forward(quench_sys, control, np.array([0.0, 0.5]), t_max=0.4)
     jac_times, steps = [], []
     sys_ = dataclasses.replace(
-        quench_sys, jacobian=lambda t, y, u: jac_times.append(t) or quench_sys.jacobian(t, y, u)
+        quench_sys, jacobian=lambda t, y: jac_times.append(t) or quench_sys.jacobian(t, y)
     )
     step = _rk.step
     monkeypatch.setattr(_rk, "step", lambda *a: steps.append(a[1]) or step(*a))
@@ -687,35 +674,57 @@ def test_adjoint_evaluates_the_jacobian_once_per_stage_time(monkeypatch, quench_
     assert len(jac_times) < 5.5 * len(steps)
 
 
-def test_affine_input_matrix_knots_must_be_time_knots():
-    # the forward integrator forms B u once per segment, which is exact only
-    # for a piecewise-constant B whose knots end segments
-    def drift(t, y):
-        return np.zeros(1)
-
-    with pytest.raises(TypeError, match="PiecewiseConstant"):
-        AffineStructure(drift=drift, input_matrix=lambda t: np.eye(1))
+def _stepped_system(**extra):
+    """y' = B(t) u with B = 1 up to t = 0.3 and -1 after."""
     B = PiecewiseConstant([0.0, 0.3], [[[1.0]], [[-1.0]]])
-    fields = dict(
+    return ControlSystem(
         name="steps",
         kind="toy",
-        dim_state=1,
-        dim_control=1,
-        field=lambda t, y, u: B(t) @ u,
-        jacobian=lambda t, y, u: np.zeros((1, 1)),
+        jacobian=lambda t, y: np.zeros((1, 1)),
         control_set=BallSet(radius=1.0, dim=1),
-        affine=AffineStructure(drift=drift, input_matrix=B),
+        affine=AffineStructure(drift=lambda t, y: np.zeros(1), input_matrix=B),
+        **extra,
     )
-    with pytest.raises(ValueError, match="time_knots"):
-        ControlSystem(**fields)
+
+
+def test_input_matrix_knots_are_time_knots():
+    # the forward integrator forms B u once per segment, which is exact only
+    # for a piecewise-constant B whose knots end segments: the system adds
+    # B's knots to its own, and reads its dimensions from B's shape
+    with pytest.raises(TypeError, match="PiecewiseConstant"):
+        AffineStructure(drift=lambda t, y: np.zeros(1), input_matrix=lambda t: np.eye(1))
     # every system is control-affine: no system without the structure
     with pytest.raises(TypeError, match="AffineStructure"):
-        ControlSystem(**{**fields, "affine": None}, time_knots=B.knots)
-    sys1 = ControlSystem(**fields, time_knots=B.knots)
+        ControlSystem(name="none", kind="toy", jacobian=None, control_set=BallSet(radius=1.0, dim=1), affine=None)
+    sys1 = _stepped_system(time_knots=(0.4,))
+    assert sys1.time_knots == (0.3, 0.4)
+    assert (sys1.dim_state, sys1.dim_control) == (1, 1)
+    assert _stepped_system().time_knots == (0.3,)
     control = ClassicalSchedule(grid=np.array([0.0, 0.5]), values=np.array([[1.0]]))
     traj = integrate_forward(sys1, control, np.array([0.0]), tgt=None, t_max=0.5)
     # y' = 1 up to 0.3, then -1
     assert abs(traj.states[-1][0] - 0.1) <= 1e-12
+    # the one-call field is drift + B u
+    assert sys1.field(0.2, np.zeros(1), np.array([0.5])) == 0.5
+    assert sys1.field(0.35, np.zeros(1), np.array([0.5])) == -0.5
+
+
+def test_replacing_field_and_jacobian_keeps_the_structure():
+    # a copy with substituted field and jacobian (how a caller counts
+    # evaluations) keeps the dimensions, the knots and the substitute
+    sys1 = _stepped_system(time_knots=(0.4,))
+
+    def field(t, y, u):
+        return sys1.field(t, y, u)
+
+    def jac(t, y):
+        return sys1.jacobian(t, y)
+
+    copy = dataclasses.replace(sys1, field=field, jacobian=jac)
+    assert copy.field is field and copy.jacobian is jac
+    assert copy.time_knots == (0.3, 0.4)
+    assert (copy.dim_state, copy.dim_control) == (1, 1)
+    assert copy.affine is sys1.affine
 
 
 def test_trajectory_csv(tmp_path, quench_free_traj):

@@ -18,7 +18,6 @@ from relaxtoc.dynamics import (
 from relaxtoc.integrate import HIT_TARGET, AdjointTrajectory, IntegratorOptions, integrate_forward
 from relaxtoc.pmp import (
     bang_polish,
-    hamiltonian,
     max_hamiltonian,
     normal_cone_seed,
     quenching_conclusions,
@@ -29,6 +28,11 @@ from relaxtoc.solve import SolveOptions, solve_alpha
 from relaxtoc.target import Ball, HalfSpace, Hyperplane, Point
 
 REGULAR_Y = np.array([0.3, -0.4])
+
+
+def _hamiltonian(sys, t, y, psi, u):
+    """<psi, f(t, y, u)>, read from the system's field."""
+    return float(np.asarray(psi, dtype=float) @ sys.field(t, np.asarray(y, dtype=float), np.asarray(u, dtype=float)))
 
 
 def _uniform_ball(rng, m, radius, count):
@@ -67,7 +71,7 @@ def test_ball_argmax_dominates_samples(quench_sys, rng):
         best = max_hamiltonian(quench_sys, 0.0, y, psi)
         assert quench_sys.control_set.contains(best.control, tol=1e-9)
         h_samples = [
-            hamiltonian(quench_sys, 0.0, y, psi, u) for u in _uniform_ball(rng, 2, rho, 500)
+            _hamiltonian(quench_sys, 0.0, y, psi, u) for u in _uniform_ball(rng, 2, rho, 500)
         ]
         assert best.value >= max(h_samples) - 1e-12 * (1.0 + abs(best.value))
 
@@ -114,7 +118,7 @@ def test_degenerate_when_input_cannot_act():
     sys = make_blowup_system(n=2, p=2.0, B=np.array([[1.0], [0.0]]))
     res = max_hamiltonian(sys, 0.0, [0.2, 0.3], [0.0, 1.0])
     assert res.degenerate
-    drift_h = hamiltonian(sys, 0.0, [0.2, 0.3], [0.0, 1.0], np.zeros(1))
+    drift_h = _hamiltonian(sys, 0.0, [0.2, 0.3], [0.0, 1.0], np.zeros(1))
     assert res.value == pytest.approx(drift_h, abs=1e-14)
 
 
@@ -126,7 +130,7 @@ def test_max_dominates_every_relaxed_cell(quench_sys, rng):
         atoms = _uniform_ball(rng, 2, rho, 3)
         weights = rng.uniform(size=3)
         weights /= weights.sum()
-        h_rel = sum(lam * hamiltonian(quench_sys, 0.0, y, psi, u) for lam, u in zip(weights, atoms))
+        h_rel = sum(lam * _hamiltonian(quench_sys, 0.0, y, psi, u) for lam, u in zip(weights, atoms))
         best = max_hamiltonian(quench_sys, 0.0, y, psi)
         assert h_rel <= best.value + 1e-12 * (1.0 + abs(best.value))
 

@@ -1,19 +1,15 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relaxtoc import errors
-from relaxtoc.dynamics import FiniteSet, eval_field, make_quenching_system
+from relaxtoc.dynamics import FiniteSet, make_integrator_system
 from relaxtoc.integrate import IntegratorOptions, integrate_forward
-from relaxtoc.relaxed import (
-    ClassicalSchedule,
-    RelaxedSchedule,
-    chattering_realization,
-    filippov_select,
-    to_dirac,
-)
+from relaxtoc.relaxed import ClassicalSchedule, RelaxedSchedule, chattering_realization, to_dirac
+from relaxtoc.solve import classicalize
 
 
 def _schedule(weights_rows, atoms=None, grid=None):
@@ -49,25 +45,26 @@ def test_to_dirac_matches_classical():
         assert np.array_equal(relaxed.mean_at(t), classical.value_at(t))
 
 
-def test_filippov_exactness(quench_sys, rng):
-    for _ in range(50):
-        atoms = np.stack([quench_sys.control_set.boundary_sample(rng) for _ in range(3)])
-        w = rng.uniform(0.1, 1.0, size=3)
-        w /= w.sum()
-        y = np.array([0.2, -0.4])
-        t = rng.uniform(0.0, 1.0)
-        # the averaged velocity of the cell, one field evaluation per atom
-        mean = sum(lam * eval_field(quench_sys, t, y, u) for lam, u in zip(w, atoms))
-        u_star = filippov_select(quench_sys, t, atoms, w)
-        direct = eval_field(quench_sys, t, y, u_star)
+def test_classicalize_matches_the_relaxed_velocity(quench_sys, rng):
+    # on an affine field the barycenter of a cell's atoms has the cell's
+    # averaged velocity, one field evaluation per atom
+    atoms = np.stack([[quench_sys.control_set.boundary_sample(rng) for _ in range(3)] for _ in range(50)])
+    sched = _schedule(rng.uniform(0.1, 1.0, size=(50, 3)), atoms=atoms)
+    classical = classicalize(SimpleNamespace(system=quench_sys, schedule=sched))
+    assert np.array_equal(classical.grid, sched.grid)
+    y = np.array([0.2, -0.4])
+    for i in range(sched.cells):
+        t = 0.5 * (sched.grid[i] + sched.grid[i + 1])
+        mean = sum(lam * quench_sys.field(t, y, u) for lam, u in zip(sched.weights[i], sched.atoms[i]))
+        direct = quench_sys.field(t, y, classical.values[i])
         assert np.abs(mean - direct).max() <= 1e-14 * (1.0 + np.abs(direct).max())
 
 
-def test_filippov_rejects_nonconvex():
-    sys = make_quenching_system()
-    object.__setattr__(sys, "control_set", FiniteSet(points=np.array([[0.0, 0.0], [1.0, 0.0]])))
+def test_classicalize_rejects_nonconvex():
+    sys = make_integrator_system(2, control_set=FiniteSet(points=np.array([[0.0, 0.0], [1.0, 0.0]])))
+    sched = _schedule([[0.5, 0.5]], atoms=np.array([[[0.0, 0.0], [1.0, 0.0]]]))
     with pytest.raises(errors.NonConvexControlSet):
-        filippov_select(sys, 0.0, np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
+        classicalize(SimpleNamespace(system=sys, schedule=sched))
 
 
 def test_with_grid_preserves_cell_values(rng):

@@ -10,6 +10,7 @@ from relaxtoc.barrier import build_barrier_table, xi_lower_time, xi_upper_time
 from relaxtoc.dynamics import FiniteSet, make_integrator_system
 from relaxtoc import errors, pmp
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
+from relaxtoc.relaxed import RelaxedSchedule
 from relaxtoc.solve import SolveOptions, alpha_ladder, classicalize, solve_alpha
 from relaxtoc.target import Hyperplane, Point
 
@@ -205,3 +206,16 @@ def test_no_certified_hit_is_infeasible(toy_sys, toy_target):
     # the toy needs w = 1; a horizon of 0.5 leaves no seed a hit
     with pytest.raises(errors.Infeasible):
         solve_alpha(toy_sys, toy_target, [0.0], 0.0, opts=replace(SMALL, w_max=0.5))
+
+
+def test_inadmissible_warm_start_is_refused(quench_sys, quench_target, quench_y0):
+    # a warm start with atoms (5, 0) outside |u| <= 1 would reach the target
+    # sooner than any admissible control; it must be refused, not certified
+    opts = SolveOptions(n_cells=8, n_atoms=1, seed=0)
+    init = RelaxedSchedule(
+        grid=np.linspace(0.0, 0.2, 9), atoms=np.tile([[[5.0, 0.0]]], (8, 1, 1)), weights=np.ones((8, 1))
+    )
+    with pytest.raises(ValueError, match="outside the control set"):
+        solve_alpha(quench_sys, quench_target, quench_y0, 0.1, init=init, opts=opts)
+    res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
+    assert res.w > 0.3 and np.all(np.linalg.norm(res.schedule.atoms, axis=2) <= 1.0 + 1e-9)
