@@ -27,7 +27,6 @@ from .relaxed import (
     ClassicalSchedule,
     RelaxedSchedule,
     chattering_realization,
-    to_dirac,
 )
 from .integrate import (
     AdjointTrajectory,
@@ -47,14 +46,11 @@ from .pmp import (
 )
 from .barrier import (
     BarrierTable,
-    blowup_bracket,
     blowup_lower_bound_check,
     build_barrier_table,
     envelope_bracket_check,
     mtilde,
     quench_monotonicity_check,
-    theta_lower,
-    theta_upper,
     xi_lower_time,
     xi_upper_time,
 )
@@ -82,7 +78,6 @@ __all__ = [
     "ClassicalSchedule",
     "RelaxedSchedule",
     "chattering_realization",
-    "to_dirac",
     "AdjointTrajectory",
     "IntegratorOptions",
     "Trajectory",
@@ -100,14 +95,11 @@ __all__ = [
     "quenching_conclusions",
     "verify",
     "BarrierTable",
-    "blowup_bracket",
     "blowup_lower_bound_check",
     "build_barrier_table",
     "envelope_bracket_check",
     "mtilde",
     "quench_monotonicity_check",
-    "theta_lower",
-    "theta_upper",
     "xi_lower_time",
     "xi_upper_time",
     "list_examples",

@@ -236,22 +236,6 @@ def _envelope(table: BarrierTable, xi_r: float, t: float, s: float, r: float, wh
     return max(_fast_radius(table, tau, which), r)
 
 
-def theta_upper(table: BarrierTable, t: float, s: float, r: float) -> float:
-    """Upper envelope at time t, seeded at radius r at time s (inf if blown)."""
-    return _envelope(table, xi_upper_time(table, r), t, s, r, UPPER)
-
-
-def theta_lower(table: BarrierTable, t: float, s: float, r: float) -> float:
-    """Lower envelope at time t, seeded at radius r > r0 at time s."""
-    return _envelope(table, xi_lower_time(table, r), t, s, r, LOWER)
-
-
-def blowup_bracket(table: BarrierTable, s: float, r: float):
-    """Interval certain to contain the blowup time of any admissible solution
-    passing through radius r > r0 at time s."""
-    return s + xi_upper_time(table, r), s + xi_lower_time(table, r)
-
-
 @dataclass(frozen=True)
 class EnvelopeVerdict:
     ok: bool
@@ -272,22 +256,18 @@ class EnvelopeVerdict:
         }
 
 
-def envelope_bracket_check(
-    table: BarrierTable, traj, s: float = 0.0, tol: float = 0.0
-) -> EnvelopeVerdict:
-    """Check theta_lower(t) < |y(t)| < theta_upper(t) at all samples after s.
+def envelope_bracket_check(table: BarrierTable, traj) -> EnvelopeVerdict:
+    """Check lower envelope <= |y(t)| <= upper envelope at every sample
+    after the first, both seeded at s = times[0] with radius r = |y(s)|.
 
-    Margins are relative to max(|y|, 1); samples where both the state and the
-    envelope have outgrown the table cap are skipped (the bracket is already
-    decided there).  Failure is a result, not an error.
+    Margins are relative to max(|y|, 1) and fail below 0; samples where both
+    the state and the lower envelope have outgrown the table cap are skipped
+    (the bracket is already decided there).  Failure is a result, not an error.
     """
     times = np.asarray(traj.times)
     norms = np.linalg.norm(np.asarray(traj.states), axis=1)
-    i0 = int(np.searchsorted(times, s, side="right")) - 1
-    i0 = max(i0, 0)
-    if abs(times[i0] - s) > 1e-12 * max(1.0, abs(s)):
-        raise ValueError("s must be one of the trajectory sample times")
-    r = float(norms[i0])
+    s = float(times[0])
+    r = float(norms[0])
     if r <= table.r0:
         raise errors.BelowThreshold("envelope bracket needs |y(s)| > r0")
     if r > 0.1 * _TABLE_RADIUS_CAP:
@@ -299,7 +279,7 @@ def envelope_bracket_check(
     min_lo = np.inf
     first_bad = None
     n_checked = 0
-    for t, yn in zip(times[i0 + 1 :], norms[i0 + 1 :]):
+    for t, yn in zip(times[1:], norms[1:]):
         up = _envelope(table, xi_up, float(t), s, r, UPPER)
         lo = _envelope(table, xi_lo, float(t), s, r, LOWER)
         scale = max(yn, 1.0)
@@ -310,9 +290,9 @@ def envelope_bracket_check(
         n_checked += 1
         min_up = min(min_up, m_up)
         min_lo = min(min_lo, m_lo)
-        if (m_up < -tol or m_lo < -tol) and first_bad is None:
+        if (m_up < 0.0 or m_lo < 0.0) and first_bad is None:
             first_bad = float(t)
-    ok = min_up >= -tol and min_lo >= -tol
+    ok = min_up >= 0.0 and min_lo >= 0.0
     return EnvelopeVerdict(
         ok=bool(ok),
         n_checked=n_checked,
@@ -342,25 +322,12 @@ def mtilde(table: BarrierTable, alpha: float) -> float:
     return float(max(terms))
 
 
-def _as_profile(h, default=0.0):
-    """Normalize a scalar/array/callable/piecewise profile to (fn, knots).
-
-    A PiecewiseConstant is its own fn, and a constant becomes a one-cell one.
-    """
-    if not isinstance(h, PiecewiseConstant):
-        if callable(h):
-            return (lambda t: np.asarray(h(t), dtype=float)), ()
-        h = PiecewiseConstant.constant(default if h is None else h)
-    return h, h.knots
-
-
-def _values_read(fn, a: float, b: float):
-    """Every value a profile fn from _as_profile takes on [a, b]: each cell a
-    PiecewiseConstant reads there, however narrow, or a callable's values at
-    257 probe times."""
-    if isinstance(fn, PiecewiseConstant):
-        return list(fn.values_on(a, b))
-    return [fn(t) for t in np.linspace(a, b, 257)]
+def _as_profile(h, default=0.0) -> PiecewiseConstant:
+    """h if it is a PiecewiseConstant, else the constant h (default for None)
+    as a one-cell one."""
+    if isinstance(h, PiecewiseConstant):
+        return h
+    return PiecewiseConstant.constant(default if h is None else h)
 
 
 @dataclass(frozen=True)
@@ -389,15 +356,14 @@ def blowup_lower_bound_check(
     h,
     y_s,
     g=None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> LowerBoundVerdict:
     """Damping bound: integrate y' = |y|^{p-1} y + g(t) - h(t) y from y(s) = y_s
     and verify |y(T)|^{-alpha} >= int_s^T alpha xi_lower(T - t)^{-alpha} h(t) dt.
 
     Needs 0 <= h <= 1, |g| <= M, |y_s| >= mtilde(alpha), and a horizon short
     enough that the damped solution exists and the lower inverse map covers
-    T - s.  The right-hand side uses the fast table inverse inside adaptive
+    T - s.  h and g are PiecewiseConstant signals or constants (g = None is
+    zero).  The right-hand side uses the fast table inverse inside adaptive
     quadrature.
     """
     p, M = table.p, table.M
@@ -413,13 +379,13 @@ def blowup_lower_bound_check(
     if T - s >= table.xi_lower_vals[0]:
         raise errors.OutOfRange("horizon exceeds the lower inverse-map domain")
 
-    h_fn, h_knots = _as_profile(h)
-    g_fn, g_knots = _as_profile(g, default=np.zeros_like(y_s))
-    hv = np.array([float(v) for v in _values_read(h_fn, s, T)])
+    h_fn = _as_profile(h)
+    g_fn = _as_profile(g, default=np.zeros_like(y_s))
+    hv = np.array([float(v) for v in h_fn.values_on(s, T)])
     if hv.min() < -1e-12 or hv.max() > 1.0 + 1e-12:
         raise ValueError("damping profile must satisfy 0 <= h <= 1")
     gv = np.array(
-        [float(np.linalg.norm(np.broadcast_to(v, y_s.shape))) for v in _values_read(g_fn, s, T)]
+        [float(np.linalg.norm(np.broadcast_to(v, y_s.shape))) for v in g_fn.values_on(s, T)]
     )
     if gv.max() > M * (1.0 + 1e-9) + 1e-30:
         raise ValueError("forcing profile must satisfy |g(t)| <= M")
@@ -429,9 +395,9 @@ def blowup_lower_bound_check(
         # g broadcasts against y; the check above made sure that it can
         return ny ** (p - 1.0) * y + g_fn(t) - float(h_fn(t)) * y
 
-    knots = tuple(k for k in set(h_knots) | set(g_knots) if s < k < T)
+    knots = tuple(k for k in set(h_fn.knots) | set(g_fn.knots) if s < k < T)
     try:
-        y_T = integrate_plain(rhs, s, T, y_s, rtol=rtol, atol=atol, knots=knots)
+        y_T = integrate_plain(rhs, s, T, y_s, rtol=1e-10, atol=1e-12, knots=knots)
     except errors.IntegrationFailed as exc:
         raise errors.OutOfRange(f"damped solution left the integrable range: {exc}")
     r_T = float(np.linalg.norm(y_T))
@@ -494,17 +460,16 @@ def _quench_forced_system(g_fn, h_fn, knots):
     )
 
 
-def quench_monotonicity_check(
-    g, h, y0, T: float, opts: Optional[IntegratorOptions] = None
-) -> MonotonicityVerdict:
+def quench_monotonicity_check(g, h, y0, T: float) -> MonotonicityVerdict:
     """One-sided forcing on the quench coordinate moves the quench value the
     same way: with y0_1 < 1 and h <= 0 the perturbed first coordinate ends
     strictly below the baseline at T, and symmetrically for y0_1 > 1, h >= 0.
 
+    g and h are PiecewiseConstant signals or constants (g = None is zero);
     h enters the first component only.  h identically zero is the boundary
     case: the two runs coincide and the margin is reported as ~0.
     """
-    opts = opts or IntegratorOptions(rtol=1e-11, atol=1e-13)
+    opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (2,):
         raise ValueError("quenching state must be 2-dimensional")
@@ -512,16 +477,16 @@ def quench_monotonicity_check(
         raise errors.SingularState("y0 starts on the quench set")
     case = "i" if y0[0] < 1.0 else "ii"
 
-    g_fn, g_knots = _as_profile(g, default=np.zeros(2))
-    h_fn, h_knots = _as_profile(h)
-    hv = np.array([float(v) for v in _values_read(h_fn, 0.0, T)])
+    g_fn = _as_profile(g, default=np.zeros(2))
+    h_fn = _as_profile(h)
+    hv = np.array([float(v) for v in h_fn.values_on(0.0, T)])
     if case == "i" and hv.max() > 1e-12:
         raise ValueError("case y0_1 < 1 needs h <= 0")
     if case == "ii" and hv.min() < -1e-12:
         raise ValueError("case y0_1 > 1 needs h >= 0")
     h_vanishes = bool(np.max(np.abs(hv)) == 0.0)
 
-    knots = tuple(k for k in set(g_knots) | set(h_knots) if 0.0 < k < T)
+    knots = tuple(k for k in set(g_fn.knots) | set(h_fn.knots) if 0.0 < k < T)
     zero = lambda t: 0.0
     base_sys = _quench_forced_system(g_fn, zero, knots)
     pert_sys = _quench_forced_system(g_fn, h_fn, knots)

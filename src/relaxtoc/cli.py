@@ -448,7 +448,8 @@ def run(config: dict, out_dir=None, seed=None, tol_overrides=None) -> int:
     if version != SCHEMA_VERSION:
         raise errors.ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
     task = _str(config, "task", "", choices=TASKS)
-    seed = seed if seed is not None else _int(config, "seed", "", 0, lo=0)
+    # a --seed override passes the same check as the field it replaces
+    seed = _int(config if seed is None else {"seed": seed}, "seed", "", 0, lo=0)
     outdir = Path(out_dir if out_dir is not None else _str(config, "output_dir", "", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -42,7 +42,6 @@ import numpy as np
 
 from . import _rk, errors
 from .dynamics import ControlSystem
-from .relaxed import ClassicalSchedule
 from .target import HalfSpace, Hyperplane
 
 HIT_TARGET = "hit-target"
@@ -178,7 +177,8 @@ class Trajectory:
 
 @dataclass(eq=False)
 class AdjointTrajectory:
-    """Backward costate samples sharing times with a forward trajectory."""
+    """Backward costate samples sharing times with a forward trajectory,
+    scaled by normalization so that |psi(0)| = 1."""
 
     times: np.ndarray
     psis: np.ndarray
@@ -197,10 +197,7 @@ def _resolve_cell(control, sys, t_mid):
     """(atoms, weights) active at t_mid; None control means u = 0."""
     if control is None:
         return np.zeros((1, sys.dim_control)), np.ones(1)
-    if isinstance(control, ClassicalSchedule):
-        return control.value_at(t_mid)[None, :], np.ones(1)
-    atoms, weights = control.cell_at(t_mid)
-    return atoms, weights
+    return control.cell_at(t_mid)
 
 
 def _cell_rhs(sys, atoms, weights, mode, chart, seg_end):
@@ -645,7 +642,6 @@ def integrate_adjoint(
     control,
     terminal_psi,
     t_end=None,
-    normalize_at_zero: bool = True,
     opts: Optional[IntegratorOptions] = None,
 ):
     """Integrate psi' = -jacobian(t, y(t)) psi backward from t_end to 0.
@@ -654,7 +650,7 @@ def integrate_adjoint(
     u, since the field is affine in u: control only adds its knots to the
     step breaks, so a relaxed schedule needs no averaging.  atol is
     scaled by the seed magnitude, which makes the sweep exactly homogeneous:
-    scaling the seed scales every sample.
+    scaling the seed scales every raw sample.
 
     terminal_psi may instead hold k seeds, one per row, with t_end a sequence
     of k seed times; the result is then a list of k AdjointTrajectory, one
@@ -664,6 +660,9 @@ def integrate_adjoint(
     control takes the worst column, each measured against its own seed-scaled
     atol, and each sweep samples exactly the times its sweep alone would; a
     single seed runs the sweep alone.
+
+    Every sweep is returned normalized so |psi(0)| = 1; the raw samples are
+    psis / normalization.
     """
     opts = opts or IntegratorOptions()
     family = np.ndim(terminal_psi) == 2
@@ -737,13 +736,11 @@ def integrate_adjoint(
     for c, t_c in enumerate(t_ends):
         col = slice(live.index(c) * n, (live.index(c) + 1) * n)
         psis = np.array([rows[t][col] for t in samples[c]])
-        factor = 1.0
-        if normalize_at_zero:
-            n0 = float(np.linalg.norm(psis[0]))
-            if n0 == 0.0:
-                raise errors.ZeroTerminalCovector("adjoint vanished at t = 0")
-            factor = 1.0 / n0
-            psis = psis * factor
+        n0 = float(np.linalg.norm(psis[0]))
+        if n0 == 0.0:
+            raise errors.ZeroTerminalCovector("adjoint vanished at t = 0")
+        factor = 1.0 / n0
+        psis = psis * factor
         sweeps.append(
             AdjointTrajectory(
                 times=np.array(samples[c]), psis=psis, seed_time=t_c, seed=seeds[c], normalization=factor

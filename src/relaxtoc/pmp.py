@@ -22,7 +22,6 @@ of pre-terminal times T - delta and the report carries the decay trend of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -212,8 +211,8 @@ def _preterminal_sweeps(sys, tgt, traj, schedule, t_bar, opts=None):
 class PmpReport:
     """Residuals of the maximum-principle necessary conditions.
 
-    All residuals are nonnegative; nontriviality is |psi(0)| and equals 1
-    exactly under the default normalization.  terminal_decay is None for
+    All residuals are nonnegative; psi is always normalized at 0, so
+    nontriviality, |psi(0)|, is 1 up to roundoff.  terminal_decay is None for
     regular targets and a ((delta, |psi(T - delta)|), ...) trend for targets
     seeded on the shrinking pre-terminal family.  Times where the argmax is
     degenerate (every control maximizes: B^T psi vanishes for a ball or box,
@@ -267,9 +266,6 @@ class PmpReport:
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 def _unpack_triple(triple):
     if hasattr(triple, "trajectory"):
@@ -282,15 +278,14 @@ def verify(
     sys: ControlSystem,
     tgt: TargetSet,
     triple,
-    adjoint_seed=None,
     opts: Optional[IntegratorOptions] = None,
 ) -> PmpReport:
     """Measure the maximum-principle residuals of a candidate triple.
 
     triple is (w, trajectory, schedule) or any object exposing those fields;
-    the trajectory must have hit the target.  adjoint_seed is an explicit
-    terminal covector, or None to derive one from the target geometry at the
-    exit point.  Point targets and chart-read targets are seeded at the
+    the trajectory must have hit the target.  The costate is seeded in the
+    target's normal cone at the exit point (exit_covector) and normalized so
+    |psi(0)| = 1.  Point targets and chart-read targets are seeded at the
     pre-terminal family T - delta * T, delta from DELTAS, and the |psi| trend
     is reported in terminal_decay.  The support-violation mass is the
     time-averaged weight on atoms whose H falls short of max H by more than
@@ -306,11 +301,11 @@ def verify(
     # adjoint can only be seeded on the sampled range
     t_bar = min(float(traj.hit.time), float(traj.times[-1]))
     decay = None
-    if adjoint_seed is None and (isinstance(tgt, Point) or sys.chart is not None):
+    if isinstance(tgt, Point) or sys.chart is not None:
         adjoint, norms = _preterminal_sweeps(sys, tgt, traj, schedule, t_bar, opts)
         decay = tuple((d * t_bar, n) for d, n in zip(DELTAS, norms))
     else:
-        seed = exit_covector(sys, tgt, traj, t_bar) if adjoint_seed is None else adjoint_seed
+        seed = exit_covector(sys, tgt, traj, t_bar)
         adjoint = integrate_adjoint(sys, traj, schedule, seed, t_end=t_bar, opts=opts)
     terminal_norm = adjoint.norm_at_end()
 

@@ -6,7 +6,8 @@ an n-dimensional state suffices to realize any relaxed velocity, but nothing
 enforces it: a schedule takes any K >= 1, and the solver's K is
 SolveOptions.n_atoms.  On a control-affine field the velocity reads only
 the weighted mean of the atoms.  Weights are clipped and renormalized on
-construction so the simplex invariant holds exactly.
+construction so the simplex invariant holds exactly.  A classical schedule
+is the relaxed one with one Dirac atom per cell.
 """
 
 from __future__ import annotations
@@ -39,44 +40,6 @@ def _cell_index(grid, t):
     # segment's own cell.
     i = int(np.searchsorted(grid, t, side="left")) - 1
     return min(max(i, 0), len(grid) - 2)
-
-
-@dataclass(frozen=True, eq=False)
-class ClassicalSchedule:
-    """Piecewise-constant control: values[j] on (grid[j], grid[j+1]]."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = _check_grid(self.grid)
-        values = np.atleast_2d(_vec(self.values))
-        if values.shape[0] != grid.size - 1:
-            raise ValueError("need one value row per grid cell")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def cells(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim_control(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def knots(self):
-        return tuple(float(t) for t in self.grid[1:-1])
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self.values[_cell_index(self.grid, t)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "classical",
-            "grid": [float(t) for t in self.grid],
-            "values": [[float(v) for v in row] for row in self.values],
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +91,6 @@ class RelaxedSchedule:
         j = _cell_index(self.grid, t)
         return self.atoms[j], self.weights[j]
 
-    def mean_at(self, t: float) -> np.ndarray:
-        atoms, weights = self.cell_at(t)
-        return weights @ atoms
-
     def validate_in(self, control_set, tol: float = 1e-7) -> None:
         for block in self.atoms:
             for atom in block:
@@ -167,13 +126,25 @@ class RelaxedSchedule:
         }
 
 
-def to_dirac(schedule: ClassicalSchedule) -> RelaxedSchedule:
-    """Embed a classical schedule as the relaxed schedule of point masses."""
-    return RelaxedSchedule(
-        grid=schedule.grid,
-        atoms=schedule.values[:, None, :],
-        weights=np.ones((schedule.cells, 1)),
-    )
+class ClassicalSchedule(RelaxedSchedule):
+    """Piecewise-constant control values[j] on (grid[j], grid[j+1]]: the
+    relaxed schedule with one Dirac atom per cell, so every consumer of a
+    relaxed schedule (integrators, verify, a warm start) takes it as is."""
+
+    def __init__(self, grid, values):
+        values = np.atleast_2d(_vec(values))
+        super().__init__(grid=grid, atoms=values[:, None, :], weights=np.ones((len(values), 1)))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.atoms[:, 0, :]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "classical",
+            "grid": [float(t) for t in self.grid],
+            "values": [[float(v) for v in row] for row in self.values],
+        }
 
 
 def chattering_cell(atoms, weights, t_lo: float, t_hi: float, subdivisions: int):

@@ -206,10 +206,11 @@ def solve_alpha(
 ) -> SolveResult:
     """Minimize the hit time of the alpha-inflated target over relaxed controls.
 
-    The warm start init (a schedule in physical time), when given, and the
-    greedy seed are certified by tight re-integration; the earliest certified
-    hit is polished by the maximum condition (pmp.bang_polish).  The
-    result's reason names the certifying path: "seed" or "seed+polish".
+    The warm start init (a schedule in physical time; a ClassicalSchedule is
+    one), when given, and the greedy seed are certified by tight
+    re-integration; the earliest certified hit is polished by the maximum
+    condition (pmp.bang_polish).  The result's reason names the certifying
+    path: "seed" or "seed+polish".
     Raises AlphaOutOfRange when the start lies within the hit tolerance of
     the inflated target, ValueError when an atom of init lies outside the
     control set, and Infeasible when no seed yields a certified hit within

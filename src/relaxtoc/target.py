@@ -15,7 +15,7 @@ return float('inf') so reports remain totally ordered.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
 from dataclasses import dataclass
 
@@ -44,8 +44,12 @@ class TargetSet:
             raise ValueError("alpha must be nonnegative")
 
     def with_alpha(self, alpha: float) -> "TargetSet":
-        """Copy of this target inflated by alpha (replaces any prior inflation)."""
-        return dataclasses.replace(self, alpha=float(alpha))
+        """Copy of this target inflated by alpha (replaces any prior inflation);
+        no other field is recomputed, so a HalfSpace's normal keeps its bits."""
+        out = copy.copy(self)
+        object.__setattr__(out, "alpha", float(alpha))
+        TargetSet.__post_init__(out)
+        return out
 
     # Distance to the uninflated core set.
     def base_distance(self, x) -> float:

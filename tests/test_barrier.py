@@ -5,15 +5,12 @@ from scipy.interpolate import PchipInterpolator
 import oracles
 from relaxtoc import barrier, errors
 from relaxtoc.barrier import (
-    blowup_bracket,
     blowup_lower_bound_check,
     build_barrier_table,
     envelope_bracket_check,
     invert,
     mtilde,
     quench_monotonicity_check,
-    theta_lower,
-    theta_upper,
     xi_lower_time,
     xi_upper_time,
 )
@@ -117,7 +114,7 @@ def test_comparison_identity_against_direct_integration(table_gen):
                 np.array([r]),
                 4000,
             )[0]
-            env = theta_upper(table_gen, t, 0.0, r)
+            env = barrier._envelope(table_gen, xi_upper_time(table_gen, r), t, 0.0, r, barrier.UPPER)
             assert abs(env - direct) <= 1e-6 * direct
 
 
@@ -135,7 +132,7 @@ def test_lower_envelope_against_direct_integration(table_gen):
         )[0]
         # the fast envelope reads the interpolated radius table; the lower
         # branch is steep near r0 so the table carries a few 1e-6 relative
-        env = theta_lower(table_gen, t, 0.0, r)
+        env = barrier._envelope(table_gen, xi_lower_time(table_gen, r), t, 0.0, r, barrier.LOWER)
         assert abs(env - direct) <= 1e-5 * direct
         # the Newton-sharpened inverse has no such limit
         sharp = invert(table_gen, xi_lower_time(table_gen, r) - t, "lower")
@@ -145,8 +142,7 @@ def test_lower_envelope_against_direct_integration(table_gen):
 def test_blowup_bracket_contains_closed_form(table20):
     # control-free scalar p = 2: y' = y^2 from r blows up at exactly 1/r
     for r in (3.0, 5.0, 12.0):
-        lo, hi = blowup_bracket(table20, 0.0, r)
-        assert lo < 1.0 / r < hi
+        assert xi_upper_time(table20, r) < 1.0 / r < xi_lower_time(table20, r)
 
 
 def test_envelope_check_failure_is_result(table20):

@@ -169,6 +169,15 @@ def test_bad_horizon_and_target_dimension_name_the_field(tmp_path, capsys):
         assert err.startswith(f"config error: {field}:") and "Traceback" not in err
 
 
+def test_seed_override_is_checked_as_the_field(tmp_path, capsys):
+    # --seed -1 fails the check a config seed of -1 fails, not NumPy's
+    path = tmp_path / "toy.json"
+    for cfg, flags in ((_toy_config(seed=-1), []), (_toy_config(), ["--seed", "-1"])):
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), *flags]) == 2
+        assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
+
+
 # one small config per task family; the fuzz below changes one field at a time
 _FUZZ_BASES = {
     "toy-solve": {

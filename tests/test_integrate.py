@@ -492,13 +492,12 @@ def test_adjoint_homogeneity(quench_sys, quench_short, log_c):
     control, traj = quench_short
     c = float(10.0 ** log_c)
     seed = np.array([0.7, -0.4])
-    base = integrate_adjoint(quench_sys, traj, control, seed, normalize_at_zero=False)
-    scaled = integrate_adjoint(quench_sys, traj, control, c * seed, normalize_at_zero=False)
-    ref = np.abs(c * base.psis).max()
-    assert np.abs(scaled.psis - c * base.psis).max() <= 1e-13 * ref
-    # the normalized-at-zero variant is invariant under positive scaling
-    n1 = integrate_adjoint(quench_sys, traj, control, seed, normalize_at_zero=True)
-    n2 = integrate_adjoint(quench_sys, traj, control, c * seed, normalize_at_zero=True)
+    n1 = integrate_adjoint(quench_sys, traj, control, seed)
+    n2 = integrate_adjoint(quench_sys, traj, control, c * seed)
+    base, scaled = n1.psis / n1.normalization, n2.psis / n2.normalization
+    ref = np.abs(c * base).max()
+    assert np.abs(scaled - c * base).max() <= 1e-13 * ref
+    # the sweep normalized at zero is invariant under positive scaling
     assert np.abs(n1.psis - n2.psis).max() <= 1e-12
     assert abs(n1.norm_at_zero() - 1.0) <= 1e-12
 
@@ -506,13 +505,13 @@ def test_adjoint_homogeneity(quench_sys, quench_short, log_c):
 def test_adjoint_matches_rk4_oracle(quench_sys, quench_short):
     control, traj = quench_short
     seed = np.array([0.3, 0.9])
-    adj = integrate_adjoint(quench_sys, traj, control, seed, normalize_at_zero=False)
+    adj = integrate_adjoint(quench_sys, traj, control, seed)
 
     def jac_of_t(t):
         return quench_sys.jacobian(t, traj.interp(t))
 
     psi0 = oracles.adjoint_rk4(jac_of_t, traj.times[-1], seed, steps=20000)
-    mine = adj.psis[0]
+    mine = adj.psis[0] / adj.normalization
     assert np.abs(mine - psi0).max() <= 1e-8 * (1.0 + np.abs(psi0).max())
 
 

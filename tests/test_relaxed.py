@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from relaxtoc import errors
 from relaxtoc.dynamics import FiniteSet, make_integrator_system
 from relaxtoc.integrate import IntegratorOptions, integrate_forward
-from relaxtoc.relaxed import ClassicalSchedule, RelaxedSchedule, chattering_realization, to_dirac
+from relaxtoc.relaxed import ClassicalSchedule, RelaxedSchedule, chattering_realization
 from relaxtoc.solve import classicalize
 
 
@@ -35,14 +35,24 @@ def test_simplex_invariant_on_construction(rows):
     assert np.abs(sched.weights.sum(axis=1) - 1.0).max() <= 1e-14
 
 
-def test_to_dirac_matches_classical():
+def test_classical_is_one_dirac_atom_per_cell():
     grid = np.array([0.0, 0.4, 1.0])
     values = np.array([[0.1, 0.2], [-0.3, 0.4]])
     classical = ClassicalSchedule(grid=grid, values=values)
-    relaxed = to_dirac(classical)
-    assert relaxed.atoms.shape == (2, 1, 2)
-    for t in (0.1, 0.4, 0.9):
-        assert np.array_equal(relaxed.mean_at(t), classical.value_at(t))
+    assert isinstance(classical, RelaxedSchedule)
+    assert classical.atoms.shape == (2, 1, 2)
+    assert np.array_equal(classical.weights, np.ones((2, 1)))
+    assert np.array_equal(classical.values, values)
+    assert (classical.cells, classical.n_atoms, classical.dim_control) == (2, 1, 2)
+    assert classical.knots == (0.4,)
+    # a knot belongs to the cell that ends there
+    for t, j in ((0.1, 0), (0.4, 0), (0.9, 1)):
+        atoms, weights = classical.cell_at(t)
+        assert np.array_equal(atoms, values[j][None, :]) and np.array_equal(weights, [1.0])
+    payload = json.loads(json.dumps(classical.to_json_dict()))
+    assert payload == {"kind": "classical", "grid": [0.0, 0.4, 1.0], "values": values.tolist()}
+    with pytest.raises(ValueError):
+        ClassicalSchedule(grid=grid, values=values[:1])
 
 
 def test_classicalize_matches_the_relaxed_velocity(quench_sys, rng):
@@ -75,7 +85,8 @@ def test_with_grid_preserves_cell_values(rng):
     )
     fine = sched.with_grid(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
     for t in (0.1, 0.3, 0.6, 0.9):
-        assert np.allclose(fine.mean_at(t), sched.mean_at(t), atol=1e-15)
+        (fine_atoms, fine_weights), (atoms, weights) = fine.cell_at(t), sched.cell_at(t)
+        assert np.allclose(fine_weights @ fine_atoms, weights @ atoms, atol=1e-15)
 
 
 @settings(max_examples=20)

@@ -219,3 +219,16 @@ def test_inadmissible_warm_start_is_refused(quench_sys, quench_target, quench_y0
         solve_alpha(quench_sys, quench_target, quench_y0, 0.1, init=init, opts=opts)
     res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
     assert res.w > 0.3 and np.all(np.linalg.norm(res.schedule.atoms, axis=2) <= 1.0 + 1e-9)
+
+
+def test_classical_warm_start_certifies(quench_sys, quench_target, quench_y0):
+    # a ClassicalSchedule is the relaxed schedule of one Dirac atom per
+    # cell, so the solver's own classical answer is a warm start as it is
+    opts = SolveOptions(n_cells=8, n_atoms=2, seed=0)
+    res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
+    again = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, init=res.classical, opts=opts)
+    assert again.w == res.w and again.reason == "seed"
+    assert again.schedule is res.classical
+    # solve_result.json then holds the classical schedule's own block
+    block = again.to_json_dict()["schedule"]
+    assert block["kind"] == "classical" and block["values"] == res.classical.values.tolist()

@@ -61,6 +61,21 @@ def test_halfspace_normal_is_normalized():
     assert h.base_distance(np.array([-1.0, -1.0])) == 0.0
 
 
+def test_with_alpha_changes_only_alpha():
+    # renormalizing an already unit normal can move it by an ulp: the
+    # inflated copy must describe the same half-space, bit for bit
+    h = HalfSpace(normal=[1.0, 1.0], offset=1.0)
+    assert h.with_alpha(0.0).offset == h.offset == 0.7071067811865475
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        h = HalfSpace(normal=rng.normal(size=3), offset=float(rng.normal()))
+        h2 = h.with_alpha(0.25).with_alpha(0.0)
+        assert np.array_equal(h2.normal, h.normal) and h2.offset == h.offset
+        assert h.with_alpha(0.25).alpha == 0.25 and h.alpha == 0.0
+    with pytest.raises(ValueError):
+        h.with_alpha(-1e-3)
+
+
 def test_hyperplane_transversality_characterization():
     tgt = Hyperplane(axis=0, level=1.0)
     q = np.array([1.0, 3.7])  # on the plane
