@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -28,7 +29,10 @@ def _vec(x):
 
 
 # ---------------------------------------------------------------------------
-# control sets
+# control sets: each answers argmax(q, tiny) = (u, <q, u>, degenerate) for a
+# maximizer u of <q, u> (degenerate when every control maximizes to within
+# tiny), scale (a ball's radius, else the largest |component| of a control)
+# and gain(B) = sup |B u| over the set
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,15 +44,25 @@ class BallSet:
 
     is_convex = True
 
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise ValueError(f"ball radius must be finite and nonnegative, got {self.radius!r}")
+
+    @property
+    def scale(self) -> float:
+        return float(self.radius)
+
     def contains(self, u, tol: float = 1e-9) -> bool:
         return float(np.linalg.norm(_vec(u))) <= self.radius * (1.0 + tol) + tol
 
-    def project(self, u):
-        u = _vec(u)
-        r = float(np.linalg.norm(u))
-        if r <= self.radius:
-            return u.copy()
-        return (self.radius / r) * u
+    def argmax(self, q, tiny):
+        qn = math.sqrt(float(q @ q))
+        if qn <= tiny or self.radius == 0.0:
+            return np.zeros(self.dim), 0.0, qn <= tiny
+        return (self.radius / qn) * q, self.radius * qn, False
+
+    def gain(self, B) -> float:
+        return self.radius * float(np.linalg.norm(B, 2))
 
     def boundary_sample(self, rng):
         v = rng.standard_normal(self.dim)
@@ -87,8 +101,19 @@ class BoxSet:
             np.all(u >= self.lower - tol * width) and np.all(u <= self.upper + tol * width)
         )
 
-    def project(self, u):
-        return np.clip(_vec(u), self.lower, self.upper)
+    @property
+    def scale(self) -> float:
+        return float(np.max(np.maximum(np.abs(self.lower), np.abs(self.upper))))
+
+    def argmax(self, q, tiny):
+        # the componentwise sign rule, the midpoint where a component of q is 0
+        mid = 0.5 * (self.lower + self.upper)
+        u = np.where(q > 0.0, self.upper, np.where(q < 0.0, self.lower, mid))
+        return u, float(q @ u), float(np.max(np.abs(q))) <= tiny
+
+    def gain(self, B) -> float:
+        # |B u| is convex in u, so a vertex attains the sup
+        return max(float(np.linalg.norm(B @ np.array(v))) for v in product(*zip(self.lower, self.upper)))
 
     def boundary_sample(self, rng):
         # A random vertex; vertices are the extreme points relevant to bang-bang seeds.
@@ -106,6 +131,8 @@ class FiniteSet:
 
     def __post_init__(self):
         pts = np.atleast_2d(_vec(self.points))
+        if pts.size == 0 or not np.all(np.isfinite(pts)):
+            raise ValueError("a finite control set needs at least one point, all finite")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -116,10 +143,18 @@ class FiniteSet:
         u = _vec(u)
         return bool(np.any(np.linalg.norm(self.points - u, axis=1) <= tol))
 
-    def project(self, u):
-        u = _vec(u)
-        i = int(np.argmin(np.linalg.norm(self.points - u, axis=1)))
-        return self.points[i].copy()
+    @property
+    def scale(self) -> float:
+        return float(np.max(np.abs(self.points)))
+
+    def argmax(self, q, tiny):
+        # the first point with the largest <q, p>
+        vals = self.points @ q
+        best = int(np.argmax(vals))
+        return self.points[best].copy(), float(vals[best]), float(vals[best] - vals.min()) <= tiny
+
+    def gain(self, B) -> float:
+        return max(float(np.linalg.norm(B @ p)) for p in self.points)
 
     def boundary_sample(self, rng):
         return self.points[int(rng.integers(0, len(self.points)))].copy()
@@ -267,10 +302,12 @@ class ControlSystem:
 
     affine holds the decomposition, and everything else derives from it: the
     dimensions are the input matrix's shape, and time_knots gains the input
-    matrix's knots.  jacobian is the drift's state jacobian (t, y) in
-    gradient layout (see module docstring).  field is the same map as affine
-    in one call; it defaults to drift(t, y) + input_matrix(t) @ u, and no
-    integrator, solver or check reads it.
+    matrix's knots.  Targets read the state in target_coords, and
+    covector_to_state and covector_to_target carry covectors between the
+    two.  jacobian is the drift's state jacobian (t, y) in gradient layout
+    (see module docstring).  field is the same map as affine in one call; it
+    defaults to drift(t, y) + input_matrix(t) @ u, and no integrator, solver
+    or check reads it.
     """
 
     name: str
@@ -304,6 +341,16 @@ class ControlSystem:
         """y in the coordinates targets are read in: its chart image when there is a chart."""
         y = _vec(y)
         return self.chart.to_chart(y) if self.chart is not None else y
+
+    def covector_to_state(self, y, phi) -> np.ndarray:
+        """A covector phi at target_coords(y) pulled back to state
+        coordinates: J phi, with J the chart jacobian at y in gradient layout."""
+        return self.chart.gradient_jacobian(y) @ phi if self.chart is not None else phi
+
+    def covector_to_target(self, y, psi) -> np.ndarray:
+        """A state covector psi at y carried to target coordinates: J^{-1} psi,
+        which pull_velocity applies since J is symmetric."""
+        return self.chart.pull_velocity(self.chart.to_chart(y), psi) if self.chart is not None else psi
 
 
 def _input_matrix(B, n, m):
@@ -397,16 +444,7 @@ def input_bound(Bsig: PiecewiseConstant, control_set) -> float:
     """sup_t sup_{u in U} |B(t) u| over the sampled input matrices."""
     bound = 0.0
     for Bk in np.atleast_3d(Bsig.values):
-        if isinstance(control_set, BallSet):
-            bound = max(bound, control_set.radius * float(np.linalg.norm(Bk, 2)))
-        elif isinstance(control_set, BoxSet):
-            lo, hi = control_set.lower, control_set.upper
-            for mask in range(2 ** control_set.dim):
-                vert = np.where([(mask >> j) & 1 for j in range(control_set.dim)], hi, lo)
-                bound = max(bound, float(np.linalg.norm(Bk @ vert)))
-        else:
-            for ptn in control_set.points:
-                bound = max(bound, float(np.linalg.norm(Bk @ ptn)))
+        bound = max(bound, control_set.gain(Bk))
     return bound
 
 

@@ -13,10 +13,6 @@ class InnerRegion(Error):
     """Compactification chart evaluated inside its inner cutoff radius."""
 
 
-class SingularJacobian(Error):
-    """Coordinate-change Jacobian is not invertible at the requested point."""
-
-
 class NotOnBoundary(Error):
     """Terminal point is not on the boundary of the inflated target."""
 
@@ -39,10 +35,6 @@ class Infeasible(Error):
 
 class NotHit(Error):
     """Candidate trajectory does not reach the target."""
-
-
-class UnsupportedControlSet(Error):
-    """No closed-form Hamiltonian maximizer for this control set."""
 
 
 class NonFinite(Error):

@@ -42,7 +42,6 @@ import numpy as np
 
 from . import _rk, errors
 from .dynamics import ControlSystem
-from .target import HalfSpace, Hyperplane
 
 HIT_TARGET = "hit-target"
 MAX_TIME = "max-time"
@@ -280,16 +279,6 @@ def _target_scale(tgt) -> float:
     return sum(float(np.max(np.abs(getattr(tgt, f.name)))) for f in dataclasses.fields(tgt))
 
 
-def _signed_gap(tgt):
-    """Signed gap to a flat target (None for others): a sign change between
-    scan samples flags a pass straight through the target interior."""
-    if isinstance(tgt, Hyperplane):
-        return lambda s: float(s[tgt.axis]) - tgt.level
-    if isinstance(tgt, HalfSpace):
-        return lambda s: float(tgt.normal @ s) - (tgt.offset + tgt.alpha)
-    return None
-
-
 def _step_clears(d0, d1, y0, f0, y1, f1, h, hit_tol, tgt_scale):
     """True when the dense output of the step provably stays farther than
     hit_tol from the target, so its event scan cannot trigger.
@@ -416,7 +405,7 @@ def integrate_forward(
             return np.inf
         return tgt.distance(z)
 
-    signed_of = _signed_gap(tgt) if chart is None else None
+    signed_of = tgt.signed_gap if chart is None and tgt is not None else None
     # in the chart, |z| -> 0 is |y| -> infinity: this band around z = 0 is a
     # stop set like the target.  It sits above atol: past z = 0 the chart
     # field flips sign, so the solution chatters at the atol scale and would

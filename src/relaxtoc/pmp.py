@@ -9,9 +9,10 @@ by sampling along the trajectory grid.  Nothing here certifies sufficiency;
 the report measures how badly the necessary conditions fail.
 
 Every system is control-affine, f = g + B u, so H(u) = <psi, g> +
-<B^T psi, u> and the maximum condition over a ball, a box or a finite set is
-the one linear argmax _linear_argmax, which verify() and bang_polish() both
-read: the checker reads the condition the solver imposes.
+<B^T psi, u> and the maximum condition is the control set's own linear
+argmax, which verify() and bang_polish() both read: the checker reads the
+condition the solver imposes.  The target owns its normal cone
+(exit_normal), and the system carries covectors between coordinates.
 
 Targets the state only reaches in the limit (a point target, or any set read
 through a compactification chart) admit no terminal covector: the adjoint
@@ -28,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import errors
-from .dynamics import BallSet, ControlSystem, FiniteSet
+from .dynamics import ControlSystem
 from .integrate import (
     AdjointTrajectory,
     HIT_TARGET,
@@ -40,7 +41,7 @@ from .integrate import (
     integrate_forward,
 )
 from .relaxed import RelaxedSchedule, _cell_index
-from .target import Ball, HalfSpace, Hyperplane, Point, TargetSet, transformed_transversality_residual
+from .target import TargetSet
 
 # relative pre-terminal offsets T - delta * T of the adjoint seed family
 DELTAS = (1e-2, 1e-3, 1e-4)
@@ -72,39 +73,14 @@ class HamiltonianMax(NamedTuple):
     switching: np.ndarray
 
 
-def _linear_argmax(cs, q, tiny):
-    """(u, <q, u>, degenerate) for a maximizer u of <q, u> over a ball, box
-    or finite set.
-
-    The ball answer is rho q / |q|, the box answer the componentwise sign
-    rule (the midpoint where a component of q is zero), and the finite-set
-    answer the first point with the largest <q, p>.  degenerate means that
-    every control maximizes to within tiny: q is within tiny of zero for a
-    ball or box (the ball then answers with its center), and all points of a
-    finite set tie within tiny.
-    """
-    if isinstance(cs, FiniteSet):
-        vals = cs.points @ q
-        best = int(np.argmax(vals))
-        return cs.points[best].copy(), float(vals[best]), float(vals[best] - vals.min()) <= tiny
-    if isinstance(cs, BallSet):
-        qn = _norm(q)
-        if qn <= tiny or cs.radius == 0.0:
-            return np.zeros(cs.dim), 0.0, qn <= tiny
-        return (cs.radius / qn) * q, cs.radius * qn, False
-    mid = 0.5 * (cs.lower + cs.upper)
-    u = np.where(q > 0.0, cs.upper, np.where(q < 0.0, cs.lower, mid))
-    return u, float(q @ u), float(np.max(np.abs(q))) <= tiny
-
-
 def max_hamiltonian(sys: ControlSystem, t: float, y, psi) -> HamiltonianMax:
     """Maximize u -> <psi, f(t, y, u)> over the control set, in closed form.
 
-    With f = g + B u, H(u) = <psi, g> + <B^T psi, u>, maximized by
-    _linear_argmax (rho B^T psi / |B^T psi| for a ball, the componentwise
-    sign rule for a box, the first best point of a finite set).  When every
-    control maximizes, to within roundoff of psi and B, the result is
-    flagged degenerate (the principle says nothing at such times).
+    With f = g + B u, H(u) = <psi, g> + <B^T psi, u>, maximized by the
+    control set's argmax (rho B^T psi / |B^T psi| for a ball, the sign rule
+    for a box, the first best point of a finite set).  When every control
+    maximizes, to within roundoff of psi and B, the result is flagged
+    degenerate (the principle says nothing at such times).
     """
     y = np.asarray(y, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -113,7 +89,7 @@ def max_hamiltonian(sys: ControlSystem, t: float, y, psi) -> HamiltonianMax:
     base = float(psi @ g)
     switching = B.T @ psi
     scale = 1e-12 * (1.0 + _norm(psi)) * max(1.0, float(np.linalg.norm(B)))
-    u_star, gain, degenerate = _linear_argmax(sys.control_set, switching, scale)
+    u_star, gain, degenerate = sys.control_set.argmax(switching, scale)
     return HamiltonianMax(base + gain, u_star, degenerate, base, switching)
 
 
@@ -142,56 +118,18 @@ def _psi_at(ts, psis, t):
 # terminal covector seeding
 
 
-def _approach_direction(z_end, z_prev):
-    step = z_end - z_prev
-    n = float(np.linalg.norm(step))
-    return step / n if n > 0.0 else None
-
-
-def normal_cone_seed(tgt: TargetSet, z_end, z_prev) -> np.ndarray:
-    """Unit covector psi with <psi, q - q*> >= 0 over the inflated target.
-
-    Coordinates are the ones the target is expressed in.  z_prev disambiguates
-    the approach side when the exit point is (numerically) on the target.
-    """
-    z_end = np.asarray(z_end, dtype=float)
-    z_prev = np.asarray(z_prev, dtype=float)
-    if isinstance(tgt, Hyperplane):
-        side = np.sign(tgt.level - z_end[tgt.axis])
-        if side == 0.0:
-            side = np.sign(tgt.level - z_prev[tgt.axis]) or 1.0
-        seed = np.zeros(z_end.size)
-        seed[tgt.axis] = side
-        return seed
-    if isinstance(tgt, HalfSpace):
-        return -tgt.normal
-    if isinstance(tgt, (Ball, Point)):
-        center = tgt.center if isinstance(tgt, Ball) else tgt.location
-        gap = np.asarray(center, dtype=float) - z_end
-        n = float(np.linalg.norm(gap))
-        if n > 0.0:
-            return gap / n
-        direction = _approach_direction(z_end, z_prev)
-        if direction is None:
-            raise errors.ZeroTerminalCovector("no approach direction at the exit point")
-        return direction
-    raise errors.UnsupportedControlSet(f"no normal-cone seed rule for {type(tgt).__name__}")
-
-
 def exit_covector(sys: ControlSystem, tgt: TargetSet, traj: Trajectory, t_end: float) -> np.ndarray:
     """Normal-cone covector at y(t_end), in state coordinates.
 
-    The last stored sample before t_end fixes the approach side.  Chart
-    systems read the target in chart coordinates, so the chart seed is
-    pulled back through the chart Jacobian.
+    The target picks the covector in its own coordinates (exit_normal), the
+    last stored sample before t_end fixing the approach side, and the system
+    carries it back to state coordinates.
     """
     y_end = traj.interp(t_end)
     j = int(np.searchsorted(traj.times, t_end)) - 1
     y_prev = traj.states[max(j, 0)]
-    seed = normal_cone_seed(tgt, sys.target_coords(y_end), sys.target_coords(y_prev))
-    if sys.chart is None:
-        return seed
-    return sys.chart.gradient_jacobian(y_end) @ seed
+    seed = tgt.exit_normal(sys.target_coords(y_end), sys.target_coords(y_prev))
+    return sys.covector_to_state(y_end, seed)
 
 
 def _preterminal_sweeps(sys, tgt, traj, schedule, t_bar, opts=None):
@@ -285,9 +223,11 @@ def verify(
     triple is (w, trajectory, schedule) or any object exposing those fields;
     the trajectory must have hit the target.  The costate is seeded in the
     target's normal cone at the exit point (exit_covector) and normalized so
-    |psi(0)| = 1.  Point targets and chart-read targets are seeded at the
-    pre-terminal family T - delta * T, delta from DELTAS, and the |psi| trend
-    is reported in terminal_decay.  The support-violation mass is the
+    |psi(0)| = 1.  Targets with seeds_preterminal (a Point) and chart-read
+    targets are seeded at the pre-terminal family T - delta * T, delta from
+    DELTAS, and the |psi| trend is reported in terminal_decay.
+    Transversality is tested in the target's coordinates, on the covector
+    sys.covector_to_target carries there.  The support-violation mass is the
     time-averaged weight on atoms whose H falls short of max H by more than
     1e-6 * (1 + sup |max H|), relative because H scales with both psi and the
     field: weight lambda parked on a strictly suboptimal atom for the whole
@@ -301,7 +241,7 @@ def verify(
     # adjoint can only be seeded on the sampled range
     t_bar = min(float(traj.hit.time), float(traj.times[-1]))
     decay = None
-    if isinstance(tgt, Point) or sys.chart is not None:
+    if tgt.seeds_preterminal or sys.chart is not None:
         adjoint, norms = _preterminal_sweeps(sys, tgt, traj, schedule, t_bar, opts)
         decay = tuple((d * t_bar, n) for d, n in zip(DELTAS, norms))
     else:
@@ -315,12 +255,7 @@ def verify(
     z_end = sys.target_coords(y_end)
     psi_end = np.asarray(adjoint.psis[-1], dtype=float)
     q_star = tgt.project(z_end)
-    if sys.chart is None:
-        transversality = tgt.transversality_residual(q_star, psi_end)
-    else:
-        transversality = transformed_transversality_residual(
-            tgt, sys.chart.gradient_jacobian(y_end), q_star, psi_end
-        )
+    transversality = tgt.transversality_residual(q_star, sys.covector_to_target(y_end, psi_end))
 
     mids, lens, ts, psis = _sample_grid(adjoint)
     total = float(np.sum(lens)) if len(lens) else 1.0
@@ -404,19 +339,10 @@ def _proposed_atoms(sys, adj, grid, t_end, atoms):
         if b <= a:
             continue
         q = _cell_switching_vector(sys, adj, a, b)
-        u_i, _, degenerate = _linear_argmax(sys.control_set, q, 1e-14 * (b - a))
+        u_i, _, degenerate = sys.control_set.argmax(q, 1e-14 * (b - a))
         if not degenerate:
             atoms[i, :, :] = u_i
     return atoms
-
-
-def _control_scale(cs) -> float:
-    """Largest control magnitude of a centered ball, a box or a finite set."""
-    if isinstance(cs, BallSet):
-        return float(cs.radius)
-    if isinstance(cs, FiniteSet):
-        return float(np.max(np.abs(cs.points)))
-    return float(np.max(np.maximum(np.abs(cs.lower), np.abs(cs.upper))))
 
 
 def _applies_same_control(sched, grid, atoms, tol) -> bool:
@@ -460,7 +386,7 @@ def bang_polish(
     thus the hit time of a forward pass at opts.
     """
     opts = opts or IntegratorOptions()
-    atom_tol = POLISH_ATOM_TOL * _control_scale(sys.control_set)
+    atom_tol = POLISH_ATOM_TOL * sys.control_set.scale
     best = certified
     w, sched, traj = certified
     n_cells = sched.weights.shape[0]

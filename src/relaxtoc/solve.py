@@ -111,7 +111,7 @@ def _target_direction(sys, tgt_a, y0):
         raise errors.AlphaOutOfRange("start already inside the inflated target")
     direction = gap / d
     if sys.chart is not None:
-        direction = sys.chart.gradient_jacobian(np.asarray(y0, dtype=float)) @ direction
+        direction = sys.covector_to_state(np.asarray(y0, dtype=float), direction)
         n = float(np.linalg.norm(direction))
         if n > 0.0:
             direction = direction / n
@@ -122,8 +122,8 @@ def _bang_atom(sys, t, direction, rng):
     """Atom maximizing the instantaneous drive along `direction`."""
     cs = sys.control_set
     B = np.atleast_2d(np.asarray(sys.affine.input_matrix(t), dtype=float))
-    u, _, degenerate = pmp._linear_argmax(cs, B.T @ direction, 1e-14)
-    return cs.project(cs.boundary_sample(rng)) if degenerate else u
+    u, _, degenerate = cs.argmax(B.T @ direction, 1e-14)
+    return cs.boundary_sample(rng) if degenerate else u
 
 
 def _greedy_schedule(sys, tgt_a, y0, opts) -> RelaxedSchedule:

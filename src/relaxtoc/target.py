@@ -1,8 +1,12 @@
-"""Target sets, inflation, distances, projections and terminal cone tests.
+"""Target sets, inflation, distances, projections, normal cones and terminal cone tests.
 
 Every target variant knows its own Euclidean distance and metric projection.
 Inflation by alpha >= 0 replaces the set Q by Q_alpha = {x : d(x, Q) <= alpha},
 so d(x, Q_alpha) = max(d(x, Q) - alpha, 0) and projections compose exactly.
+A Point is the Ball of radius 0.  Each variant also owns its normal cone
+(exit_normal, the costate seed at an exit point), read like everything here
+in the target's own coordinates: the system carries points and covectors
+into them (ControlSystem.target_coords, covector_to_target).
 
 The terminal cone test evaluates the closed form of
 
@@ -38,6 +42,12 @@ class TargetSet:
     """Base class; use one of the concrete variants below."""
 
     alpha: float = 0.0
+
+    # signed_gap(x) of a flat variant: its sign change between scan samples
+    # flags a pass straight through the inflated target
+    signed_gap = None
+    # verify seeds the costate on the pre-terminal family T - delta * T
+    seeds_preterminal = False
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -83,6 +93,12 @@ class TargetSet:
         """
         raise NotImplementedError
 
+    def exit_normal(self, z_end, z_prev) -> np.ndarray:
+        """Unit covector psi with <psi, q - z_end> >= 0 over Q_alpha at the exit
+        point z_end; the previous sample z_prev fixes the approach side when
+        z_end is (numerically) on the core set."""
+        raise NotImplementedError
+
     def _check_boundary(self, q_star):
         gap = self.boundary_gap(q_star)
         if gap > BOUNDARY_TOL:
@@ -108,6 +124,18 @@ class Hyperplane(TargetSet):
 
     def boundary_gap(self, x):
         return abs(self.base_distance(x) - self.alpha)
+
+    def signed_gap(self, x):
+        return float(x[self.axis]) - self.level
+
+    def exit_normal(self, z_end, z_prev):
+        z_end = _vec(z_end)
+        side = np.sign(self.level - z_end[self.axis])
+        if side == 0.0:
+            side = np.sign(self.level - _vec(z_prev)[self.axis]) or 1.0
+        seed = np.zeros(z_end.size)
+        seed[self.axis] = side
+        return seed
 
     def transversality_residual(self, q_star, psi):
         q_star = _vec(q_star)
@@ -156,6 +184,12 @@ class HalfSpace(TargetSet):
     def boundary_gap(self, x):
         return abs(self._signed(x) - self.alpha)
 
+    def signed_gap(self, x):
+        return float(self.normal @ x) - (self.offset + self.alpha)
+
+    def exit_normal(self, z_end, z_prev):
+        return -self.normal
+
     def transversality_residual(self, q_star, psi):
         q_star = _vec(q_star)
         psi = _vec(psi)
@@ -186,9 +220,12 @@ class Ball(TargetSet):
             raise ValueError("ball radius must be nonnegative")
 
     def base_distance(self, x):
-        return max(float(np.linalg.norm(_vec(x) - self.center)) - self.radius, 0.0)
+        d = _vec(x) - self.center
+        return max(math.sqrt(float(d @ d)) - self.radius, 0.0)
 
     def base_project(self, x):
+        if self.radius == 0.0:  # a Point: the center, with no arithmetic on x
+            return self.center.copy()
         x = _vec(x)
         v = x - self.center
         r = float(np.linalg.norm(v))
@@ -199,6 +236,18 @@ class Ball(TargetSet):
     def boundary_gap(self, x):
         return abs(float(np.linalg.norm(_vec(x) - self.center)) - (self.radius + self.alpha))
 
+    def exit_normal(self, z_end, z_prev):
+        z_end = _vec(z_end)
+        gap = self.center - z_end
+        n = float(np.linalg.norm(gap))
+        if n > 0.0:
+            return gap / n
+        step = z_end - _vec(z_prev)
+        n = float(np.linalg.norm(step))
+        if n == 0.0:
+            raise errors.ZeroTerminalCovector("no approach direction at the exit point")
+        return step / n
+
     def transversality_residual(self, q_star, psi):
         q_star = _vec(q_star)
         psi = _vec(psi)
@@ -208,53 +257,15 @@ class Ball(TargetSet):
         return max(0.0, -worst)
 
 
-@dataclass(frozen=True, eq=False)
-class Point(TargetSet):
-    """Singleton {location}; inflation turns it into a ball of radius alpha."""
+class Point(Ball):
+    """Singleton {location}: the Ball of radius 0, which inflation turns into
+    a ball of radius alpha."""
 
-    location: np.ndarray = None
+    seeds_preterminal = True
 
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "location", _vec(self.location))
+    def __init__(self, location=None, alpha: float = 0.0):
+        super().__init__(alpha=alpha, center=location, radius=0.0)
 
-    def base_distance(self, x):
-        d = _vec(x) - self.location
-        return math.sqrt(float(d @ d))
-
-    def base_project(self, x):
-        return self.location.copy()
-
-    def boundary_gap(self, x):
-        return abs(self.base_distance(x) - self.alpha)
-
-    def transversality_residual(self, q_star, psi):
-        q_star = _vec(q_star)
-        psi = _vec(psi)
-        self._check_boundary(q_star)
-        worst = float(psi @ (self.location - q_star)) - self.alpha * float(np.linalg.norm(psi))
-        return max(0.0, -worst)
-
-
-def transformed_transversality_residual(tgt: TargetSet, chart_jacobian, q_star, psi) -> float:
-    """Cone residual in a coordinate chart z = G(y), tested on the pulled-back covector.
-
-    chart_jacobian is the Jacobian of G at the exit point in gradient layout,
-    entry (i, j) = dG_j / dy_i; the covector transported to chart coordinates
-    is phi = chart_jacobian^{-1} psi, and the residual is evaluated against
-    the target expressed in chart coordinates.  The identity chart reduces to
-    TargetSet.transversality_residual.
-    """
-    jac = np.asarray(chart_jacobian, dtype=float)
-    psi = _vec(psi)
-    if jac.shape != (psi.size, psi.size):
-        raise ValueError("chart jacobian shape does not match the covector")
-    if not np.all(np.isfinite(jac)):
-        raise errors.SingularJacobian("chart jacobian has non-finite entries")
-    try:
-        phi = np.linalg.solve(jac, psi)
-    except np.linalg.LinAlgError as exc:
-        raise errors.SingularJacobian(str(exc)) from exc
-    if not np.all(np.isfinite(phi)):
-        raise errors.SingularJacobian("chart jacobian is numerically singular")
-    return tgt.transversality_residual(q_star, phi)
+    @property
+    def location(self) -> np.ndarray:
+        return self.center

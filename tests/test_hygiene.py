@@ -1,11 +1,15 @@
 """Source hygiene: every name a package module imports is used in it, every
-error class is raised somewhere, and `import relaxtoc` loads no SciPy."""
+error class is raised somewhere, only the module that owns a control-set or
+target class branches on it, and `import relaxtoc` loads no SciPy."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
+
+from relaxtoc import dynamics, target
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relaxtoc"
 
@@ -38,6 +42,29 @@ def test_every_error_class_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
     assert not declared - raised, sorted(declared - raised)
+
+
+def test_only_the_owning_module_branches_on_set_and_target_types():
+    # control sets own their argmax, scale and gain (dynamics.py), targets
+    # their normal cone and signed gap (target.py): an isinstance against one
+    # of them anywhere else is their geometry in the wrong place
+    owner = {cls.__name__: "dynamics.py" for cls in get_args(dynamics.ControlSet)}
+    owner.update(
+        (cls.__name__, "target.py")
+        for cls in vars(target).values()
+        if isinstance(cls, type) and issubclass(cls, target.TargetSet)
+    )
+    misplaced = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+                continue
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                name = kind.attr if isinstance(kind, ast.Attribute) else getattr(kind, "id", None)
+                if owner.get(name, path.name) != path.name:
+                    misplaced.append(f"{path.name}:{node.lineno} {name}")
+    assert not misplaced, misplaced
 
 
 def test_import_leaves_scipy_unloaded():

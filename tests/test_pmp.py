@@ -19,7 +19,6 @@ from relaxtoc.integrate import HIT_TARGET, AdjointTrajectory, IntegratorOptions,
 from relaxtoc.pmp import (
     bang_polish,
     max_hamiltonian,
-    normal_cone_seed,
     quenching_conclusions,
     verify,
 )
@@ -105,11 +104,11 @@ def test_finite_set_tie_is_flagged():
     # the polish's linear rule: degenerate only when every point ties, as
     # for a ball or box; a tie of some points answers with the first of them
     cs = FiniteSet(points=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    u, value, degenerate = pmp._linear_argmax(cs, np.array([2.0, 1.0]), 1e-14)
+    u, value, degenerate = cs.argmax(np.array([2.0, 1.0]), 1e-14)
     assert np.array_equal(u, [1.0, 0.0]) and value == 2.0 and not degenerate
-    u, value, degenerate = pmp._linear_argmax(cs, np.array([1.0, 1.0]), 1e-14)
+    u, value, degenerate = cs.argmax(np.array([1.0, 1.0]), 1e-14)
     assert np.array_equal(u, [1.0, 0.0]) and value == 1.0 and not degenerate
-    assert pmp._linear_argmax(cs, np.zeros(2), 1e-14)[2]
+    assert cs.argmax(np.zeros(2), 1e-14)[2]
 
 
 def test_degenerate_when_input_cannot_act():
@@ -141,36 +140,36 @@ def test_max_dominates_every_relaxed_cell(quench_sys, rng):
 
 def test_seed_hyperplane_points_at_the_plane():
     tgt = Hyperplane(axis=0, level=1.0)
-    below = normal_cone_seed(tgt, np.array([0.8, 0.3]), np.array([0.7, 0.3]))
+    below = tgt.exit_normal(np.array([0.8, 0.3]), np.array([0.7, 0.3]))
     assert np.array_equal(below, [1.0, 0.0])
-    above = normal_cone_seed(tgt, np.array([1.2, 0.0]), np.array([1.3, 0.0]))
+    above = tgt.exit_normal(np.array([1.2, 0.0]), np.array([1.3, 0.0]))
     assert np.array_equal(above, [-1.0, 0.0])
     # exactly on the plane: the approach side decides
-    on = normal_cone_seed(tgt, np.array([1.0, 0.0]), np.array([0.9, 0.0]))
+    on = tgt.exit_normal(np.array([1.0, 0.0]), np.array([0.9, 0.0]))
     assert np.array_equal(on, [1.0, 0.0])
 
 
 def test_seed_halfspace_is_inward_normal():
     tgt = HalfSpace(normal=[3.0, 4.0], offset=5.0)
-    seed = normal_cone_seed(tgt, np.array([2.0, 2.0]), np.array([2.0, 2.1]))
+    seed = tgt.exit_normal(np.array([2.0, 2.0]), np.array([2.0, 2.1]))
     assert np.allclose(seed, [-0.6, -0.8])
 
 
 def test_seed_ball_and_point_aim_at_center():
     ball = Ball(center=[1.0, 0.0], radius=0.5)
-    seed = normal_cone_seed(ball, np.array([0.0, 0.0]), np.array([-0.1, 0.0]))
+    seed = ball.exit_normal(np.array([0.0, 0.0]), np.array([-0.1, 0.0]))
     assert np.allclose(seed, [1.0, 0.0])
     pt = Point(location=[0.0, 0.0])
-    seed = normal_cone_seed(pt, np.array([0.3, 0.4]), np.array([0.4, 0.5]))
+    seed = pt.exit_normal(np.array([0.3, 0.4]), np.array([0.4, 0.5]))
     assert np.allclose(seed, [-0.6, -0.8])
 
 
 def test_seed_at_exact_point_uses_approach_direction():
     pt = Point(location=[1.0])
-    seed = normal_cone_seed(pt, np.array([1.0]), np.array([0.9]))
+    seed = pt.exit_normal(np.array([1.0]), np.array([0.9]))
     assert np.array_equal(seed, [1.0])
     with pytest.raises(errors.ZeroTerminalCovector):
-        normal_cone_seed(pt, np.array([1.0]), np.array([1.0]))
+        pt.exit_normal(np.array([1.0]), np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,7 @@ def test_search_sweep_proposes_the_tight_argmax(case, quench_sys, quench_target,
     res = solve_alpha(sys_, tgt, y0, alpha, opts=opts)
     tight = _proposed_atoms(sys_, res, IntegratorOptions(rtol=1e-13, atol=1e-15))
     search = _proposed_atoms(sys_, res, opts.final.search)
-    assert np.abs(search - tight).max() <= 1e-5 * pmp._control_scale(sys_.control_set)
+    assert np.abs(search - tight).max() <= 1e-5 * sys_.control_set.scale
 
 
 def _chart_verify_solve(monkeypatch, n):

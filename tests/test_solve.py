@@ -8,7 +8,7 @@ import pytest
 
 from relaxtoc.barrier import build_barrier_table, xi_lower_time, xi_upper_time
 from relaxtoc.dynamics import FiniteSet, make_integrator_system
-from relaxtoc import errors, pmp
+from relaxtoc import errors, pmp, solve
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
 from relaxtoc.relaxed import RelaxedSchedule
 from relaxtoc.solve import SolveOptions, alpha_ladder, classicalize, solve_alpha
@@ -60,6 +60,24 @@ def test_toy_ladder_tracks_inflation(toy_sys, toy_target):
         assert w == pytest.approx(1.0 - a, abs=1e-3)
     assert trace.w_star == pytest.approx(1.0, abs=2e-2)
     assert trace.w_star >= ws[-1] - 1e-12
+
+
+def test_ladder_repairs_a_rung_later_than_the_next(monkeypatch, toy_sys, toy_target):
+    # optimal w is nondecreasing down the ladder: a rung that reports a later
+    # w than the next one is re-certified with the next rung's schedule
+    def late_first_rung(sys, tgt, y0, alpha, init=None, opts=None):
+        res = solve_alpha(sys, tgt, y0, alpha, init=init, opts=opts)
+        return replace(res, w=res.w + 0.5) if init is None else res
+
+    monkeypatch.setattr(solve, "solve_alpha", late_first_rung)
+    trace = alpha_ladder(toy_sys, toy_target, [0.0], alpha0=0.5, ratio=0.5, k_max=3, opts=SMALL)
+    repaired = trace.results[0]
+    assert repaired.reason == "ladder-repair"
+    assert [r.reason for r in trace.results[1:]] == ["seed", "seed"]
+    redo = solve._certify(toy_sys, toy_target.with_alpha(trace.alphas[0]), np.zeros(1), trace.schedules[1], SMALL)
+    assert repaired.w == redo[0] == trace.ws[0]
+    assert repaired.schedule is trace.schedules[1] is trace.schedules[0]
+    assert all(a <= b for a, b in zip(trace.ws, trace.ws[1:]))
 
 
 def test_quench_ladder_monotone(quench_sys, quench_target, quench_y0):
