@@ -22,8 +22,9 @@ odd ones). Per kind it records
 
 A `kernel` section times the DOPRI5 primitives alone: the median
 microseconds of one trial (`_rk.step` plus `_rk.error_norm`) on the linear
-field y' = M y and of one `_rk.hermite` call, at each state size of
-KERNEL_SIZES.  The field's own cost is in the trial time.
+field y' = M y and of one `_rk.hermite` call from arrays (their tolist()
+included), at each state size of KERNEL_SIZES.  The field's own cost is in
+the trial time.
 
 Results merge into --out under runs[--label], so two checkouts can be
 recorded side by side:
@@ -200,7 +201,9 @@ def kernel_timings():
 
         out[str(n)] = {
             "step_error_norm_us": per_call_us(trial),
-            "hermite_us": per_call_us(lambda: _rk.hermite(0.0, y0, f0, 0.01, y1, f1, 0.004)),
+            "hermite_us": per_call_us(
+                lambda: _rk.hermite(0.0, y0.tolist(), f0.tolist(), 0.01, y1.tolist(), f1.tolist(), 0.004)
+            ),
         }
     return out
 

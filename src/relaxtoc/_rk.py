@@ -8,7 +8,8 @@ cap the retried step grows back about 4.6x next to a singular set and is
 rejected again, in a cycle.
 
 The per-trial kernel (`step`, `error_norm`, `hermite`) runs on Python
-floats: it reads its vectors with `tolist()`, forms each stage sum as one
+floats: it reads its vectors with `tolist()` (`hermite` takes them as
+float sequences, so a caller converts once), forms each stage sum as one
 comprehension over the components, and builds one array per stage state for
 the field.  Every state the package integrates is short, and on a short
 vector a NumPy call costs far more in dispatch than in arithmetic.  On a
@@ -185,10 +186,14 @@ def initial_step(rhs, t0, y0, f0, direction, rtol, atol):
 
 
 def hermite(t0, y0, f0, t1, y1, f1, t):
-    """Cubic Hermite interpolation between two accepted samples."""
+    """Cubic Hermite interpolation between two accepted samples, as an array.
+
+    y0, f0, y1 and f1 are float sequences: array callers pass tolist(), and a
+    trajectory cursor its lists, converted once.
+    """
     h = float(t1 - t0)
     if h == 0.0:
-        return y0.copy()
+        return np.array(y0, dtype=float)
     s = float(t - t0) / h
     s2 = s * s
     s3 = s2 * s
@@ -196,12 +201,7 @@ def hermite(t0, y0, f0, t1, y1, f1, t):
     b = (s3 - 2 * s2 + s) * h
     c = -2 * s3 + 3 * s2
     d = (s3 - s2) * h
-    return np.array(
-        [
-            a * p + b * q + c * r + d * v
-            for p, q, r, v in zip(y0.tolist(), f0.tolist(), y1.tolist(), f1.tolist())
-        ]
-    )
+    return np.array([a * p + b * q + c * r + d * v for p, q, r, v in zip(y0, f0, y1, f1)])
 
 
 def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, record=None, cols=1):
@@ -242,8 +242,8 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
 
     n_steps = 0
     h = None
-    for stop in stops:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # one context for the pass
+        for stop in stops:
             # each leg starts one ulp inside: the f carried into a knot is the
             # left limit there, and a left-continuous signal read at the knot
             # itself gives the cell behind
@@ -251,38 +251,39 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
             if h is None:
                 atol_max = np.max(np.atleast_1d(atol))
                 h = min(initial_step(rhs, t, y, f, direction, rtol, atol_max), span)
-        short = direction < 0 and stop != stops[-1]  # a backward leg into a knot
-        while (stop - t) * direction > 1e-15 * max(1.0, abs(t)):
-            h = min(h, abs(stop - t))
-            if short and t - h <= stop:
-                h = t - math.nextafter(stop, t)
-                while t - h <= stop:
-                    h -= math.ulp(t)
-            rejected = False
-            while True:
-                n_steps += 1
-                if n_steps > max_steps:
-                    raise errors.IntegrationFailed("step budget exhausted in plain integration")
-                t_new = t + direction * h
-                with np.errstate(all="ignore"):
+            short = direction < 0 and stop != stops[-1]  # a backward leg into a knot
+            while (stop - t) * direction > 1e-15 * max(1.0, abs(t)):
+                h = min(h, abs(stop - t))
+                if short and t - h <= stop:
+                    h = t - math.nextafter(stop, t)
+                    while t - h <= stop:
+                        h -= math.ulp(t)
+                rejected = False
+                while True:
+                    n_steps += 1
+                    if n_steps > max_steps:
+                        raise errors.IntegrationFailed("step budget exhausted in plain integration")
+                    t_new = t + direction * h
                     y_new, f_new, err = step(rhs, t, y, f, direction * h)
                     err_norm = error_norm(err, y, y_new, rtol, atol, cols)
-                if not finite(y_new):
-                    err_norm = np.inf  # an overflowing stage rejects the step
-                if err_norm <= 1.0:
-                    break
-                rejected = True
-                h = next_step(h, err_norm)
-                if h < 1e-15 * max(1.0, abs(t)):
-                    raise errors.IntegrationFailed("step underflow in plain integration")
-            if rec_times:
-                while rec_times and (rec_times[0] - t_new) * direction <= 0.0:
-                    tr = rec_times.pop(0)
-                    rec_out.append(tr)
-                    rec_states.append(hermite(t, y, f, t_new, y_new, f_new, tr))
-            t, y, f = t_new, y_new, f_new
-            h = next_step(h, err_norm, rejected)
-        t = stop  # the leg ended within roundoff of its stop
+                    if not finite(y_new):
+                        err_norm = np.inf  # an overflowing stage rejects the step
+                    if err_norm <= 1.0:
+                        break
+                    rejected = True
+                    h = next_step(h, err_norm)
+                    if h < 1e-15 * max(1.0, abs(t)):
+                        raise errors.IntegrationFailed("step underflow in plain integration")
+                if rec_times:
+                    while rec_times and (rec_times[0] - t_new) * direction <= 0.0:
+                        tr = rec_times.pop(0)
+                        rec_out.append(tr)
+                        rec_states.append(
+                            hermite(t, y.tolist(), f.tolist(), t_new, y_new.tolist(), f_new.tolist(), tr)
+                        )
+                t, y, f = t_new, y_new, f_new
+                h = next_step(h, err_norm, rejected)
+            t = stop  # the leg ended within roundoff of its stop
     if record is not None:
         # Anything left records the terminal state (guards roundoff at t1).
         for tr in rec_times:

@@ -194,6 +194,12 @@ class PiecewiseConstant:
         i = bisect.bisect_left(self._start_list, t) - 1
         return self.values[min(max(i, 0), len(self.values) - 1)]
 
+    def at(self, ts) -> np.ndarray:
+        """The values at the times of the array ts, stacked: the call,
+        elementwise."""
+        i = np.searchsorted(self.starts, ts, side="left") - 1
+        return self.values[np.clip(i, 0, len(self.values) - 1)]
+
     @property
     def knots(self):
         return tuple(float(t) for t in self.starts[1:])

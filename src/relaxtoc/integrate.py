@@ -118,11 +118,17 @@ class Trajectory:
 
         It finds the segment by stepping from the one it found last, with
         segment_of's side="right" rule and clamp, instead of a binary search
-        per call; t may move either way.
+        per call; t may move either way.  It reads the samples from lists,
+        converted once, and a segment integrated in the chart through
+        _dense.
         """
         if len(self.times) == 1:
             return lambda t: self.states[0].copy()
         times = self.times.tolist()
+        states = self.states.tolist()
+        starts = self.start_derivs.tolist()
+        ends = self.derivs.tolist()
+        charted = (self.in_chart & (self.chart is not None)).tolist()
         last = len(times) - 2
         i = 0
 
@@ -132,7 +138,9 @@ class Trajectory:
                 i += 1
             while i > 0 and times[i] > t:
                 i -= 1
-            return self._dense(i, t)
+            if charted[i]:
+                return self._dense(i, t)
+            return _rk.hermite(times[i], states[i], starts[i], times[i + 1], states[i + 1], ends[i + 1], t)
 
         return at
 
@@ -144,8 +152,9 @@ class Trajectory:
         if self.in_chart[i] and self.chart is not None:
             za, zb = self.chart.to_chart(ya), self.chart.to_chart(yb)
             ga, gb = self.chart.push_velocity(ya, fa), self.chart.push_velocity(yb, fb)
-            return self.chart.from_chart(_rk.hermite(ta, za, ga, tb, zb, gb, t))
-        return _rk.hermite(ta, ya, fa, tb, yb, fb, t)
+            z = _rk.hermite(ta, za.tolist(), ga.tolist(), tb, zb.tolist(), gb.tolist(), t)
+            return self.chart.from_chart(z)
+        return _rk.hermite(ta, ya.tolist(), fa.tolist(), tb, yb.tolist(), fb.tolist(), t)
 
     def switch_times(self):
         flips = np.nonzero(self.in_chart[1:] != self.in_chart[:-1])[0]
@@ -479,139 +488,138 @@ def integrate_forward(
         atoms, weights = _resolve_cell(control, sys, 0.5 * (t + seg_end))
         rhs = _cell_rhs(sys, atoms, weights, mode, chart, seg_end)
         try:
-            with np.errstate(all="ignore"):
-                # restart one ulp inside the segment: a left-continuous
-                # signal evaluated at the knot itself reads the cell behind
-                f = rhs(np.nextafter(t, seg_end), state)
+            # restart one ulp inside the segment: a left-continuous signal
+            # evaluated at the knot itself reads the cell behind
+            f = rhs(np.nextafter(t, seg_end), state)
         except _StageFailure:
             raise errors.SingularState("field not evaluable at the segment start")
         if start_derivs_y:
             start_derivs_y[-1] = to_ydot(state, f, mode)
 
-    new_segment()
-    emit(t, state, f, mode)
+    # one context for the pass: every rhs closure is evaluated under it, and
+    # an overflow shows up as a non-finite stage that rejects the step
     with np.errstate(all="ignore"):
+        new_segment()
+        emit(t, state, f, mode)
         h = _rk.initial_step(rhs, t, state, f, 1.0, opts.rtol, opts.atol)
 
-    while status is None:
-        if t >= t_max - 1e-15 * max(1.0, t_max):
-            status = MAX_TIME
-            hit_time = t
-            terminal_distance = d_state
-            break
-        if t >= seg_end - 1e-15 * max(1.0, abs(seg_end)):
-            new_segment()
-        h_try = min(h, seg_end - t, opts.max_step)
-        # the distance is 1-Lipschitz in the integration coordinates, except
-        # on a chart system outside its chart, where it is read through it
-        lipschitz = chart is None or mode
-        if tgt is not None and np.isfinite(d_state) and d_state > 0.0:
-            h_try = _approach_cap(
-                h_try, d_state, opts.hit_tol, f, lambda: gap_and_rate(state, f, mode)[1], lipschitz
-            )
-        if mode:
-            # no step may jump across z = 0 into the flipped chart field
-            zn = _norm(state)
-            h_try = _approach_cap(h_try, zn, band, f, lambda: float(state @ f) / zn)
-        n_steps += 1
-        if n_steps > opts.max_steps:
-            raise errors.IntegrationFailed("forward integration exceeded the step budget")
-        try:
-            with np.errstate(all="ignore"):
-                s_new, f_new, err = _rk.step(rhs, t, state, f, h_try)
-                err_norm = _rk.error_norm(err, state, s_new, opts.rtol, opts.atol)
-            failed = not _rk.finite(s_new)
-        except _StageFailure:
-            err_norm = np.inf
-            failed = True
-        if failed or err_norm > 1.0:
-            h = _rk.next_step(h_try, np.inf if failed else err_norm)
-            rejected = True
-            if h < _STALL_FLOOR * max(1.0, abs(t)):
-                status = SINGULAR_STALL
+        while status is None:
+            if t >= t_max - 1e-15 * max(1.0, t_max):
+                status = MAX_TIME
                 hit_time = t
                 terminal_distance = d_state
-            continue
-
-        t_new = t + h_try
-
-        def dense(tau):
-            return _rk.hermite(t, state, f, t_new, s_new, f_new, tau)
-
-        # --- event scan on the accepted step (first trigger wins) ---
-        event = None  # (time, kind)
-        d_new = distance_of(s_new, mode)
-        if tgt is not None and not (
-            lipschitz
-            and _step_clears(d_state, d_new, state, f, s_new, f_new, h_try, opts.hit_tol, tgt_scale)
-        ):
-            distance = lambda x: distance_of(x, mode)
-            event = _scan_step(
-                dense, t, h_try, state, s_new, d_state, d_new, distance, signed_of, opts.hit_tol
-            )
-
-        if chart is not None and event is None:
-            # hysteresis: switch in at |y| >= 2 r1, back out at |y| <= r1
-            if mode:
-                crossed = lambda s: _norm(s) ** (-1.0 / chart.gamma) <= r1
-            else:
-                crossed = lambda s: _norm(s) >= 2.0 * r1
-            if crossed(s_new):
-                _, hi = _bisect(
-                    lambda x: crossed(dense(x)), t, t_new, 1e-15 * max(1.0, abs(t_new))
+                break
+            if t >= seg_end - 1e-15 * max(1.0, abs(seg_end)):
+                new_segment()
+            h_try = min(h, seg_end - t, opts.max_step)
+            # the distance is 1-Lipschitz in the integration coordinates, except
+            # on a chart system outside its chart, where it is read through it
+            lipschitz = chart is None or mode
+            if tgt is not None and np.isfinite(d_state) and d_state > 0.0:
+                h_try = _approach_cap(
+                    h_try, d_state, opts.hit_tol, f, lambda: gap_and_rate(state, f, mode)[1], lipschitz
                 )
-                event = (hi, "chart-out" if mode else "chart-in")
-
-        if event is None:
-            if chart is None:
-                if _norm(s_new) > DIVERGENCE_RADIUS:
-                    event = (t_new, "diverged")
-            elif mode and _norm(s_new) <= band:
-                # without a target there to stop at, the state has left
-                # every compact set: report divergence
-                event = (t_new, "diverged")
-
-        if event is None:
-            times.append(t_new)
-            emit(t_new, s_new, f_new, mode)
-            t, state, f = t_new, s_new, f_new
-            d_state = d_new
-            h = _rk.next_step(h_try, err_norm, rejected)
-            rejected = False
-            continue
-
-        tau, kind = event
-        s_tau = s_new if tau == t_new else dense(tau)
-        f_tau = f_new
-        if kind != "diverged":
+            if mode:
+                # no step may jump across z = 0 into the flipped chart field
+                zn = _norm(state)
+                h_try = _approach_cap(h_try, zn, band, f, lambda: float(state @ f) / zn)
+            n_steps += 1
+            if n_steps > opts.max_steps:
+                raise errors.IntegrationFailed("forward integration exceeded the step budget")
             try:
-                with np.errstate(all="ignore"):
-                    f_tau = rhs(tau, s_tau)
+                s_new, f_new, err = _rk.step(rhs, t, state, f, h_try)
+                err_norm = _rk.error_norm(err, state, s_new, opts.rtol, opts.atol)
+                failed = not _rk.finite(s_new)
             except _StageFailure:
-                pass
-        times.append(tau)
-        emit(tau, s_tau, f_tau, mode)
-        if kind == "hit":
-            d_ev = distance_of(s_tau, mode)
-            _, rate = gap_and_rate(s_tau, f_tau, mode)
-            extra = d_ev / max(-rate, 1e-300) if rate < 0.0 else 0.0
-            status = HIT_TARGET
-            hit_time = tau + min(extra, h_try)
-            terminal_distance = d_ev
-        elif kind == "diverged":
-            status = DIVERGED
-            hit_time = tau
-            terminal_distance = distance_of(s_tau, mode)
-        else:
-            y_here = to_y(s_tau, mode)
-            mode = kind == "chart-in"
-            state = chart.to_chart(y_here) if mode else y_here
-            flags[-1] = mode
-            t = tau
-            d_state = distance_of(state, mode)
-            new_segment()
-            h = _rk.next_step(h_try, err_norm, rejected)
-            rejected = False
+                err_norm = np.inf
+                failed = True
+            if failed or err_norm > 1.0:
+                h = _rk.next_step(h_try, np.inf if failed else err_norm)
+                rejected = True
+                if h < _STALL_FLOOR * max(1.0, abs(t)):
+                    status = SINGULAR_STALL
+                    hit_time = t
+                    terminal_distance = d_state
+                continue
+
+            t_new = t + h_try
+
+            def dense(tau):
+                return _rk.hermite(t, state.tolist(), f.tolist(), t_new, s_new.tolist(), f_new.tolist(), tau)
+
+            # --- event scan on the accepted step (first trigger wins) ---
+            event = None  # (time, kind)
+            d_new = distance_of(s_new, mode)
+            if tgt is not None and not (
+                lipschitz
+                and _step_clears(d_state, d_new, state, f, s_new, f_new, h_try, opts.hit_tol, tgt_scale)
+            ):
+                distance = lambda x: distance_of(x, mode)
+                event = _scan_step(
+                    dense, t, h_try, state, s_new, d_state, d_new, distance, signed_of, opts.hit_tol
+                )
+
+            if chart is not None and event is None:
+                # hysteresis: switch in at |y| >= 2 r1, back out at |y| <= r1
+                if mode:
+                    crossed = lambda s: _norm(s) ** (-1.0 / chart.gamma) <= r1
+                else:
+                    crossed = lambda s: _norm(s) >= 2.0 * r1
+                if crossed(s_new):
+                    _, hi = _bisect(
+                        lambda x: crossed(dense(x)), t, t_new, 1e-15 * max(1.0, abs(t_new))
+                    )
+                    event = (hi, "chart-out" if mode else "chart-in")
+
+            if event is None:
+                if chart is None:
+                    if _norm(s_new) > DIVERGENCE_RADIUS:
+                        event = (t_new, "diverged")
+                elif mode and _norm(s_new) <= band:
+                    # without a target there to stop at, the state has left
+                    # every compact set: report divergence
+                    event = (t_new, "diverged")
+
+            if event is None:
+                times.append(t_new)
+                emit(t_new, s_new, f_new, mode)
+                t, state, f = t_new, s_new, f_new
+                d_state = d_new
+                h = _rk.next_step(h_try, err_norm, rejected)
+                rejected = False
+                continue
+
+            tau, kind = event
+            s_tau = s_new if tau == t_new else dense(tau)
+            f_tau = f_new
+            if kind != "diverged":
+                try:
+                    f_tau = rhs(tau, s_tau)
+                except _StageFailure:
+                    pass
+            times.append(tau)
+            emit(tau, s_tau, f_tau, mode)
+            if kind == "hit":
+                d_ev = distance_of(s_tau, mode)
+                _, rate = gap_and_rate(s_tau, f_tau, mode)
+                extra = d_ev / max(-rate, 1e-300) if rate < 0.0 else 0.0
+                status = HIT_TARGET
+                hit_time = tau + min(extra, h_try)
+                terminal_distance = d_ev
+            elif kind == "diverged":
+                status = DIVERGED
+                hit_time = tau
+                terminal_distance = distance_of(s_tau, mode)
+            else:
+                y_here = to_y(s_tau, mode)
+                mode = kind == "chart-in"
+                state = chart.to_chart(y_here) if mode else y_here
+                flags[-1] = mode
+                t = tau
+                d_state = distance_of(state, mode)
+                new_segment()
+                h = _rk.next_step(h_try, err_norm, rejected)
+                rejected = False
 
     traj = Trajectory(
         times=np.array(times),

@@ -40,7 +40,7 @@ from .integrate import (
     integrate_adjoint,
     integrate_forward,
 )
-from .relaxed import RelaxedSchedule, _cell_index
+from .relaxed import RelaxedSchedule
 from .target import TargetSet
 
 # relative pre-terminal offsets T - delta * T of the adjoint seed family
@@ -48,14 +48,13 @@ DELTAS = (1e-2, 1e-3, 1e-4)
 # relative distance within which a cell's mean control agrees with the argmax
 AGREEMENT_TOL = 1e-3
 # bang_polish runs at most POLISH_ROUNDS rounds (a costate sweep and a forward
-# pass of the updated schedule each), and stops at the first round that does
-# not cut w by POLISH_W_TOL (relative), or before the forward pass of a round
-# whose argmax moves no atom by more than POLISH_ATOM_TOL (relative to the
-# control set's scale): the schedule is then a fixed point of the maximum
-# condition, and integrating it again would repeat the last hit up to roundoff
+# pass of the updated schedule each).  It stops before the forward pass of a
+# round whose proposal is predicted to move the exit point by at most hit_tol
+# along the target's exit normal: the forward pass locates the hit only to
+# within hit_tol, so it could not resolve the move.  It stops after the
+# forward pass of a round that does not cut w by POLISH_W_TOL (relative).
 POLISH_ROUNDS = 29
 POLISH_W_TOL = 1e-12
-POLISH_ATOM_TOL = 64 * np.finfo(float).eps
 # quenching conclusions: relative tolerance on the sign of y2(T), and the
 # largest admitted ratio of consecutive covector norms on the delta family
 SIGN_TOL = 1e-7
@@ -306,8 +305,10 @@ def verify(
 # maximum-condition fixed point
 
 
-def _cell_switching_vector(sys, adj, a, b):
-    """Integral of B(t)^T psi(t) over [a, b] on the adjoint's own grid.
+def _piece_integrals(sys, adj, cuts):
+    """Integrals of B(t)^T psi(t) over the pieces [cuts[k], cuts[k + 1]], one
+    row per piece, by the trapezoid rule on the adjoint's grid refined by the
+    cuts (strictly increasing, inside the adjoint's range), in one pass.
 
     The grid holds every time knot of B, so each trapezoid reads B one ulp
     inside its own interval: a left-continuous B read at a knot would smear
@@ -315,46 +316,55 @@ def _cell_switching_vector(sys, adj, a, b):
     """
     ts = np.asarray(adj.times, dtype=float)
     psis = np.asarray(adj.psis, dtype=float)
-    inner = ts[(ts > a) & (ts < b)]
-    pts = np.concatenate(([a], inner, [b]))
-    psi = _psi_at(ts, psis, pts)
+    pts = np.union1d(cuts, ts[(ts > cuts[0]) & (ts < cuts[-1])])
+    psi = _psi_at(ts, psis, pts)[:, None, :]
+    lo, hi = pts[:-1], pts[1:]
     B = sys.affine.input_matrix
-    q = np.zeros(sys.dim_control)
-    for k in range(len(pts) - 1):
-        lo, hi = pts[k], pts[k + 1]
-        q_lo = np.atleast_2d(B(np.nextafter(lo, hi))).T @ psi[k]
-        q_hi = np.atleast_2d(B(np.nextafter(hi, lo))).T @ psi[k + 1]
-        q += 0.5 * (hi - lo) * (q_lo + q_hi)
-    return q
+    q_lo = (psi[:-1] @ B.at(np.nextafter(lo, hi)))[:, 0]
+    q_hi = (psi[1:] @ B.at(np.nextafter(hi, lo)))[:, 0]
+    q = (0.5 * (hi - lo))[:, None] * (q_lo + q_hi)
+    return np.add.reduceat(q, np.searchsorted(pts, cuts[:-1]))
 
 
-def _proposed_atoms(sys, adj, grid, t_end, atoms):
-    """A copy of atoms (one row of atoms per cell of grid) with every atom of
-    each cell set to the argmax of the cell's switching vector, read up to
-    t_end; a cell whose argmax is degenerate (every control maximizes) keeps
-    its atoms."""
-    atoms = np.array(atoms, dtype=float, copy=True)
+def _propose(sys, adj, sched, grid, t_end):
+    """One polish round's proposal and the exit displacement it predicts.
+
+    The proposal is a copy of sched's atoms with every atom of each cell of
+    grid set to the argmax of the cell's switching vector, read up to t_end;
+    a cell whose argmax is degenerate (every control maximizes) keeps its
+    atoms.  Cutting [0, t_end] at the knots of grid and of sched gives
+    pieces that each lie in one cell of either, and a cell's switching
+    vector is the sum of its pieces'.  The displacement is the first-order
+    change of psi(T) . y(T) that the proposal makes,
+    D = sum over pieces of q . (u_new - u_old) in the raw scale of the seed
+    (q the piece's integral of B^T psi, u the cell's mean control): with
+    the target's unit exit normal as the seed, the distance the exit point
+    moves along it.  D >= 0 up to roundoff, since each cell takes its
+    argmax, and D = 0 for a proposal that reproduces sched.
+
+    Returns (atoms, D).
+    """
+    knots = np.concatenate((grid, sched.grid))
+    cuts = np.union1d(knots[(knots > 0.0) & (knots < t_end)], [0.0, t_end])
+    q = _piece_integrals(sys, adj, cuts)
+    # the cell of each piece on either grid, by the left-continuous rule of
+    # relaxed._cell_index read at the piece's end
+    new = np.searchsorted(grid, cuts[1:], side="left") - 1
+    old = np.clip(np.searchsorted(sched.grid, cuts[1:], side="left") - 1, 0, sched.cells - 1)
+    q_cell = np.zeros((len(grid) - 1, q.shape[1]))
+    np.add.at(q_cell, new, q)
+    atoms = np.array(sched.atoms, dtype=float, copy=True)
     for i in range(len(grid) - 1):
         a, b = float(grid[i]), min(float(grid[i + 1]), t_end)
         if b <= a:
             continue
-        q = _cell_switching_vector(sys, adj, a, b)
-        u_i, _, degenerate = sys.control_set.argmax(q, 1e-14 * (b - a))
+        u_i, _, degenerate = sys.control_set.argmax(q_cell[i], 1e-14 * (b - a))
         if not degenerate:
             atoms[i, :, :] = u_i
-    return atoms
-
-
-def _applies_same_control(sched, grid, atoms, tol) -> bool:
-    """True when, on every cell of (grid, atoms), each atom of each cell of
-    sched overlapping it lies within tol (max norm) of each of its atoms."""
-    for i in range(len(grid) - 1):
-        lo = _cell_index(sched.grid, np.nextafter(grid[i], grid[i + 1]))
-        hi = _cell_index(sched.grid, grid[i + 1])
-        old = sched.atoms[lo : hi + 1, :, None, :]
-        if not np.max(np.abs(old - atoms[i][None, None])) <= tol:
-            return False
-    return True
+    u_new = (sched.weights[:, None, :] @ atoms)[:, 0]
+    u_old = (sched.weights[:, None, :] @ sched.atoms)[:, 0]
+    shift = float(np.sum(q * (u_new[new] - u_old[old]))) / adj.normalization
+    return atoms, shift
 
 
 def bang_polish(
@@ -375,18 +385,20 @@ def bang_polish(
     proposal's hit time.  Gradient methods stall on this last stretch (the
     hit time is flat in the control to first order at the optimum), while
     the fixed point lands on the extremal of the piecewise-constant class
-    directly.  Stops at the first round that does not cut w by POLISH_W_TOL,
-    or before the forward pass when the new schedule applies the control the
-    current one applies, to POLISH_ATOM_TOL, on every new cell (a fixed point
-    of the maximum condition), and returns the best triple seen, which is
-    `certified` itself when no round improves on it.  sys has a ball, box or
+    directly.  Stops before the forward pass of a round whose proposal
+    moves the exit point by at most opts.hit_tol to first order (the
+    displacement D of _propose: psi(T) . delta y(T) = integral of
+    psi^T B delta u, with psi seeded at the target's unit exit normal), which
+    no forward pass at opts can resolve; a proposal that reproduces the
+    current schedule predicts D = 0.  Stops after the forward pass of a round
+    that does not cut w by POLISH_W_TOL.  Returns the best triple seen, which
+    is `certified` itself when no round improves on it.  sys has a ball, box or
     finite control set.  certified is a hit: w is the hit time of the
     trajectory, the schedule integrated with opts (solve._certify makes
     one), so the polish starts at the costate sweep.  Every w returned is
     thus the hit time of a forward pass at opts.
     """
     opts = opts or IntegratorOptions()
-    atom_tol = POLISH_ATOM_TOL * sys.control_set.scale
     best = certified
     w, sched, traj = certified
     n_cells = sched.weights.shape[0]
@@ -398,8 +410,8 @@ def bang_polish(
         except errors.Error:
             break
         grid = np.linspace(0.0, w, n_cells + 1)
-        atoms = _proposed_atoms(sys, adj, grid, t_end, sched.atoms[:n_cells])
-        if _applies_same_control(sched, grid, atoms, atom_tol):
+        atoms, shift = _propose(sys, adj, sched, grid, t_end)
+        if shift <= opts.hit_tol:
             break
         sched = RelaxedSchedule(grid=grid, atoms=atoms, weights=np.array(sched.weights, copy=True))
         t_max = best[0] * 1.2 + 100.0 * opts.hit_tol

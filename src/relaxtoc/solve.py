@@ -19,6 +19,7 @@ finite set; a route without a certified hit raises Infeasible.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -46,6 +47,14 @@ class SolveOptions:
     w_max: float = 50.0
     seed: int = 0
     final: IntegratorOptions = field(default_factory=IntegratorOptions)
+
+    def __post_init__(self):
+        if not self.n_cells >= 1:
+            raise ValueError(f"n_cells must be >= 1, got {self.n_cells!r}")
+        if not self.n_atoms >= 1:
+            raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms!r}")
+        if not (math.isfinite(self.w_max) and self.w_max > 0.0):
+            raise ValueError(f"w_max must be finite and positive, got {self.w_max!r}")
 
 
 @dataclass(eq=False)
@@ -273,6 +282,8 @@ def alpha_ladder(
     opts = opts or SolveOptions()
     if not (0.0 < ratio < 1.0):
         raise ValueError("ratio must lie in (0, 1)")
+    if not k_max >= 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max!r}")
     y0 = np.asarray(y0, dtype=float)
     d0 = initial_distance(sys, tgt.with_alpha(0.0), y0)
     if alpha0 is None:

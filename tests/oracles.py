@@ -289,3 +289,19 @@ def hermite(t0, y0, f0, t1, y1, f1, t):
         + (-2 * s3 + 3 * s2) * y1
         + (s3 - s2) * h * f1
     )
+
+
+def switching_integral(B, times, psis, a, b):
+    """Integral of B(t)^T psi(t) over [a, b], psi linear between the samples
+    (times, psis): one trapezoid per interval of the samples inside (a, b),
+    B read one ulp inside each interval's ends, as a loop."""
+    inner = [t for t in times if a < t < b]
+    pts = [a] + inner + [b]
+    psi = [np.array([np.interp(t, times, col) for col in np.asarray(psis).T]) for t in pts]
+    q = 0.0
+    for k in range(len(pts) - 1):
+        lo, hi = pts[k], pts[k + 1]
+        q_lo = np.asarray(B(np.nextafter(lo, hi))).T @ psi[k]
+        q_hi = np.asarray(B(np.nextafter(hi, lo))).T @ psi[k + 1]
+        q = q + 0.5 * (hi - lo) * (q_lo + q_hi)
+    return q

@@ -440,7 +440,7 @@ def test_hermite_matches_numpy_bit_for_bit(n):
         y0, f0, y1, f1 = rng.normal(size=(4, n))
         # sample times come as floats and, from trajectories, as NumPy scalars
         for t in (t0, t1, t0 + 0.3 * (t1 - t0), np.float64(t0 + 0.7 * (t1 - t0))):
-            got = _rk.hermite(np.float64(t0), y0, f0, t1, y1, f1, t)
+            got = _rk.hermite(np.float64(t0), y0.tolist(), f0.tolist(), t1, y1.tolist(), f1.tolist(), t)
             assert _same_bits(got, oracles.hermite(np.float64(t0), y0, f0, t1, y1, f1, t))
 
 

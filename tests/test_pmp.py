@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from relaxtoc import errors, pmp
 from relaxtoc.dynamics import (
     FiniteSet,
@@ -323,7 +324,7 @@ def _proposed_atoms(sys_, res, opts):
     seed = pmp.exit_covector(sys_, res.target, res.trajectory, t_end)
     adj = pmp.integrate_adjoint(sys_, res.trajectory, res.schedule, seed, t_end=t_end, opts=opts)
     grid = np.linspace(0.0, res.w, res.schedule.weights.shape[0] + 1)
-    return pmp._proposed_atoms(sys_, adj, grid, t_end, res.schedule.atoms)
+    return pmp._propose(sys_, adj, res.schedule, grid, t_end)[0]
 
 
 @pytest.mark.parametrize("case", ["quench", "blowup"])
@@ -379,19 +380,69 @@ def test_polish_stops_at_a_fixed_point(monkeypatch, n):
     assert seen["forwards"] == 0
     assert seen["polished"] is seen["certified"]
     assert res.reason == "seed"
-    # one atom moved off the argmax: the polish integrates the updated schedule
+    # one atom moved off the argmax.  Scaled by 1 - 1e-6 it moves the exit
+    # point by a predicted 1.4e-9, below hit_tol: the polish stops with no
+    # forward pass and returns its input.  Scaled by 1 - 1e-3 the prediction
+    # is 1.4e-6: the polish integrates the updated schedule, and the hit
+    # comes earlier
     w, sched, _ = seen["certified"]
-    atoms = np.array(sched.atoms, copy=True)
-    atoms[1] *= 1.0 - 1e-6
-    moved = RelaxedSchedule(grid=sched.grid, atoms=atoms, weights=sched.weights)
-    traj = integrate_forward(sys_, moved, y0, tgt=res.target, t_max=1.2 * w)
-    assert traj.hit.status == HIT_TARGET
-    forwards = []
     forward = pmp.integrate_forward
-    monkeypatch.setattr(pmp, "integrate_forward", lambda *a, **k: forwards.append(a) or forward(*a, **k))
-    out = bang_polish(sys_, res.target, (traj.hit.time, moved, traj), y0)
-    assert len(forwards) >= 1
-    assert out[0] <= traj.hit.time
+    for scale, integrates in ((1.0 - 1e-6, False), (1.0 - 1e-3, True)):
+        atoms = np.array(sched.atoms, copy=True)
+        atoms[1] *= scale
+        moved = RelaxedSchedule(grid=sched.grid, atoms=atoms, weights=sched.weights)
+        traj = integrate_forward(sys_, moved, y0, tgt=res.target, t_max=1.2 * w)
+        assert traj.hit.status == HIT_TARGET
+        forwards = []
+        monkeypatch.setattr(pmp, "integrate_forward", lambda *a, **k: forwards.append(a) or forward(*a, **k))
+        triple = (traj.hit.time, moved, traj)
+        out = bang_polish(sys_, res.target, triple, y0)
+        monkeypatch.undo()
+        if integrates:
+            assert len(forwards) >= 1
+            assert out[0] < traj.hit.time
+        else:
+            assert forwards == []
+            assert out is triple
+
+
+def test_polish_predicts_the_exit_displacement(monkeypatch, quench_sys, quench_target, quench_y0):
+    # each round predicts how far its proposal moves the exit point along the
+    # unit exit normal, D = psi(T) . delta y(T), and so the hit-time cut
+    # D / psi(T) . y'(T).  On the quench at alpha 0.1 from the greedy seed,
+    # D is nonnegative up to roundoff (each cell takes its argmax), and on
+    # every round with D above 100 hit_tol the predicted cut is within a
+    # factor of 2 of the one its forward pass realizes (measured: 1.13,
+    # 1.03 and 1.20 times it)
+    rounds = []
+    exit_covector, propose = pmp.exit_covector, pmp._propose
+
+    def seeding(sys_, tgt, traj, t_end):
+        seed = exit_covector(sys_, tgt, traj, t_end)
+        rounds.append({"w": traj.hit.time, "rate": float(seed @ traj.derivs[-1])})
+        return seed
+
+    def proposing(sys_, adj, sched, grid, t_end):
+        atoms, shift = propose(sys_, adj, sched, grid, t_end)
+        # a bound on |integral of psi^T B u| over the horizon (B = I here)
+        psi_max = float(np.max(np.linalg.norm(adj.psis, axis=1)))
+        scale = sys_.control_set.scale * t_end * psi_max / adj.normalization
+        rounds[-1].update(D=shift, scale=scale)
+        return atoms, shift
+
+    monkeypatch.setattr(pmp, "exit_covector", seeding)
+    monkeypatch.setattr(pmp, "_propose", proposing)
+    solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=SolveOptions(n_cells=8, n_atoms=2))
+    hit_tol = IntegratorOptions().hit_tol
+    assert all(r["D"] >= -1e-15 * r["scale"] for r in rounds)
+    ratios = [
+        (r["D"] / r["rate"]) / (r["w"] - after["w"])
+        for r, after in zip(rounds, rounds[1:])
+        if r["D"] > 100.0 * hit_tol
+    ]
+    assert len(ratios) == 3
+    assert all(0.5 <= ratio <= 2.0 for ratio in ratios)
+    assert rounds[-1]["D"] <= hit_tol
 
 
 def test_cell_switching_vector_reads_b_inside_each_interval():
@@ -406,8 +457,26 @@ def test_cell_switching_vector_reads_b_inside_each_interval():
         seed=psi,
         normalization=1.0,
     )
-    q = pmp._cell_switching_vector(make_quenching_system(B=B), adj, 0.0, 0.5)
+    (q,) = pmp._piece_integrals(make_quenching_system(B=B), adj, np.array([0.0, 0.5]))
     assert np.allclose(q, 0.3 * psi + 0.2 * np.array([0.5, 2.0]), rtol=1e-14, atol=0.0)
+
+
+def test_piece_integrals_match_the_loop_per_piece_and_per_cell():
+    # B jumps at 0.3 and psi varies: each piece, cut at the knot and at times
+    # off the adjoint's grid, matches the one-trapezoid-at-a-time loop, and
+    # the pieces sum to the loop over the whole cell
+    B = PiecewiseConstant([0.0, 0.3], [np.array([[1.0, 0.5], [0.0, 2.0]]), np.diag([0.5, -1.0])])
+    times = np.array([0.0, 0.1, 0.3, 0.45, 0.6])
+    psis = np.stack([np.cos(3.0 * times), 1.0 + times**2], axis=1)
+    adj = AdjointTrajectory(times=times, psis=psis, seed_time=0.6, seed=psis[-1], normalization=1.0)
+    cuts = np.array([0.0, 0.2, 0.3, 0.52, 0.6])
+    pieces = pmp._piece_integrals(make_quenching_system(B=B), adj, cuts)
+    assert pieces.shape == (4, 2)
+    for k, piece in enumerate(pieces):
+        ref = oracles.switching_integral(B, times, psis, cuts[k], cuts[k + 1])
+        assert np.allclose(piece, ref, rtol=1e-14, atol=0.0)
+    whole = oracles.switching_integral(B, times, psis, 0.0, 0.6)
+    assert np.allclose(pieces.sum(axis=0), whole, rtol=1e-14, atol=0.0)
 
 
 def test_bang_polish_accepts_finite_sets():
