@@ -102,14 +102,15 @@ def counted_pass(wl, samples):
 
     A trial step is one call of _rk.step; it is rejected when it raises (a
     stage left the admissible region) or when its error norm is not <= 1 or
-    its new state is not finite, exactly the integrators' acceptance test.
-    Both integrators look _rk.step and _rk.error_norm up at each step, and
-    barrier looks quad and _fast_radius up at each call.
+    its new state is not finite, exactly the acceptance test of the one step
+    loop `_rk.steps`, which both integrators consume.  It looks _rk.step
+    and _rk.error_norm up at each trial, and barrier looks quad and
+    _fast_radius up at each call.
     """
     import numpy as np
 
     from relaxtoc import _rk, barrier, target
-    from relaxtoc.integrate import _StageFailure
+    from relaxtoc._rk import StageFailure
 
     counts = dict.fromkeys(COUNTS, 0)
 
@@ -133,7 +134,7 @@ def counted_pass(wl, samples):
         counts["rk_steps"] += 1
         try:
             return step(*args)
-        except _StageFailure:
+        except StageFailure:
             counts["rejected_steps"] += 1
             raise
 

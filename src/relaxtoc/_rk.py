@@ -1,6 +1,11 @@
-"""Dormand-Prince 5(4) stepping primitives shared by the integrators.
+"""Dormand-Prince 5(4) stepping: the primitives and the one step loop.
 
-Both integrators size their steps with one rule, `next_step`: a rejected
+`steps` is the adaptive step loop of the package.  `integrate_plain`
+records the steps it yields, and `integrate.integrate_forward` scans them
+for target events and restarts it at a chart switch.  `steps` owns every
+rule of the loop: the restart one ulp inside each leg between knots, the
+first-step guess, the landing on each stop, the trial and its rejection, the
+step-size rule `next_step`, the stall floor and the step budget.  A rejected
 trial shrinks by the error-norm factor (halves when the norm is not finite),
 and an accepted trial grows by it, except right after a rejection, when it
 may not grow (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Without that
@@ -56,6 +61,8 @@ E1, E3, E4, E5, E6, E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 SAFETY = 0.9
+# a rejected trial shrinking below this, relative to max(1, |t|), stalls the pass
+STALL_FLOOR = 1e-14
 
 
 def step(rhs, t, y, f, h):
@@ -204,27 +211,88 @@ def hermite(t0, y0, f0, t1, y1, f1, t):
     return np.array([a * p + b * q + c * r + d * v for p, q, r, v in zip(y0, f0, y1, f1)])
 
 
+class StageFailure(Exception):
+    """A stage left the field's domain: the trial is rejected and retried smaller."""
+
+
+def steps(rhs_for, t, y, stops, rtol, atol, budget, cols=1, h=None, cap=None):
+    """The one adaptive step loop: accepted steps from (t, y) through stops.
+
+    stops are in travel order (decreasing integrates backward), and each ends
+    a leg whose rhs is rhs_for(t, stop).  A leg restarts the stage derivative
+    one ulp inside, where a left-continuous signal reads the new cell: the
+    first-same-as-last derivative carried into a knot is its left limit.  A
+    step lands on its leg's stop, but a backward leg into a knot ends a few
+    ulps short of it, so no stage of its last step reads the cell ahead.
+
+    h is the first trial size (default `initial_step`, within the span), and
+    cap(t, y, f, h) may shorten the first trial at each position; a rejected
+    trial only shrinks below it.  A trial is rejected when a stage raises
+    StageFailure, the new state is not finite or the error norm is above 1.
+    Each trial takes one item of the iterator budget (callers may share it
+    across restarts) and raises IntegrationFailed when it is empty.  A step
+    size below STALL_FLOOR * max(1, |t|) raises StepStall.
+
+    Yields (t, y, f, h, t_new, y_new, f_new, h_next) per accepted step, with
+    the trial size h itself (t_new - t rounds) and the next trial size
+    h_next.  Run it under np.errstate(all="ignore"), as the integrators do.
+    """
+    direction = 1.0 if stops[-1] >= t else -1.0
+    for stop in stops:
+        rhs = rhs_for(t, stop)
+        try:
+            f = rhs(np.nextafter(t, stop), y)
+        except StageFailure:
+            raise errors.SingularState("field not evaluable at the leg start") from None
+        if h is None:
+            h = min(initial_step(rhs, t, y, f, direction, rtol, np.max(atol)), abs(stops[-1] - t))
+        short = direction < 0 and stop != stops[-1]  # a backward leg into a knot
+        while (stop - t) * direction > 1e-15 * max(1.0, abs(t)):
+            h = min(h, abs(stop - t))
+            if short and t - h <= stop:
+                h = t - math.nextafter(stop, t)
+                while t - h <= stop:
+                    h -= math.ulp(t)
+            if cap is not None:
+                h = cap(t, y, f, h)
+            rejected = False
+            while True:
+                if next(budget, None) is None:
+                    raise errors.IntegrationFailed("integration exceeded its step budget")
+                try:
+                    y_new, f_new, err = step(rhs, t, y, f, direction * h)
+                    err_norm = error_norm(err, y, y_new, rtol, atol, cols)
+                    if not finite(y_new):
+                        err_norm = math.inf  # an overflowing stage rejects the step
+                except StageFailure:
+                    err_norm = math.inf
+                if err_norm <= 1.0:
+                    break
+                rejected = True
+                h = next_step(h, err_norm)
+                if h < STALL_FLOOR * max(1.0, abs(t)):
+                    raise errors.StepStall(t, f)
+            t_new = t + direction * h
+            h_next = next_step(h, err_norm, rejected)
+            yield t, y, f, h, t_new, y_new, f_new, h_next
+            t, y, f, h = t_new, y_new, f_new, h_next
+        t = stop  # the leg ended within roundoff of its stop
+
+
 def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, record=None, cols=1):
     """Adaptive integration without events; supports t1 < t0 (backward).
 
     atol may be a scalar or a vector.  y may stack cols equal-length
     columns; step control then takes the worst column (error_norm).  knots
-    are interior times where the rhs may be discontinuous; steps land on
-    them, and past each one the stage derivative restarts: the
-    first-same-as-last derivative carried into the knot is the left limit,
-    so f is evaluated afresh one ulp into the next leg (and into the first
-    one), where a left-continuous signal already reads its new cell.  A
-    backward leg ends a few ulps short of its knot instead: a step landing on
-    the knot would evaluate its last stages there, where a left-continuous
-    signal reads the cell ahead.  When `record` is a sorted array of times
-    (in travel order) the state is recorded exactly at those times and
-    (times, states) is returned; otherwise the terminal state.
+    are interior times where the rhs may be discontinuous: each ends a leg of
+    `steps`.  When `record` is a sorted array of times (in travel order) the
+    state is recorded exactly at those times and (times, states) is returned;
+    otherwise the terminal state.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
     direction = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
-    if span == 0.0:
+    if t1 == t0:
         if record is not None:
             return np.array([t0]), y[None, :].copy()
         return y
@@ -232,58 +300,21 @@ def integrate_plain(rhs, t0, t1, y0, rtol, atol, knots=(), max_steps=200_000, re
     if direction < 0:
         stops = stops[::-1]
     rec_times = None if record is None else list(record)
-    rec_out = []
-    rec_states = []
-    if rec_times:
-        # Record the initial time if requested.
-        while rec_times and (rec_times[0] - t) * direction <= 1e-16 * max(1.0, abs(t)):
-            rec_out.append(rec_times.pop(0))
-            rec_states.append(y.copy())
+    rec_out, rec_states = [], []
+    while rec_times and (rec_times[0] - t) * direction <= 1e-16 * max(1.0, abs(t)):
+        rec_out.append(rec_times.pop(0))  # the initial time
+        rec_states.append(y.copy())
 
-    n_steps = 0
-    h = None
+    accepted = steps(lambda t, stop: rhs, t, y, stops, rtol, atol, iter(range(max_steps)), cols)
     with np.errstate(all="ignore"):  # one context for the pass
-        for stop in stops:
-            # each leg starts one ulp inside: the f carried into a knot is the
-            # left limit there, and a left-continuous signal read at the knot
-            # itself gives the cell behind
-            f = rhs(np.nextafter(t, stop), y)
-            if h is None:
-                atol_max = np.max(np.atleast_1d(atol))
-                h = min(initial_step(rhs, t, y, f, direction, rtol, atol_max), span)
-            short = direction < 0 and stop != stops[-1]  # a backward leg into a knot
-            while (stop - t) * direction > 1e-15 * max(1.0, abs(t)):
-                h = min(h, abs(stop - t))
-                if short and t - h <= stop:
-                    h = t - math.nextafter(stop, t)
-                    while t - h <= stop:
-                        h -= math.ulp(t)
-                rejected = False
-                while True:
-                    n_steps += 1
-                    if n_steps > max_steps:
-                        raise errors.IntegrationFailed("step budget exhausted in plain integration")
-                    t_new = t + direction * h
-                    y_new, f_new, err = step(rhs, t, y, f, direction * h)
-                    err_norm = error_norm(err, y, y_new, rtol, atol, cols)
-                    if not finite(y_new):
-                        err_norm = np.inf  # an overflowing stage rejects the step
-                    if err_norm <= 1.0:
-                        break
-                    rejected = True
-                    h = next_step(h, err_norm)
-                    if h < 1e-15 * max(1.0, abs(t)):
-                        raise errors.IntegrationFailed("step underflow in plain integration")
-                if rec_times:
-                    while rec_times and (rec_times[0] - t_new) * direction <= 0.0:
-                        tr = rec_times.pop(0)
-                        rec_out.append(tr)
-                        rec_states.append(
-                            hermite(t, y.tolist(), f.tolist(), t_new, y_new.tolist(), f_new.tolist(), tr)
-                        )
-                t, y, f = t_new, y_new, f_new
-                h = next_step(h, err_norm, rejected)
-            t = stop  # the leg ended within roundoff of its stop
+        for t, y, f, _, t_new, y_new, f_new, _ in accepted:
+            while rec_times and (rec_times[0] - t_new) * direction <= 0.0:
+                tr = rec_times.pop(0)
+                rec_out.append(tr)
+                rec_states.append(
+                    hermite(t, y.tolist(), f.tolist(), t_new, y_new.tolist(), f_new.tolist(), tr)
+                )
+            y = y_new
     if record is not None:
         # Anything left records the terminal state (guards roundoff at t1).
         for tr in rec_times:

@@ -75,6 +75,8 @@ def _num(cfg, key, path, default=_MISSING, lo=None, hi=None, gt=None, lt=None):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise errors.ConfigError(_join(path, key), f"expected a number, got {val!r}")
     val = float(val)
+    if not np.isfinite(val):  # every bound comparison below is false for NaN
+        raise errors.ConfigError(_join(path, key), f"must be finite, got {val}")
     if lo is not None and val < lo:
         raise errors.ConfigError(_join(path, key), f"must be >= {lo}, got {val}")
     if gt is not None and val <= gt:

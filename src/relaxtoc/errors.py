@@ -29,6 +29,14 @@ class IntegrationFailed(Error):
     """Adaptive integration ran out of its step budget or its step size underflowed."""
 
 
+class StepStall(IntegrationFailed):
+    """The step size fell below the stall floor at t, where the derivative is f."""
+
+    def __init__(self, t, f):
+        super().__init__(f"step size fell below the stall floor at t = {t:.17g}")
+        self.t, self.f = t, f
+
+
 class Infeasible(Error):
     """No admissible trajectory reaching the target was found."""
 

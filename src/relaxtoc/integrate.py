@@ -8,26 +8,26 @@ decay rate to distance zero; the stored terminal sample stays on the computed
 trajectory, so its distance is at most the hit tolerance.  A step whose dense
 output provably stays clear of the target (`_step_clears`) skips the scan.
 
-Steps land on every control and system time knot, and each segment between
-knots (or chart switches) restarts the pair: its rhs closure is built for the
-segment's cell and its first stage is evaluated one ulp inside the segment,
-where left-continuous signals already read the new cell, instead of reusing
-the first-same-as-last derivative of the step into the knot.  The trajectory
-keeps both derivatives at such a sample: `derivs` (the left limit, what the
-step into it ended with) and `start_derivs` (what the segment out of it
-started from, the one dense output uses).
+The steps come from the one step loop, `_rk.steps`, which lands on every
+control and system time knot and restarts the pair past it: each leg's rhs
+closure is built for the leg's cell, and its first stage is evaluated one
+ulp inside the leg, where left-continuous signals already read the new cell.
+The trajectory keeps both derivatives at such a sample: `derivs` (the left
+limit, what the step into it ended with) and `start_derivs` (what the leg
+out of it started from, the one dense output uses).
 
 Systems with a compactification chart integrate in chart coordinates outside
 the switch radius (hysteresis band [r1, 2 r1]); for such systems the target
-is interpreted in chart coordinates.  Step underflow near a singular set is
-reported as a "singular-stall" status, never as a crash.
+is interpreted in chart coordinates.  A chart switch restarts the steps at
+the switch time, with the step budget of the pass.  A step size below the
+step loop's stall floor near a singular set is reported as a "singular-stall"
+status, never as a crash.
 
-Step control follows `_rk.next_step`, so a step accepted right after a
-rejection does not grow.  Stop sets are approached geometrically
-(`_approach_cap`): while the distance to the target, or in the chart |z|
-to the divergence band around z = 0, is shrinking, one step covers at most
-0.8 of the way to a quarter of the band, so no step jumps across the set
-and is rejected for it.
+Stop sets are approached geometrically (`_approach_cap`, the step loop's cap
+on the first trial at each position): while the distance to the target, or
+in the chart |z| to the divergence band around z = 0, is shrinking, one step
+covers at most 0.8 of the way to a quarter of the band, so no step jumps
+across the set and is rejected for it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ MAX_TIME = "max-time"
 SINGULAR_STALL = "singular-stall"
 DIVERGED = "diverged"
 
-_STALL_FLOOR = 1e-14
 # states past this norm (chart states below its chart image) count as diverged
 DIVERGENCE_RADIUS = 1e12
 
@@ -59,7 +58,6 @@ class IntegratorOptions:
     atol: float = 1e-11
     hit_tol: float = 1e-8
     max_steps: int = 500_000
-    max_step: float = np.inf
 
     @property
     def search(self) -> "IntegratorOptions":
@@ -73,10 +71,6 @@ class HitInfo:
     status: str
     time: float
     terminal_distance: float
-
-
-class _StageFailure(Exception):
-    """Internal: a stage evaluation left the admissible region; retry smaller."""
 
 
 @dataclass(eq=False)
@@ -217,7 +211,7 @@ def _cell_rhs(sys, atoms, weights, mode, chart, seg_end):
     checks both), segments end at every time knot, so B reads a single cell
     over the segment, and every stage is drift(t, y) + B u_mean.  Callers
     evaluate the closure under np.errstate(all="ignore"): an overflow shows
-    up as a non-finite stage, which raises _StageFailure and rejects the step.
+    up as a non-finite stage, which raises _rk.StageFailure and rejects the step.
     """
     drift = sys.affine.drift
     Bu = sys.affine.input_matrix(seg_end) @ (weights @ atoms)
@@ -225,7 +219,7 @@ def _cell_rhs(sys, atoms, weights, mode, chart, seg_end):
     def base_field(t, y):
         out = drift(t, y) + Bu
         if not _rk.finite(out):
-            raise _StageFailure
+            raise _rk.StageFailure
         return out
 
     if not mode:
@@ -234,12 +228,12 @@ def _cell_rhs(sys, atoms, weights, mode, chart, seg_end):
     def chart_field(t, z):
         nz = float(np.sqrt(z @ z))
         if not (nz > 0.0) or not math.isfinite(nz):
-            raise _StageFailure
+            raise _rk.StageFailure
         y = chart.from_chart(z)
         v = base_field(t, y)
         out = chart.push_velocity(y, v)
         if not _rk.finite(out):
-            raise _StageFailure
+            raise _rk.StageFailure
         return out
 
     return chart_field
@@ -437,7 +431,7 @@ def integrate_forward(
     knots.update(k for k in sys.time_knots if 0.0 < k < t_max)
     if control is not None:
         knots.update(k for k in control.knots if 0.0 < k < t_max)
-    knots = np.array(sorted(knots))
+    knots = sorted(float(k) for k in knots)
 
     def to_y(s, m):
         return chart.from_chart(s) if m else s
@@ -458,136 +452,104 @@ def integrate_forward(
             return 0.0, 0.0
         return gn, float(gap @ zdot) / gn
 
-    times = [0.0]
-    states_y = []
-    derivs_y = []
-    start_derivs_y = []
-    flags = []
+    rhs = None  # the closure of the leg at hand
 
-    t = 0.0
-    seg_end = None
-    rhs = None
-    f = None
-    n_steps = 0
-    h = None
-    rejected = False  # the trial at hand retries a rejected one
-    status = None
-    hit_time = None
-    terminal_distance = None
+    def rhs_for(t, stop):
+        nonlocal rhs
+        atoms, weights = _resolve_cell(control, sys, 0.5 * (t + stop))
+        rhs = _cell_rhs(sys, atoms, weights, mode, chart, stop)
+        return rhs
+
+    def cap(t, s, f, h):
+        """Both stop sets cap the first trial at each position (_approach_cap)."""
+        if tgt is not None and np.isfinite(d_state) and d_state > 0.0:
+            h = _approach_cap(h, d_state, opts.hit_tol, f, lambda: gap_and_rate(s, f, mode)[1], lipschitz)
+        if mode:
+            # no step may jump across z = 0 into the flipped chart field
+            zn = _norm(s)
+            h = _approach_cap(h, zn, band, f, lambda: float(s @ f) / zn)
+        return h
+
+    times, states_y, derivs_y, start_derivs_y, flags = [], [], [], [], []
 
     def emit(t_s, s_s, f_s, m_s):
+        times.append(t_s)
         states_y.append(to_y(s_s, m_s))
         derivs_y.append(to_ydot(s_s, f_s, m_s))
         start_derivs_y.append(derivs_y[-1])
         flags.append(m_s)
 
-    def new_segment():
-        nonlocal seg_end, rhs, f
-        idx = int(np.searchsorted(knots, t, side="right"))
-        seg_end = float(knots[idx]) if idx < len(knots) else float(t_max)
-        atoms, weights = _resolve_cell(control, sys, 0.5 * (t + seg_end))
-        rhs = _cell_rhs(sys, atoms, weights, mode, chart, seg_end)
-        try:
-            # restart one ulp inside the segment: a left-continuous signal
-            # evaluated at the knot itself reads the cell behind
-            f = rhs(np.nextafter(t, seg_end), state)
-        except _StageFailure:
-            raise errors.SingularState("field not evaluable at the segment start")
-        if start_derivs_y:
-            start_derivs_y[-1] = to_ydot(state, f, mode)
-
+    t = 0.0
+    h = None
+    budget = iter(range(opts.max_steps))  # one per trial of the pass, across chart restarts
+    status = None
     # one context for the pass: every rhs closure is evaluated under it, and
     # an overflow shows up as a non-finite stage that rejects the step
     with np.errstate(all="ignore"):
-        new_segment()
-        emit(t, state, f, mode)
-        h = _rk.initial_step(rhs, t, state, f, 1.0, opts.rtol, opts.atol)
-
         while status is None:
-            if t >= t_max - 1e-15 * max(1.0, t_max):
-                status = MAX_TIME
-                hit_time = t
-                terminal_distance = d_state
-                break
-            if t >= seg_end - 1e-15 * max(1.0, abs(seg_end)):
-                new_segment()
-            h_try = min(h, seg_end - t, opts.max_step)
             # the distance is 1-Lipschitz in the integration coordinates, except
             # on a chart system outside its chart, where it is read through it
             lipschitz = chart is None or mode
-            if tgt is not None and np.isfinite(d_state) and d_state > 0.0:
-                h_try = _approach_cap(
-                    h_try, d_state, opts.hit_tol, f, lambda: gap_and_rate(state, f, mode)[1], lipschitz
-                )
-            if mode:
-                # no step may jump across z = 0 into the flipped chart field
-                zn = _norm(state)
-                h_try = _approach_cap(h_try, zn, band, f, lambda: float(state @ f) / zn)
-            n_steps += 1
-            if n_steps > opts.max_steps:
-                raise errors.IntegrationFailed("forward integration exceeded the step budget")
-            try:
-                s_new, f_new, err = _rk.step(rhs, t, state, f, h_try)
-                err_norm = _rk.error_norm(err, state, s_new, opts.rtol, opts.atol)
-                failed = not _rk.finite(s_new)
-            except _StageFailure:
-                err_norm = np.inf
-                failed = True
-            if failed or err_norm > 1.0:
-                h = _rk.next_step(h_try, np.inf if failed else err_norm)
-                rejected = True
-                if h < _STALL_FLOOR * max(1.0, abs(t)):
-                    status = SINGULAR_STALL
-                    hit_time = t
-                    terminal_distance = d_state
-                continue
-
-            t_new = t + h_try
-
-            def dense(tau):
-                return _rk.hermite(t, state.tolist(), f.tolist(), t_new, s_new.tolist(), f_new.tolist(), tau)
-
-            # --- event scan on the accepted step (first trigger wins) ---
             event = None  # (time, kind)
-            d_new = distance_of(s_new, mode)
-            if tgt is not None and not (
-                lipschitz
-                and _step_clears(d_state, d_new, state, f, s_new, f_new, h_try, opts.hit_tol, tgt_scale)
-            ):
-                distance = lambda x: distance_of(x, mode)
-                event = _scan_step(
-                    dense, t, h_try, state, s_new, d_state, d_new, distance, signed_of, opts.hit_tol
-                )
+            f_end = None  # the derivative the last accepted step ended with
+            stops = [k for k in knots if k > t] or knots[-1:]  # a switch at t_max ends at once
+            steps = _rk.steps(rhs_for, t, state, stops, opts.rtol, opts.atol, budget, h=h, cap=cap)
+            try:
+                for t0, s0, f, h_try, t_new, s_new, f_new, h in steps:
+                    if f is not f_end:  # a leg starts at the last sample: f is its right limit
+                        if times:
+                            start_derivs_y[-1] = to_ydot(s0, f, mode)
+                        else:
+                            emit(t, state, f, mode)
 
-            if chart is not None and event is None:
-                # hysteresis: switch in at |y| >= 2 r1, back out at |y| <= r1
-                if mode:
-                    crossed = lambda s: _norm(s) ** (-1.0 / chart.gamma) <= r1
+                    def dense(tau):
+                        return _rk.hermite(
+                            t0, s0.tolist(), f.tolist(), t_new, s_new.tolist(), f_new.tolist(), tau
+                        )
+
+                    # --- event scan on the accepted step (first trigger wins) ---
+                    d_new = distance_of(s_new, mode)
+                    if tgt is not None and not (
+                        lipschitz
+                        and _step_clears(d_state, d_new, s0, f, s_new, f_new, h_try, opts.hit_tol, tgt_scale)
+                    ):
+                        distance = lambda x: distance_of(x, mode)
+                        event = _scan_step(
+                            dense, t0, h_try, s0, s_new, d_state, d_new, distance, signed_of, opts.hit_tol
+                        )
+
+                    if chart is not None and event is None:
+                        # hysteresis: switch in at |y| >= 2 r1, back out at |y| <= r1
+                        if mode:
+                            crossed = lambda s: _norm(s) ** (-1.0 / chart.gamma) <= r1
+                        else:
+                            crossed = lambda s: _norm(s) >= 2.0 * r1
+                        if crossed(s_new):
+                            _, hi = _bisect(
+                                lambda x: crossed(dense(x)), t0, t_new, 1e-15 * max(1.0, abs(t_new))
+                            )
+                            event = (hi, "chart-out" if mode else "chart-in")
+
+                    if event is None:
+                        if chart is None:
+                            if _norm(s_new) > DIVERGENCE_RADIUS:
+                                event = (t_new, "diverged")
+                        elif mode and _norm(s_new) <= band:
+                            # without a target there to stop at, the state has left
+                            # every compact set: report divergence
+                            event = (t_new, "diverged")
+                    if event is not None:
+                        break
+                    emit(t_new, s_new, f_new, mode)
+                    t, state, f_end, d_state = t_new, s_new, f_new, d_new
                 else:
-                    crossed = lambda s: _norm(s) >= 2.0 * r1
-                if crossed(s_new):
-                    _, hi = _bisect(
-                        lambda x: crossed(dense(x)), t, t_new, 1e-15 * max(1.0, abs(t_new))
-                    )
-                    event = (hi, "chart-out" if mode else "chart-in")
-
-            if event is None:
-                if chart is None:
-                    if _norm(s_new) > DIVERGENCE_RADIUS:
-                        event = (t_new, "diverged")
-                elif mode and _norm(s_new) <= band:
-                    # without a target there to stop at, the state has left
-                    # every compact set: report divergence
-                    event = (t_new, "diverged")
-
-            if event is None:
-                times.append(t_new)
-                emit(t_new, s_new, f_new, mode)
-                t, state, f = t_new, s_new, f_new
-                d_state = d_new
-                h = _rk.next_step(h_try, err_norm, rejected)
-                rejected = False
-                continue
+                    status, hit_time, terminal_distance = MAX_TIME, t, d_state
+                    break
+            except errors.StepStall as stall:
+                if not times:
+                    emit(t, state, stall.f, mode)
+                status, hit_time, terminal_distance = SINGULAR_STALL, t, d_state
+                break
 
             tau, kind = event
             s_tau = s_new if tau == t_new else dense(tau)
@@ -595,33 +557,27 @@ def integrate_forward(
             if kind != "diverged":
                 try:
                     f_tau = rhs(tau, s_tau)
-                except _StageFailure:
+                except _rk.StageFailure:
                     pass
-            times.append(tau)
             emit(tau, s_tau, f_tau, mode)
             if kind == "hit":
                 d_ev = distance_of(s_tau, mode)
                 _, rate = gap_and_rate(s_tau, f_tau, mode)
                 extra = d_ev / max(-rate, 1e-300) if rate < 0.0 else 0.0
-                status = HIT_TARGET
-                hit_time = tau + min(extra, h_try)
-                terminal_distance = d_ev
+                status, hit_time, terminal_distance = HIT_TARGET, tau + min(extra, h_try), d_ev
             elif kind == "diverged":
-                status = DIVERGED
-                hit_time = tau
-                terminal_distance = distance_of(s_tau, mode)
+                status, hit_time, terminal_distance = DIVERGED, tau, distance_of(s_tau, mode)
             else:
+                # the chart switch restarts the steps at tau, with the next
+                # trial size the step into it proposed
                 y_here = to_y(s_tau, mode)
                 mode = kind == "chart-in"
                 state = chart.to_chart(y_here) if mode else y_here
                 flags[-1] = mode
                 t = tau
                 d_state = distance_of(state, mode)
-                new_segment()
-                h = _rk.next_step(h_try, err_norm, rejected)
-                rejected = False
 
-    traj = Trajectory(
+    return Trajectory(
         times=np.array(times),
         states=np.array(states_y),
         derivs=np.array(derivs_y),
@@ -630,7 +586,6 @@ def integrate_forward(
         hit=HitInfo(status=status, time=float(hit_time), terminal_distance=float(terminal_distance)),
         chart=chart,
     )
-    return traj
 
 
 def integrate_adjoint(

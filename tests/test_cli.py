@@ -178,6 +178,15 @@ def test_seed_override_is_checked_as_the_field(tmp_path, capsys):
         assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
 
 
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys):
+    # json parses NaN and Infinity, and every bound comparison is false for NaN
+    path = tmp_path / "toy.json"
+    for value in (float("nan"), float("inf"), float("-inf")):
+        path.write_text(json.dumps(_toy_config(solver={"w_max": value})))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: solver.w_max: must be finite, got {value}\n"
+
+
 # one small config per task family; the fuzz below changes one field at a time
 _FUZZ_BASES = {
     "toy-solve": {
@@ -217,9 +226,12 @@ _FUZZ_FIELDS = [
     ("sweep", "cells"), ("sweep", "g_amp"), ("sweep", "h_amp"), ("sweep", "h_sign"),
     ("verify", "max_hamiltonian_residual"),
 ]
-# negative, zero, huge, wrong type, list of the wrong length, matrix of the
-# wrong shape; huge is a float, so integer fields see it as the wrong type
-_FUZZ_VALUES = [-1.0, 0, 1e300, "x", [1.0, 2.0, 3.0], [[1.0], [0.0]]]
+# negative, zero, huge, not finite, wrong type, list of the wrong length,
+# matrix of the wrong shape; huge is a float, so integer fields see it as the
+# wrong type
+_FUZZ_VALUES = [
+    -1.0, 0, 1e300, float("nan"), float("inf"), float("-inf"), "x", [1.0, 2.0, 3.0], [[1.0], [0.0]],
+]
 
 
 @settings(max_examples=50, deadline=None)

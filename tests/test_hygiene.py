@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
 error class is raised somewhere, only the module that owns a control-set or
-target class branches on it, and `import relaxtoc` loads no SciPy."""
+target class branches on it, one function holds the adaptive step loop, and
+`import relaxtoc` loads no SciPy."""
 
 import ast
 import os
@@ -65,6 +66,38 @@ def test_only_the_owning_module_branches_on_set_and_target_types():
                 if owner.get(name, path.name) != path.name:
                     misplaced.append(f"{path.name}:{node.lineno} {name}")
     assert not misplaced, misplaced
+
+
+def _calls_by_function(path):
+    """{called name: {innermost enclosing function}} for the calls in a module."""
+    calls = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, set()).add(f"{path.name}:{owner}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return calls
+
+
+def test_one_function_holds_the_step_loop():
+    # the trial, the step-size rule and the first-step guess are called only
+    # from the step loop `_rk.steps`: both sweeps consume it, so no second copy
+    # of the loop can drift from the first
+    rules = ("step", "next_step", "initial_step")
+    callers = {rule: set() for rule in rules}
+    for path in sorted(SRC.glob("*.py")):
+        for name, owners in _calls_by_function(path).items():
+            if name in callers:
+                callers[name] |= owners
+    assert callers == {rule: {"_rk.py:steps"} for rule in rules}, callers
 
 
 def test_import_leaves_scipy_unloaded():

@@ -211,6 +211,35 @@ def test_statuses_max_time_and_stall(toy_sys, quench_sys):
     assert abs(stalled.times[-1] - QUENCH_FREE_HIT) <= 1e-4
 
 
+def test_forward_and_plain_take_the_same_steps(quench_sys):
+    # both sweeps consume one step loop: with no target and no control the
+    # forward's steps are plain's on the drift, bit for bit, up to the floor
+    y0 = np.array([0.0, 0.5])
+    opts = IntegratorOptions()
+    drift = quench_sys.affine.drift
+    free = integrate_forward(quench_sys, None, y0, tgt=None, t_max=0.5, opts=opts)
+    assert free.hit.status == MAX_TIME
+    times, states = _rk.integrate_plain(drift, 0.0, 0.5, y0, opts.rtol, opts.atol, record=free.times)
+    assert np.array_equal(times, free.times) and np.array_equal(states, free.states)
+    stalled = integrate_forward(quench_sys, None, y0, tgt=None, t_max=2.0, opts=opts)
+    assert stalled.hit.status == SINGULAR_STALL
+    assert stalled.hit.time == 0.6537608185058283
+    with pytest.raises(errors.IntegrationFailed) as failed:
+        _rk.integrate_plain(drift, 0.0, 2.0, y0, opts.rtol, opts.atol)
+    assert isinstance(failed.value, errors.StepStall)
+    assert failed.value.t == stalled.hit.time
+
+
+def test_a_stall_before_any_step_keeps_the_start_sample(quench_sys):
+    # 1e-9 below the singular line no trial is accepted: the pass still
+    # returns its start, with the derivative its first leg started from
+    y0 = np.array([1.0 - 1e-9, 0.5])
+    traj = integrate_forward(quench_sys, None, y0, tgt=None, t_max=1.0)
+    assert traj.hit.status == SINGULAR_STALL and traj.hit.time == 0.0
+    assert traj.times.tolist() == [0.0] and np.array_equal(traj.states, [y0])
+    assert np.array_equal(traj.derivs, [quench_sys.affine.drift(0.0, y0)])
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=errors.IntegrationFailed,
@@ -471,18 +500,15 @@ def test_dense_output_after_a_knot(quench_sys):
 def test_gronwall_stability(quench_sys):
     y0 = np.array([0.0, 0.5])
     delta = 1e-6
-    opts = IntegratorOptions(rtol=1e-11, atol=1e-13, max_step=0.004)
+    opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
     base = integrate_forward(quench_sys, None, y0, tgt=None, t_max=0.25, opts=opts)
     pert = integrate_forward(
         quench_sys, None, y0 + np.array([delta, 0.0]), tgt=None, t_max=0.25, opts=opts
     )
-    L = max(
-        float(np.linalg.norm(quench_sys.jacobian(t, y).T, 2))
-        for t, y in zip(base.times, base.states)
-    )
-    gap = max(
-        float(np.linalg.norm(pert.interp(t) - y)) for t, y in zip(base.times, base.states)
-    )
+    # both runs read through their dense output on one grid of spacing 0.002
+    grid = np.linspace(0.0, 0.25, 126)
+    L = max(float(np.linalg.norm(quench_sys.jacobian(t, base.interp(t)).T, 2)) for t in grid)
+    gap = max(float(np.linalg.norm(pert.interp(t) - base.interp(t))) for t in grid)
     assert gap <= delta * np.exp(L * 0.25) * (1.0 + 1e-6)
 
 
