@@ -105,7 +105,7 @@ class BarrierTable:
 
 def build_barrier_table(p: float, M: float) -> BarrierTable:
     if not np.isfinite(p) or p <= 1.0:
-        raise errors.NonFinite("blowup exponent must satisfy p > 1")
+        raise ValueError(f"blowup exponent must satisfy p > 1, got {p!r}")
     if M < 0.0:
         raise ValueError("input bound M must be nonnegative")
     r0 = (p + M) / (p - 1.0)

@@ -45,20 +45,20 @@ class NotHit(Error):
     """Candidate trajectory does not reach the target."""
 
 
-class NonFinite(Error):
-    """A quadrature or special-function evaluation did not converge to a finite value."""
-
-
 class BelowThreshold(Error):
     """Radius argument is at or below the supercritical threshold r0."""
 
 
 class OutOfRange(Error):
-    """Argument lies outside the invertible range of the envelope time map."""
+    """A barrier quantity lies outside the range its table or map covers: a
+    time outside the invertible range of the envelope time map, a radius
+    past the table cap, a horizon past the lower map's domain, or a damped
+    solution that leaves the integrable range."""
 
 
 class AlphaOutOfRange(Error):
-    """Decay exponent alpha outside the admissible open interval."""
+    """An alpha outside its admissible interval: the decay exponent of a
+    barrier bound, or the target inflation of a solve or a ladder."""
 
 
 class BelowMtilde(Error):

@@ -106,9 +106,6 @@ class RelaxedSchedule:
             grid=new_grid, atoms=self.atoms[idx], weights=self.weights[idx]
         )
 
-    def scaled_grid(self, factor: float) -> "RelaxedSchedule":
-        return RelaxedSchedule(grid=self.grid * factor, atoms=self.atoms, weights=self.weights)
-
     def hash_bytes(self) -> bytes:
         import hashlib
 

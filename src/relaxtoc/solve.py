@@ -5,15 +5,18 @@ and the state follows y' = f(t, y, sigma(t)).  The returned w is always the
 hit time of a tight re-integration of the winning schedule, never an
 iterate's estimate.
 
-The route is seed -> certify -> polish.  The warm start and the greedy seed
-(one bang atom toward the target) are certified by tight re-integration,
-and the best of them is finished by the maximum-condition fixed point of
-the verification module (pmp.bang_polish): each cell takes the argmax of
-its cell-integrated switching vector, and the result is kept only when the
-certified hit time does not get worse.  The relaxed maximum principle is
-thus the solver, not only its check.  The argmax is closed-form because
-every system is control-affine and every control set a ball, a box or a
-finite set; a route without a certified hit raises Infeasible.
+The route is seed -> certify -> polish.  The greedy seed is the maximum
+condition at t = 0 with the costate frozen at the target's exit normal (one
+control atom, held constant; pmp.max_hamiltonian); a one-cell probe finds
+its hit time.  It and the warm start are certified by tight
+re-integration, and the best of them is finished by the maximum-condition
+fixed point of the verification module (pmp.bang_polish): each cell takes
+the argmax of its cell-integrated switching vector, and the result is kept
+only when the certified hit time does not get worse.  The relaxed maximum
+principle is thus the solver, not only its check.  The argmax is
+closed-form because every system is control-affine and every control set a
+ball, a box or a finite set; a route without a certified hit raises
+Infeasible.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -59,15 +63,30 @@ class SolveOptions:
 
 @dataclass(eq=False)
 class SolveResult:
+    """A certified answer.  alpha, terminal_distance and classical are read
+    from target, trajectory and schedule, so a copy that replaces those
+    (a ladder repair) cannot keep a stale one."""
+
     w: float
     schedule: RelaxedSchedule
-    classical: Optional[ClassicalSchedule]
     trajectory: Trajectory
-    alpha: float
     reason: str
-    terminal_distance: float
     system: ControlSystem
     target: TargetSet
+
+    @property
+    def alpha(self) -> float:
+        return self.target.alpha
+
+    @property
+    def terminal_distance(self) -> float:
+        return self.trajectory.hit.terminal_distance
+
+    @cached_property
+    def classical(self) -> Optional[ClassicalSchedule]:
+        """The per-cell barycenter (classicalize), or None on a non-convex
+        control set."""
+        return classicalize(self) if self.system.control_set.is_convex else None
 
     def to_json_dict(self):
         return {
@@ -82,11 +101,20 @@ class SolveResult:
 
 @dataclass(eq=False)
 class LadderTrace:
-    alphas: tuple
-    ws: tuple
-    schedules: tuple
     results: tuple
     w_star: float
+
+    @property
+    def alphas(self) -> tuple:
+        return tuple(r.alpha for r in self.results)
+
+    @property
+    def ws(self) -> tuple:
+        return tuple(r.w for r in self.results)
+
+    @property
+    def schedules(self) -> tuple:
+        return tuple(r.schedule for r in self.results)
 
     def write_csv(self, path) -> None:
         import csv
@@ -111,48 +139,30 @@ def initial_distance(sys: ControlSystem, tgt: TargetSet, y0) -> float:
     return float(tgt.distance(sys.target_coords(y0)))
 
 
-def _target_direction(sys, tgt_a, y0):
-    """Unit covector along which motion decreases the target distance."""
-    x = sys.target_coords(y0)
-    gap = tgt_a.project(x) - x
-    d = float(np.linalg.norm(gap))
-    if d == 0.0:
-        raise errors.AlphaOutOfRange("start already inside the inflated target")
-    direction = gap / d
-    if sys.chart is not None:
-        direction = sys.covector_to_state(np.asarray(y0, dtype=float), direction)
-        n = float(np.linalg.norm(direction))
-        if n > 0.0:
-            direction = direction / n
-    return direction
+def _greedy_atom(sys, tgt_a, y0, opts):
+    """The maximum condition at t = 0 with the costate frozen at the target's
+    exit normal: the control that closes the distance to the target fastest
+    at the start.  When every control maximizes, a boundary sample of the
+    control set, drawn from the solver seed."""
+    x0 = sys.target_coords(y0)
+    psi0 = sys.covector_to_state(y0, tgt_a.exit_normal(x0, x0))
+    # the argmax ignores the scale of psi0 but the degeneracy test reads it,
+    # and the chart shrinks the normal to almost nothing for far starts
+    n = float(np.linalg.norm(psi0))
+    h = pmp.max_hamiltonian(sys, 0.0, y0, psi0 / n if n > 0.0 else psi0)
+    if h.degenerate:
+        return sys.control_set.boundary_sample(np.random.default_rng([opts.seed, 7]))
+    return h.control
 
 
-def _bang_atom(sys, t, direction, rng):
-    """Atom maximizing the instantaneous drive along `direction`."""
-    cs = sys.control_set
-    B = np.atleast_2d(np.asarray(sys.affine.input_matrix(t), dtype=float))
-    u, _, degenerate = cs.argmax(B.T @ direction, 1e-14)
-    return cs.boundary_sample(rng) if degenerate else u
-
-
-def _greedy_schedule(sys, tgt_a, y0, opts) -> RelaxedSchedule:
-    rng = np.random.default_rng([opts.seed, 7])
-    direction = _target_direction(sys, tgt_a, y0)
-    atom = _bang_atom(sys, 0.0, direction, rng)
-    grid = np.linspace(0.0, 1.0, opts.n_cells + 1)
-    atoms = np.tile(atom, (opts.n_cells, opts.n_atoms, 1))
-    weights = np.full((opts.n_cells, opts.n_atoms), 1.0 / opts.n_atoms)
-    return RelaxedSchedule(grid=grid, atoms=atoms, weights=weights)
-
-
-def _probe_w(sys, tgt_a, y0, sched_unit, opts):
-    """Hit time of the unit schedule stretched to w_max, integrated at the
-    search tolerances, or None without a hit."""
-    phys = sched_unit.scaled_grid(opts.w_max)
-    tr = integrate_forward(sys, phys, y0, tgt=tgt_a, t_max=opts.w_max, opts=opts.final.search)
-    if tr.hit.status != HIT_TARGET:
-        return None
-    return min(tr.hit.time, opts.w_max)
+def _constant(atom, grid, n_atoms) -> RelaxedSchedule:
+    """The atom held on every cell of grid, in n_atoms slots of weight 1 / n_atoms."""
+    cells = len(grid) - 1
+    return RelaxedSchedule(
+        grid=grid,
+        atoms=np.tile(atom, (cells, n_atoms, 1)),
+        weights=np.full((cells, n_atoms), 1.0 / n_atoms),
+    )
 
 
 def _certify(sys, tgt_a, y0, sched_phys, opts):
@@ -195,13 +205,18 @@ def _best_candidate(outcomes):
     )
 
 
-def _seed_candidates(sys, tgt_a, y0, init, greedy, opts):
-    """Certify the seeds: the warm start at its own physical span, the greedy
-    seed at the hit time its probe reports."""
+def _seed_candidates(sys, tgt_a, y0, init, opts):
+    """Certify the seeds: the warm start at its own physical span, and the
+    greedy atom on n_cells cells up to the hit time of its probe, one cell
+    on [0, w_max] integrated at the search tolerances."""
     outcomes = [] if init is None else [_certify(sys, tgt_a, y0, init, opts)]
-    w = _probe_w(sys, tgt_a, y0, greedy, opts)
-    if w is not None:
-        outcomes.append(_certify(sys, tgt_a, y0, greedy.scaled_grid(w), opts))
+    atom = _greedy_atom(sys, tgt_a, y0, opts)
+    probe = _constant(atom, np.array([0.0, opts.w_max]), opts.n_atoms)
+    tr = integrate_forward(sys, probe, y0, tgt=tgt_a, t_max=opts.w_max, opts=opts.final.search)
+    if tr.hit.status == HIT_TARGET:
+        w = min(tr.hit.time, opts.w_max)
+        grid = np.linspace(0.0, 1.0, opts.n_cells + 1) * w
+        outcomes.append(_certify(sys, tgt_a, y0, _constant(atom, grid, opts.n_atoms), opts))
     return outcomes
 
 
@@ -237,8 +252,7 @@ def solve_alpha(
     if init is not None:
         init.validate_in(sys.control_set)
 
-    greedy = _greedy_schedule(sys, tgt_a, y0, opts)
-    best = _best_candidate(_seed_candidates(sys, tgt_a, y0, init, greedy, opts))
+    best = _best_candidate(_seed_candidates(sys, tgt_a, y0, init, opts))
     if best is None:
         raise errors.Infeasible(
             f"neither the warm start nor the greedy seed yields a certified hit within w_max = {opts.w_max!r}"
@@ -247,20 +261,7 @@ def solve_alpha(
     reason = "seed" if polished is best else "seed+polish"
     w_cert, sched_phys, traj = polished
 
-    result = SolveResult(
-        w=w_cert,
-        schedule=sched_phys,
-        classical=None,
-        trajectory=traj,
-        alpha=alpha,
-        reason=reason,
-        terminal_distance=traj.hit.terminal_distance,
-        system=sys,
-        target=tgt_a,
-    )
-    if sys.control_set.is_convex:
-        result.classical = classicalize(result)
-    return result
+    return SolveResult(w=w_cert, schedule=sched_phys, trajectory=traj, reason=reason, system=sys, target=tgt_a)
 
 
 def alpha_ladder(
@@ -302,16 +303,11 @@ def alpha_ladder(
     ws = [r.w for r in results]
     for k in range(len(ws) - 1, 0, -1):
         if ws[k - 1] > ws[k] + 1e-12 * max(1.0, ws[k]):
-            redo = _certify(sys, tgt.with_alpha(alphas[k - 1]), y0, results[k].schedule, opts)
+            redo = _certify(sys, results[k - 1].target, y0, results[k].schedule, opts)
             if redo is not None and redo[0] < ws[k - 1]:
                 w_new, sched_new, traj_new = redo
                 results[k - 1] = replace(
-                    results[k - 1],
-                    w=w_new,
-                    schedule=sched_new,
-                    trajectory=traj_new,
-                    reason="ladder-repair",
-                    terminal_distance=traj_new.hit.terminal_distance,
+                    results[k - 1], w=w_new, schedule=sched_new, trajectory=traj_new, reason="ladder-repair"
                 )
                 ws[k - 1] = w_new
 
@@ -323,10 +319,4 @@ def alpha_ladder(
             r = d2 / d1
             w_star = ws[-1] + d2 * r / (1.0 - r)
 
-    return LadderTrace(
-        alphas=tuple(alphas),
-        ws=tuple(ws),
-        schedules=tuple(r.schedule for r in results),
-        results=tuple(results),
-        w_star=float(w_star),
-    )
+    return LadderTrace(results=tuple(results), w_star=float(w_star))

@@ -99,6 +99,13 @@ def test_invert_rejects_out_of_range(table_gen):
         invert(table_gen, 0.1, "sideways")
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, float("inf"), float("nan")])
+def test_table_rejects_an_exponent_outside_p_gt_1(p):
+    # a bad argument, like M < 0 beside it and p in make_blowup_system
+    with pytest.raises(ValueError, match="p > 1"):
+        build_barrier_table(p, 1.0)
+
+
 def test_comparison_identity_against_direct_integration(table_gen):
     # theta' = theta^p + theta + M from theta(s) = r must equal the envelope
     # read off the inverted blowup-time integral

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 error class is raised somewhere, only the module that owns a control-set or
-target class branches on it, one function holds the adaptive step loop, and
-`import relaxtoc` loads no SciPy."""
+target class branches on it, one function holds the adaptive step loop, the
+solver reads the maximum condition from pmp, and `import relaxtoc` loads no
+SciPy."""
 
 import ast
 import os
@@ -98,6 +99,15 @@ def test_one_function_holds_the_step_loop():
             if name in callers:
                 callers[name] |= owners
     assert callers == {rule: {"_rk.py:steps"} for rule in rules}, callers
+
+
+def test_the_solver_reads_the_maximum_condition_from_pmp():
+    # the greedy seed is the maximum condition at t = 0 with the costate at
+    # the target's exit normal: pmp.max_hamiltonian and exit_normal answer
+    # it, so the solver has no argmax or projection of its own
+    calls = _calls_by_function(SRC / "solve.py")
+    assert not {name: calls[name] for name in ("argmax", "project") if name in calls}
+    assert "solve.py:_greedy_atom" in calls["max_hamiltonian"] & calls["exit_normal"]
 
 
 def test_import_leaves_scipy_unloaded():

@@ -80,6 +80,27 @@ def test_ladder_repairs_a_rung_later_than_the_next(monkeypatch, toy_sys, toy_tar
     assert all(a <= b for a, b in zip(trace.ws, trace.ws[1:]))
 
 
+def test_ladder_repair_renews_the_classical_control(monkeypatch, quench_sys, quench_target, quench_y0):
+    # a repaired rung takes the later rung's schedule, so its classical
+    # control is that schedule's barycenter, not the discarded one's (which
+    # ended at 0.35558, the rung's own w, instead of 0.36875)
+    def late_first_rung(sys, tgt, y0, alpha, init=None, opts=None):
+        res = solve_alpha(sys, tgt, y0, alpha, init=init, opts=opts)
+        return replace(res, w=res.w + 0.5) if init is None else res
+
+    monkeypatch.setattr(solve, "solve_alpha", late_first_rung)
+    opts = SolveOptions(n_cells=8, n_atoms=2, seed=0)
+    trace = alpha_ladder(quench_sys, quench_target, quench_y0, alpha0=0.2, ratio=0.5, k_max=3, opts=opts)
+    repaired = trace.results[0]
+    assert repaired.reason == "ladder-repair"
+    expected = classicalize(repaired)
+    assert np.array_equal(repaired.classical.grid, expected.grid)
+    assert np.array_equal(repaired.classical.values, expected.values)
+    assert repaired.classical.grid[-1] == repaired.schedule.grid[-1] > repaired.w
+    assert repaired.alpha == trace.alphas[0] == 0.2
+    assert repaired.terminal_distance == repaired.trajectory.hit.terminal_distance
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
