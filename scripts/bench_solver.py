@@ -12,7 +12,10 @@ on blowup-ex2 each, n = 1 and n = 2). Per workload it records
 - the same four counts split by the pmp function that ran the pass
   (`by_caller`: bang_polish's proposal sweeps, verify, and
   quenching_conclusions), with the rtol of each pass;
-- forward passes inside bang_polish;
+- forward passes inside bang_polish, and the solver's own forward passes
+  split into greedy probes and certifying passes (solve._certify);
+- scanned steps: accepted forward steps whose event scan ran
+  (calls of integrate._scan_step), the rest being cleared by its bound;
 - segment lookups (binary searches of Trajectory.segment_of over a
   trajectory's times) and cell lookups (relaxed._cell_index over a
   schedule's grid);
@@ -22,7 +25,7 @@ on blowup-ex2 each, n = 1 and n = 2). Per workload it records
   for chart-verify the exit codes and every CLI artifact byte. Two sides of
   a change that keeps results bit for bit must show the same digest.
 
-RK steps, forward passes outside the polish and the other layer counts come
+RK steps, the other forward passes and the other layer counts come
 from `bench/run.py --trace 1`. All counts here are deterministic and repeat on
 any machine. Results merge into --out under runs[--label], so two checkouts
 can be recorded side by side:
@@ -106,6 +109,9 @@ COUNTS = (
     "adjoint_passes",
     "adjoint_columns",
     "polish_forward_passes",
+    "probe_passes",
+    "certify_passes",
+    "scanned_steps",
     "segment_lookups",
     "cell_lookups",
 )
@@ -119,7 +125,7 @@ def counted_pass(workloads, name, scratch):
 
     import numpy as np
 
-    from relaxtoc import _rk, cli, dynamics, integrate, pmp, relaxed
+    from relaxtoc import _rk, cli, dynamics, integrate, pmp, relaxed, solve
 
     counts = dict.fromkeys(COUNTS, 0)
     by_caller = {}
@@ -165,6 +171,13 @@ def counted_pass(workloads, name, scratch):
         finally:
             caller = "other"
 
+    forward = solve.integrate_forward
+
+    def counted_forward(*args, **kwargs):
+        # solve runs forward passes in two functions: the greedy probe and _certify
+        tally("certify_passes" if sys._getframe(1).f_code.co_name == "_certify" else "probe_passes")
+        return forward(*args, **kwargs)
+
     # integrate_adjoint is the one caller of _rk.integrate_plain through the
     # module attribute; solve and barrier bind the name at import
     plain = _rk.integrate_plain
@@ -179,6 +192,8 @@ def counted_pass(workloads, name, scratch):
         (pmp, "integrate_adjoint"): counted_adjoint,
         # bang_polish is pmp's one caller of integrate_forward
         (pmp, "integrate_forward"): counted("polish_forward_passes", pmp.integrate_forward),
+        (solve, "integrate_forward"): counted_forward,
+        (integrate, "_scan_step"): counted("scanned_steps", integrate._scan_step),
         (dynamics, "make_quenching_system"): counted_system(dynamics.make_quenching_system),
         (cli, "make_blowup_system"): counted_system(cli.make_blowup_system),
     }
@@ -261,6 +276,8 @@ def main(argv=None):
             f"{name:14s} adjoint rhs {c['adjoint_rhs_evals']:6d}  jacobian {c['jacobian_evals']:6d}  "
             f"adjoint passes {c['adjoint_passes']:3d} ({c['adjoint_columns']:3d} columns)  "
             f"polish forwards {c['polish_forward_passes']:3d}  "
+            f"probes {c['probe_passes']:3d}  certifies {c['certify_passes']:3d}  "
+            f"scanned {c['scanned_steps']:5d}  "
             f"segment {c['segment_lookups']:6d}  cell {c['cell_lookups']:6d}  "
             f"cpu/op {row['cpu_s_per_op_median'] * 1e3:7.1f} ms  {row['output_sha256'][:12]}"
         )

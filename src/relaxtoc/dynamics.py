@@ -277,6 +277,12 @@ class Compactification:
             np.eye(y.size) - (self.gamma + 1.0) * np.outer(yhat, yhat)
         )
 
+    def jacobian_bound(self, r: float) -> float:
+        """The largest norm of G's jacobian over |y| >= r: its eigenvalues are
+        r^(-gamma-1) across y and -gamma r^(-gamma-1) along it, and both
+        shrink as |y| grows.  +inf for r <= 0, where the chart is not defined."""
+        return max(1.0, self.gamma) * r ** (-self.gamma - 1.0) if r > 0.0 else math.inf
+
     def push_velocity(self, y, v):
         """dz/dt given y and dy/dt (the chart jacobian applied to v)."""
         y = _vec(y)

@@ -7,6 +7,9 @@ of the final step, then sharpened by one linear extrapolation of the distance
 decay rate to distance zero; the stored terminal sample stays on the computed
 trajectory, so its distance is at most the hit tolerance.  A step whose dense
 output provably stays clear of the target (`_step_clears`) skips the scan.
+The proof bounds the distance's change per unit of the integration
+coordinates by L: 1 where the target reads them, the chart's jacobian bound
+where a chart system outside its chart reads the target through the chart.
 
 The steps come from the one step loop, `_rk.steps`, which lands on every
 control and system time knot and restarts the pair past it: each leg's rhs
@@ -27,7 +30,8 @@ Stop sets are approached geometrically (`_approach_cap`, the step loop's cap
 on the first trial at each position): while the distance to the target, or
 in the chart |z| to the divergence band around z = 0, is shrinking, one step
 covers at most 0.8 of the way to a quarter of the band, so no step jumps
-across the set and is rejected for it.
+across the set and is rejected for it.  L lets the cap skip reading the
+rate when the step cannot cover the room.
 """
 
 from __future__ import annotations
@@ -282,18 +286,28 @@ def _target_scale(tgt) -> float:
     return sum(float(np.max(np.abs(getattr(tgt, f.name)))) for f in dataclasses.fields(tgt))
 
 
-def _step_clears(d0, d1, y0, f0, y1, f1, h, hit_tol, tgt_scale):
+def _step_clears(d0, d1, y0, f0, y1, f1, h, hit_tol, tgt_scale, lip=None):
     """True when the dense output of the step provably stays farther than
     hit_tol from the target, so its event scan cannot trigger.
 
-    d0 and d1 are the distances at the step's ends, read by a function that
-    is 1-Lipschitz in the coordinates of y (every TargetSet.distance is).
-    The cubic Hermite on the step is the Bezier curve with control points y0,
-    y0 + h f0 / 3, y1 - h f1 / 3 and y1, so it stays in their convex hull;
-    every hull point lies within R0 of y0 and within R1 of y1, the largest
-    distance from that end to a control point, so the distance along the
-    step is at least max(d0 - R0, d1 - R1).  The bound must clear hit_tol by
-    a margin far above the roundoff of the scan's own samples and distances.
+    d0 and d1 are the distances at the step's ends.  The cubic Hermite on the
+    step is the Bezier curve with control points y0, y0 + h f0 / 3,
+    y1 - h f1 / 3 and y1, so it stays in their convex hull; every hull point
+    lies within R0 of y0 and within R1 of y1, the largest distance from that
+    end to a control point.  When the distance reads y itself (lip None),
+    it is 1-Lipschitz (every TargetSet.distance is), so along the step it is
+    at least max(d0 - R0, d1 - R1).  When it reads y through a map whose
+    jacobian norm over |y| >= r is at most lip(r) (a chart's
+    jacobian_bound), the hull lies in the convex ball of radius R0 about y0,
+    where |y| >= |y0| - R0, so the mean-value bound turns R0 into
+    L0 R0 = lip(|y0| - R0) R0 along the whole curve, and R1 into L1 R1.
+
+    The bound must clear hit_tol by a margin far above the roundoff of the
+    scan's own samples and distances, in the distance's units: a dense
+    sample is off by a few ulps of |y0| + |y1 - y0| + |a| + |b|, which the
+    map carries at most max(L0, L1) times over, its own image is off by a
+    few ulps of |G(y)| <= L0 |y|, and the distance adds a few ulps of the
+    target's parameters.  With lip None the factors are exactly 1.
     """
     third = h / 3.0
     # squared norms of a = h f0 / 3, b = h f1 / 3, y1 - y0, y1 - y0 - b,
@@ -312,22 +326,27 @@ def _step_clears(d0, d1, y0, f0, y1, f1, h, hit_tol, tgt_scale):
     na, nb, ndy = math.sqrt(sa), math.sqrt(sb), math.sqrt(sdy)
     r0 = max(na, math.sqrt(sdb), ndy)
     r1 = max(ndy, math.sqrt(sda), nb)
-    margin = 1e-12 * (1.0 + tgt_scale + math.sqrt(sy0) + ndy + 3.0 * (na + nb))
-    return max(d0 - r0, d1 - r1) > hit_tol + margin
+    l0 = l1 = 1.0
+    if lip is not None:
+        l0, l1 = lip(math.sqrt(sy0) - r0), lip(_norm(y1) - r1)
+    lm = max(l0, l1)
+    margin = 1e-12 * (1.0 + tgt_scale + lm * math.sqrt(sy0) + lm * ndy + lm * 3.0 * (na + nb))
+    return max(d0 - l0 * r0, d1 - l1 * r1) > hit_tol + margin
 
 
-def _approach_cap(h, gap, band, v, rate_of, lipschitz=True):
+def _approach_cap(h, gap, band, v, rate_of, factor=1.0):
     """h capped so that one step cannot overshoot a stop set.
 
     gap is the distance to the set, band its tolerance, v the velocity and
     rate_of() the rate of change of the gap.  While the gap is shrinking, a
     step covers at most 0.8 of the way to a quarter of the band, so the
-    approach resolves geometrically.  When the gap is 1-Lipschitz in the
-    integration coordinates, -rate <= |v|, and the cap cannot bind while
-    h |v| is below the room: rate_of is then not read.
+    approach resolves geometrically.  factor bounds the jacobian norm of the
+    map the gap reads the integration coordinates through (1 when it reads
+    them directly), so -rate <= factor |v|, and the cap cannot bind while
+    h factor |v| is below the room: rate_of is then not read.
     """
     room = 0.8 * max(gap - 0.25 * band, 0.25 * band)
-    if lipschitz and room >= h * _norm(v) * (1.0 + 1e-7):
+    if room >= h * factor * _norm(v) * (1.0 + 1e-7):
         return h
     rate = rate_of()
     return min(h, room / -rate) if rate < 0.0 else h
@@ -463,7 +482,8 @@ def integrate_forward(
     def cap(t, s, f, h):
         """Both stop sets cap the first trial at each position (_approach_cap)."""
         if tgt is not None and np.isfinite(d_state) and d_state > 0.0:
-            h = _approach_cap(h, d_state, opts.hit_tol, f, lambda: gap_and_rate(s, f, mode)[1], lipschitz)
+            factor = 1.0 if lip is None else lip(_norm(s))
+            h = _approach_cap(h, d_state, opts.hit_tol, f, lambda: gap_and_rate(s, f, mode)[1], factor)
         if mode:
             # no step may jump across z = 0 into the flipped chart field
             zn = _norm(s)
@@ -487,9 +507,9 @@ def integrate_forward(
     # an overflow shows up as a non-finite stage that rejects the step
     with np.errstate(all="ignore"):
         while status is None:
-            # the distance is 1-Lipschitz in the integration coordinates, except
-            # on a chart system outside its chart, where it is read through it
-            lipschitz = chart is None or mode
+            # the distance is 1-Lipschitz in the integration coordinates (lip None)
+            # except outside the chart, where it reads them through the chart
+            lip = chart.jacobian_bound if chart is not None and not mode else None
             event = None  # (time, kind)
             f_end = None  # the derivative the last accepted step ended with
             stops = [k for k in knots if k > t] or knots[-1:]  # a switch at t_max ends at once
@@ -509,9 +529,8 @@ def integrate_forward(
 
                     # --- event scan on the accepted step (first trigger wins) ---
                     d_new = distance_of(s_new, mode)
-                    if tgt is not None and not (
-                        lipschitz
-                        and _step_clears(d_state, d_new, s0, f, s_new, f_new, h_try, opts.hit_tol, tgt_scale)
+                    if tgt is not None and not _step_clears(
+                        d_state, d_new, s0, f, s_new, f_new, h_try, opts.hit_tol, tgt_scale, lip
                     ):
                         distance = lambda x: distance_of(x, mode)
                         event = _scan_step(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from relaxtoc.dynamics import (
     BallSet,
@@ -152,6 +152,46 @@ def test_compactification_round_trip_and_jacobian(rng):
         # velocity push/pull are mutually inverse
         v = rng.normal(size=3)
         assert np.allclose(chart.pull_velocity(z, chart.push_velocity(y, v)), v, rtol=1e-9, atol=1e-12)
+
+
+_unit3 = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    gamma=st.floats(0.25, 4.0),
+    n=st.integers(1, 3),
+    c_dir=_unit3,
+    c_norm=st.floats(0.5, 100.0),
+    frac=st.floats(0.0, 0.999),
+    a_dir=_unit3,
+    b_dir=_unit3,
+    sa=st.floats(0.0, 1.0),
+    sb=st.floats(0.0, 1.0),
+)
+def test_chart_jacobian_bound_holds_on_a_ball(gamma, n, c_dir, c_norm, frac, a_dir, b_dir, sa, sb):
+    # jacobian_bound(|c| - R) bounds |G(a) - G(b)| / |a - b| on the ball
+    # B(c, R), which is what lets the forward pass clear a step read through
+    # the chart; at R = 0 it is the largest singular value of the jacobian
+    # (in one dimension only the radial one, gamma r^(-gamma-1), exists)
+    assume(min(np.linalg.norm(v[:n]) for v in (c_dir, a_dir, b_dir)) > 0.1)
+    chart = Compactification(gamma=gamma)
+    c = c_norm * c_dir[:n] / np.linalg.norm(c_dir[:n])
+    R = frac * c_norm
+    a = c + R * sa * a_dir[:n] / np.linalg.norm(a_dir[:n])
+    b = c + R * sb * b_dir[:n] / np.linalg.norm(b_dir[:n])
+    gap = np.linalg.norm(a - b)
+    # closer points leave G's own rounding above the slack of the bound
+    assume(gap == 0.0 or gap >= 1e-6 * c_norm)
+    lhs = np.linalg.norm(chart.to_chart(a) - chart.to_chart(b))
+    assert lhs <= chart.jacobian_bound(c_norm - R) * gap * (1.0 + 1e-12)
+    sigma = np.linalg.norm(chart.gradient_jacobian(c), 2)
+    bound = chart.jacobian_bound(np.linalg.norm(c))
+    if n >= 2:
+        assert abs(bound - sigma) <= 1e-12 * sigma
+    else:
+        assert sigma <= bound * (1.0 + 1e-12)
+    assert chart.jacobian_bound(0.0) == np.inf
 
 
 def _same_bits(a, b):

@@ -1,15 +1,17 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from relaxtoc import _rk, errors, integrate, pmp
+from relaxtoc import _rk, errors, integrate, pmp, solve
 from relaxtoc.dynamics import (
     AffineStructure,
     BallSet,
+    Compactification,
     ControlSystem,
     PiecewiseConstant,
     make_blowup_system,
@@ -154,6 +156,44 @@ def test_step_clearance_bound_implies_an_empty_scan(kind, alpha, y0, dy, f0, f1,
         assert min(tgt.distance(dense(tau)) for tau in np.linspace(0.0, h, 1001)) > hit_tol
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    gamma=st.floats(0.5, 3.0),
+    radius=st.floats(1.0, 10.0),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    dy=_vec2,
+    f0=_vec2,
+    f1=_vec2,
+    h=st.floats(1e-3, 1.0),
+    s_near=st.floats(0.0, 1.0),
+    gap=st.floats(0.0, 0.05),
+    unit=st.floats(0.0, 2.0 * np.pi),
+    log_tol=st.floats(-8.0, -2.0),
+)
+def test_chart_read_clearance_bound_implies_an_empty_scan(
+    gamma, radius, angle, dy, f0, f1, h, s_near, gap, unit, log_tol
+):
+    # the same property for a point target read through the chart: the hull
+    # radii scaled by the chart's jacobian bound still clear only steps whose
+    # chart distance stays outside hit_tol
+    chart = Compactification(gamma=gamma)
+    y0 = radius * np.array([np.cos(angle), np.sin(angle)])
+    y1 = y0 + dy
+    near = _rk.hermite(0.0, y0, f0, h, y1, f1, s_near * h)
+    if min(np.linalg.norm(y1), np.linalg.norm(near)) < 1e-3:
+        return
+    hit_tol = 10.0**log_tol
+    tgt = Point(location=chart.to_chart(near) + gap * np.array([np.cos(unit), np.sin(unit)]))
+    distance = lambda y: tgt.distance(chart.to_chart(y))
+    d0, d1 = distance(y0), distance(y1)
+    if d0 <= hit_tol:
+        return
+    if integrate._step_clears(d0, d1, y0, f0, y1, f1, h, hit_tol, integrate._target_scale(tgt), chart.jacobian_bound):
+        dense = lambda tau: _rk.hermite(0.0, y0, f0, h, y1, f1, tau)
+        assert integrate._scan_step(dense, 0.0, h, y0, y1, d0, d1, distance, None, hit_tol) is None
+        assert min(distance(dense(tau)) for tau in np.linspace(0.0, h, 1001)) > hit_tol
+
+
 def test_step_clearance_keeps_grazing_hits_and_crossings():
     # the dense output below dips to (0.5, 0) and runs through (0.4, 0.04)
     # between the scan's samples at 0.25 and 0.5; both a grazing ball and a
@@ -169,6 +209,53 @@ def test_step_clearance_keeps_grazing_hits_and_crossings():
     # far from either target the bound clears the step
     clears, event, _ = _scan(graze, y0 + 3.0, f0, y1 + 3.0, f1, 1.0, 1e-8)
     assert clears and event is None
+
+
+def _trajectory_bits(traj):
+    arrays = (traj.times, traj.states, traj.derivs, traj.start_derivs, traj.in_chart)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], dataclasses.astuple(traj.hit)
+
+
+def test_chart_read_steps_skip_the_scan_bit_for_bit(monkeypatch):
+    # the greedy probe and the certifying pass of the chart-verify benchmark
+    # (seeds 5 and 11, operations 0-3: blowup-ex2 from its random start at
+    # radius 3-5, n = 1 and 2, towards the chart-read origin at alpha 0.05)
+    # run outside the chart, where the target is read through it; the chart's
+    # jacobian bound clears all but a few steps of their event scans and
+    # approach-cap rate reads, and every output stays the same to the bit
+    passes = []
+    with monkeypatch.context() as m:
+        m.setattr(solve, "integrate_forward", lambda *a, **kw: passes.append((a, kw)) or integrate_forward(*a, **kw))
+        for seed in (5, 11):
+            for k in range(4):
+                n = 1 + k % 2
+                rng = np.random.default_rng([seed, k])
+                radius = rng.uniform(3.0, 5.0)
+                direction = rng.normal(size=n)
+                y0 = radius * direction / np.linalg.norm(direction)
+                sys_ = make_blowup_system(n=n, p=2.0, gamma=1.0)
+                tgt = Point(location=np.zeros(n)).with_alpha(0.05)
+                opts = solve.SolveOptions(n_cells=4, n_atoms=2, seed=seed)
+                assert all(solve._seed_candidates(sys_, tgt, y0, None, opts))
+    assert len(passes) == 16
+
+    scans = []
+    scan = integrate._scan_step
+    monkeypatch.setattr(integrate, "_scan_step", lambda *a: scans.append(1) or scan(*a))
+
+    def run(a, kw):
+        scans.clear()
+        traj = integrate_forward(*a, **kw)
+        assert traj.hit.status == HIT_TARGET and not traj.in_chart.any()
+        return _trajectory_bits(traj), len(scans), len(traj.times) - 1
+
+    built = [run(a, kw) for a, kw in passes]
+    monkeypatch.setattr(integrate, "_step_clears", lambda *a: False)
+    monkeypatch.setattr(Compactification, "jacobian_bound", lambda self, r: math.inf)
+    for (bits, scanned, steps), (a, kw) in zip(built, passes):
+        forced_bits, forced_scanned, forced_steps = run(a, kw)
+        assert bits == forced_bits
+        assert scanned <= 5 and forced_scanned == forced_steps == steps
 
 
 def test_scalar_blowup_closed_form(blowup_free_g1):

@@ -10,7 +10,7 @@ from relaxtoc.barrier import build_barrier_table, xi_lower_time, xi_upper_time
 from relaxtoc.dynamics import FiniteSet, make_integrator_system
 from relaxtoc import errors, pmp, solve
 from relaxtoc.integrate import HIT_TARGET, IntegratorOptions, integrate_forward
-from relaxtoc.relaxed import RelaxedSchedule
+from relaxtoc.relaxed import ClassicalSchedule, RelaxedSchedule
 from relaxtoc.solve import SolveOptions, alpha_ladder, classicalize, solve_alpha
 from relaxtoc.target import Hyperplane, Point
 
@@ -297,3 +297,47 @@ def test_classical_warm_start_certifies(quench_sys, quench_target, quench_y0):
     # solve_result.json then holds the classical schedule's own block
     block = again.to_json_dict()["schedule"]
     assert block["kind"] == "classical" and block["values"] == res.classical.values.tolist()
+
+
+def _solve_counting_passes(monkeypatch, sys_, tgt, y0, alpha, init, opts):
+    """solve_alpha's result and the t_max of every forward pass solve itself runs."""
+    t_maxes = []
+    forward = solve.integrate_forward
+    with monkeypatch.context() as m:
+        m.setattr(solve, "integrate_forward", lambda *a, **kw: t_maxes.append(kw["t_max"]) or forward(*a, **kw))
+        return solve_alpha(sys_, tgt, y0, alpha, init=init, opts=opts), t_maxes
+
+
+def _result_bits(res):
+    traj = res.trajectory
+    arrays = (traj.times, traj.states, traj.derivs, traj.start_derivs, traj.in_chart)
+    return res.w, hashlib.sha256(res.schedule.hash_bytes()).hexdigest(), [a.tobytes() for a in arrays]
+
+
+def test_a_certified_warm_start_bounds_the_greedy_probe(monkeypatch, quench_sys, quench_target, quench_y0):
+    # the third rung of the README ladder: the warm start certifies at w_init,
+    # so the greedy probe stops at w_init (1 + 1e3 search rtols) without a hit
+    # and is not certified; a greedy seed that slow could not have won, and
+    # the answer is the one of the unbounded probe to the bit
+    opts = SolveOptions(n_cells=8, n_atoms=2, seed=0)
+    init = alpha_ladder(quench_sys, quench_target, quench_y0, alpha0=0.2, ratio=0.5, k_max=2, opts=opts).schedules[-1]
+    w_init = solve._certify(quench_sys, quench_target.with_alpha(0.05), quench_y0, init, opts)[0]
+    res, t_maxes = _solve_counting_passes(monkeypatch, quench_sys, quench_target, quench_y0, 0.05, init, opts)
+    assert len(t_maxes) == 2
+    assert t_maxes[1] == min(opts.w_max, w_init * (1.0 + solve.PROBE_MARGIN * opts.final.search.rtol))
+    monkeypatch.setattr(solve, "PROBE_MARGIN", float("inf"))
+    unbounded, t_maxes = _solve_counting_passes(monkeypatch, quench_sys, quench_target, quench_y0, 0.05, init, opts)
+    assert len(t_maxes) == 3 and t_maxes[1] == opts.w_max
+    assert _result_bits(res) == _result_bits(unbounded)
+
+
+def test_a_slow_warm_start_leaves_the_greedy_seed_to_win(monkeypatch, quench_sys, quench_target, quench_y0):
+    # u = 0 on [0, 0.7] certifies at 0.65, far behind the greedy seed, whose
+    # probe hits inside the bound: both certify and the greedy seed wins
+    opts = SolveOptions(n_cells=8, n_atoms=2, seed=0)
+    slow = ClassicalSchedule(grid=np.array([0.0, 0.7]), values=np.zeros((1, 2)))
+    outcomes = solve._seed_candidates(quench_sys, quench_target.with_alpha(0.1), quench_y0, slow, opts)
+    assert len(outcomes) == 2 and all(outcomes) and outcomes[1][0] < outcomes[0][0]
+    res, t_maxes = _solve_counting_passes(monkeypatch, quench_sys, quench_target, quench_y0, 0.1, slow, opts)
+    assert len(t_maxes) == 3 and t_maxes[1] < opts.w_max
+    assert res.w == 0.36874818541993776
