@@ -12,8 +12,7 @@ import sys
 import numpy as np
 
 from relaxtoc.dynamics import make_quenching_system
-from relaxtoc.integrate import IntegratorOptions, integrate_forward
-from relaxtoc.pmp import quenching_conclusions, verify
+from relaxtoc.pmp import continue_to_singular_line, quenching_conclusions, verify
 from relaxtoc.solve import SolveOptions, alpha_ladder
 from relaxtoc.target import Hyperplane
 
@@ -35,16 +34,8 @@ print("\nmaximum-principle report at the finest rung:")
 print(report.summary())
 
 # the structural conclusions live on the true singular line, so run the
-# winning schedule past the inflated stop; sqrt-type approach caps the
-# resolvable hit band near 1e-6
-cont = integrate_forward(
-    sys_,
-    res.schedule,
-    y0,
-    tgt=tgt,
-    t_max=1.5 * res.w + 0.1,
-    opts=IntegratorOptions(hit_tol=1e-6),
-)
+# winning schedule past the inflated stop
+cont = continue_to_singular_line(sys_, tgt, res.schedule, y0, res.w, opts=opts.final)
 print(f"\ncontinuation to alpha = 0: {cont.hit.status} at t = {float(cont.hit.time):.8f}")
 if cont.hit.status == "hit-target":
     conc = quenching_conclusions((cont.hit.time, cont, res.schedule), sys=sys_, tgt=tgt)

@@ -451,7 +451,6 @@ def _quench_forced_system(g_fn, h_fn, knots):
         return quench_drift(t, y) + (g_fn(t) + np.array([float(h_fn(t)), 0.0]))
 
     return ControlSystem(
-        name="quenching-forced",
         kind="custom",
         jacobian=quench_drift_jacobian,
         control_set=BallSet(radius=0.0, dim=1),
@@ -497,6 +496,7 @@ def quench_monotonicity_check(g, h, y0, T: float) -> MonotonicityVerdict:
         raise errors.BaselineQuenchedEarly(
             f"baseline reached the quench set at t = {base.hit.time:g} < {T:g}"
         )
+    base_y1 = float(base.final_state[0])
     pert = integrate_forward(pert_sys, None, y0, tgt=tgt, t_max=T, opts=opts)
     if pert.hit.status == HIT_TARGET and case == "ii":
         # forcing toward the quench set from above can only help case (ii)
@@ -507,16 +507,14 @@ def quench_monotonicity_check(g, h, y0, T: float) -> MonotonicityVerdict:
             ok=False,
             case=case,
             margin=-np.inf,
-            baseline_y1=float(base.final_state[0]),
+            baseline_y1=base_y1,
             perturbed_y1=float(pert.final_state[0]),
             h_vanishes=h_vanishes,
         )
     else:
         pert_y1 = float(pert.final_state[0])
-        base_y1 = float(base.final_state[0])
         margin = base_y1 - pert_y1 if case == "i" else pert_y1 - base_y1
 
-    base_y1 = float(base.final_state[0])
     if h_vanishes:
         ok = abs(margin) <= 1e-7 * max(1.0, abs(base_y1))
     else:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from .dynamics import (
     make_quenching_system,
 )
 from .integrate import IntegratorOptions, integrate_forward
-from .pmp import quenching_conclusions, verify
+from .pmp import continue_to_singular_line, quenching_conclusions, verify
 from .relaxed import ClassicalSchedule
 from .solve import SolveOptions, alpha_ladder, solve_alpha
 from .target import Ball, HalfSpace, Hyperplane, Point
@@ -68,7 +67,7 @@ def _get(cfg, key, path, default=_MISSING):
     return cfg[key]
 
 
-def _num(cfg, key, path, default=_MISSING, lo=None, hi=None, gt=None, lt=None):
+def _num(cfg, key, path, default=_MISSING, lo=None, gt=None, lt=None):
     val = _get(cfg, key, path, default)
     if val is default and default is not _MISSING:
         return val
@@ -81,8 +80,6 @@ def _num(cfg, key, path, default=_MISSING, lo=None, hi=None, gt=None, lt=None):
         raise errors.ConfigError(_join(path, key), f"must be >= {lo}, got {val}")
     if gt is not None and val <= gt:
         raise errors.ConfigError(_join(path, key), f"must be > {gt}, got {val}")
-    if hi is not None and val > hi:
-        raise errors.ConfigError(_join(path, key), f"must be <= {hi}, got {val}")
     if lt is not None and val >= lt:
         raise errors.ConfigError(_join(path, key), f"must be < {lt}, got {val}")
     return val
@@ -298,16 +295,11 @@ def _task_verify(config, sys_, tgt, y0, opts, outdir, seed):
     failed = bound is not None and report.hamiltonian_residual > bound
     if sys_.kind == "quenching":
         # the singular-approach conclusions (sign of the regular coordinate,
-        # covector decay) only make sense at the true target, so continue the
-        # winning schedule past the inflated stop toward alpha = 0
-        true_tgt = tgt.with_alpha(0.0)
-        cont_opts = replace(opts.final, hit_tol=max(opts.final.hit_tol, 1e-6))
-        cont = integrate_forward(
-            sys_, res.schedule, y0, tgt=true_tgt, t_max=1.5 * res.w + 0.1, opts=cont_opts
-        )
+        # covector decay) only make sense at the true target
+        cont = continue_to_singular_line(sys_, tgt, res.schedule, y0, res.w, opts=opts.final)
         if cont.hit.status == "hit-target":
             conc = quenching_conclusions(
-                (cont.hit.time, cont, res.schedule), sys=sys_, tgt=true_tgt, opts=opts.final
+                (cont.hit.time, cont, res.schedule), sys=sys_, tgt=tgt.with_alpha(0.0), opts=opts.final
             )
             payload["quenching_conclusions"] = conc.to_json_dict()
             failed = failed or not conc.ok
@@ -318,6 +310,30 @@ def _task_verify(config, sys_, tgt, y0, opts, outdir, seed):
     res.trajectory.write_csv(outdir / "trajectory.csv", adjoint=report.adjoint)
     print(report.summary())
     return 1 if failed else 0
+
+
+def _sweep(task, label, head, samples, seed, outdir, draw):
+    """Run draw(rng) -> (entry fields, verdict) on samples generators keyed by
+    (seed, k), write the entries and the failure count under the payload
+    fields head, print one line, and return the exit status."""
+    entries = []
+    failures = 0
+    for k in range(samples):
+        fields, verdict = draw(np.random.default_rng([seed, k]))
+        entries.append({"sample": k, **fields, **verdict.to_json_dict()})
+        failures += 0 if verdict.ok else 1
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "seed": seed,
+        **head,
+        "samples": samples,
+        "failures": failures,
+        "ok": failures == 0,
+        "entries": entries,
+    }
+    _write_json(outdir / f"{task.replace('-', '_')}.json", payload)
+    print(f"{task}[{label}]: {samples - failures}/{samples} ok")
+    return 0 if failures == 0 else 1
 
 
 def _task_barrier_sweep(config, sys_, tgt, y0, opts, outdir, seed):
@@ -331,13 +347,11 @@ def _task_barrier_sweep(config, sys_, tgt, y0, opts, outdir, seed):
     table = build_barrier_table(p, M)
     table.write_csv(outdir / "barrier_table.csv")
 
-    entries = []
-    failures = 0
     if kind == "envelope":
         t_span = _num(cfg, "t_max", "sweep", 5.0, gt=0.0)
         cells = _int(cfg, "cells", "sweep", 6, lo=1)
-        for k in range(samples):
-            rng = np.random.default_rng([seed, k])
+
+        def draw(rng):
             radius = table.r0 * (1.1 + 2.0 * rng.uniform())
             direction = rng.normal(size=sys_.dim_state)
             direction /= np.linalg.norm(direction)
@@ -348,16 +362,13 @@ def _task_barrier_sweep(config, sys_, tgt, y0, opts, outdir, seed):
                 values=np.stack([sys_.control_set.boundary_sample(rng) for _ in range(cells)]),
             )
             traj = integrate_forward(sys_, control, y_start, t_max=t_span, opts=opts.final)
-            verdict = envelope_bracket_check(table, traj)
-            entries.append(
-                {"sample": k, "start_radius": radius, "status": traj.hit.status, **verdict.to_json_dict()}
-            )
-            failures += 0 if verdict.ok else 1
+            return {"start_radius": radius, "status": traj.hit.status}, envelope_bracket_check(table, traj)
+
     else:
         alpha = _num(cfg, "alpha", "sweep", 0.5, lo=0.0)
         m_tilde = mtilde(table, alpha)
-        for k in range(samples):
-            rng = np.random.default_rng([seed, k])
+
+        def draw(rng):
             direction = rng.normal(size=sys_.dim_state)
             direction /= np.linalg.norm(direction)
             radius = m_tilde * (1.0 + 2.0 * rng.uniform())
@@ -367,22 +378,9 @@ def _task_barrier_sweep(config, sys_, tgt, y0, opts, outdir, seed):
             T = xi_upper_time(table, radius) * (0.1 + 0.8 * rng.uniform())
             cells = 8
             h_sig = PiecewiseConstant(np.linspace(0.0, T, cells + 1)[:-1], rng.uniform(size=cells))
-            verdict = blowup_lower_bound_check(table, alpha=alpha, s=0.0, T=T, h=h_sig, y_s=y_s)
-            entries.append({"sample": k, "T": T, **verdict.to_json_dict()})
-            failures += 0 if verdict.ok else 1
+            return {"T": T}, blowup_lower_bound_check(table, alpha=alpha, s=0.0, T=T, h=h_sig, y_s=y_s)
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "kind": kind,
-        "samples": samples,
-        "failures": failures,
-        "ok": failures == 0,
-        "entries": entries,
-    }
-    _write_json(outdir / "barrier_sweep.json", payload)
-    print(f"barrier-sweep[{kind}]: {samples - failures}/{samples} ok")
-    return 0 if failures == 0 else 1
+    return _sweep("barrier-sweep", kind, {"kind": kind}, samples, seed, outdir, draw)
 
 
 def _task_monotonicity_sweep(config, sys_, tgt, y0, opts, outdir, seed):
@@ -405,32 +403,15 @@ def _task_monotonicity_sweep(config, sys_, tgt, y0, opts, outdir, seed):
     if case == "ii" and not y_start[0] > 1.0:
         raise errors.ConfigError("sweep.y0", "case ii needs y0[0] > 1 (start above the singular line)")
 
-    entries = []
-    failures = 0
     cells = 6
-    for k in range(samples):
-        rng = np.random.default_rng([seed, k])
-        starts = np.linspace(0.0, horizon, cells + 1)[:-1]
-        g_vals = g_amp * rng.uniform(-1.0, 1.0, size=(cells, 2))
-        h_vals = h_sign * h_amp * rng.uniform(0.0, 1.0, size=cells)
-        g_sig = PiecewiseConstant(starts, g_vals)
-        h_sig = PiecewiseConstant(starts, h_vals)
-        verdict = quench_monotonicity_check(g=g_sig, h=h_sig, y0=y_start, T=horizon)
-        entries.append({"sample": k, **verdict.to_json_dict()})
-        failures += 0 if verdict.ok else 1
+    starts = np.linspace(0.0, horizon, cells + 1)[:-1]
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "case": case,
-        "samples": samples,
-        "failures": failures,
-        "ok": failures == 0,
-        "entries": entries,
-    }
-    _write_json(outdir / "monotonicity_sweep.json", payload)
-    print(f"monotonicity-sweep[case {case}]: {samples - failures}/{samples} ok")
-    return 0 if failures == 0 else 1
+    def draw(rng):
+        g_sig = PiecewiseConstant(starts, g_amp * rng.uniform(-1.0, 1.0, size=(cells, 2)))
+        h_sig = PiecewiseConstant(starts, h_sign * h_amp * rng.uniform(0.0, 1.0, size=cells))
+        return {}, quench_monotonicity_check(g=g_sig, h=h_sig, y0=y_start, T=horizon)
+
+    return _sweep("monotonicity-sweep", f"case {case}", {"case": case}, samples, seed, outdir, draw)
 
 
 _TASK_RUNNERS = {

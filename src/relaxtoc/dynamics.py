@@ -31,8 +31,7 @@ def _vec(x):
 # ---------------------------------------------------------------------------
 # control sets: each answers argmax(q, tiny) = (u, <q, u>, degenerate) for a
 # maximizer u of <q, u> (degenerate when every control maximizes to within
-# tiny), scale (a ball's radius, else the largest |component| of a control)
-# and gain(B) = sup |B u| over the set
+# tiny) and gain(B) = sup |B u| over the set
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,10 +46,6 @@ class BallSet:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius >= 0.0):
             raise ValueError(f"ball radius must be finite and nonnegative, got {self.radius!r}")
-
-    @property
-    def scale(self) -> float:
-        return float(self.radius)
 
     def contains(self, u, tol: float = 1e-9) -> bool:
         return float(np.linalg.norm(_vec(u))) <= self.radius * (1.0 + tol) + tol
@@ -101,10 +96,6 @@ class BoxSet:
             np.all(u >= self.lower - tol * width) and np.all(u <= self.upper + tol * width)
         )
 
-    @property
-    def scale(self) -> float:
-        return float(np.max(np.maximum(np.abs(self.lower), np.abs(self.upper))))
-
     def argmax(self, q, tiny):
         # the componentwise sign rule, the midpoint where a component of q is 0
         mid = 0.5 * (self.lower + self.upper)
@@ -142,10 +133,6 @@ class FiniteSet:
     def contains(self, u, tol: float = 1e-9) -> bool:
         u = _vec(u)
         return bool(np.any(np.linalg.norm(self.points - u, axis=1) <= tol))
-
-    @property
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.points)))
 
     def argmax(self, q, tiny):
         # the first point with the largest <q, p>
@@ -322,7 +309,6 @@ class ControlSystem:
     or check reads it.
     """
 
-    name: str
     kind: str
     jacobian: Callable[[float, np.ndarray], np.ndarray]
     control_set: ControlSet
@@ -391,7 +377,6 @@ def make_quenching_system(B=None, rho0: float = 1.0) -> ControlSystem:
     associated time-optimal problem; |u| <= rho0.
     """
     return ControlSystem(
-        name="quenching-ex1",
         kind="quenching",
         jacobian=quench_drift_jacobian,
         control_set=BallSet(radius=float(rho0), dim=2),
@@ -443,7 +428,6 @@ def make_blowup_system(
     M = input_bound(Bsig, BallSet(radius=float(rho0), dim=m))
     chart = Compactification(gamma=gamma, base_radius=(p + M) / (p - 1.0), r1=r1)
     return ControlSystem(
-        name="blowup-ex2",
         kind="blowup",
         jacobian=drift_jac,
         control_set=BallSet(radius=float(rho0), dim=m),
@@ -472,7 +456,6 @@ def make_integrator_system(n: int = 1, control_set: Optional[ControlSet] = None)
         return np.zeros((n, n))
 
     return ControlSystem(
-        name="toy-integrator",
         kind="toy",
         jacobian=drift_jac,
         control_set=control_set,

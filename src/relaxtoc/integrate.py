@@ -4,8 +4,10 @@ The forward driver runs an embedded Runge-Kutta 4/5 pair and stops at the
 first time the distance to the (inflated) target drops to the hit tolerance.
 The crossing is localized by bisection on the distance along the dense output
 of the final step, then sharpened by one linear extrapolation of the distance
-decay rate to distance zero; the stored terminal sample stays on the computed
-trajectory, so its distance is at most the hit tolerance.  A step whose dense
+to zero at its decay rate at the event, taken as at least half the speed
+there so a grazing approach cannot run far past it; the stored terminal
+sample stays on the computed trajectory, so its distance is at most the hit
+tolerance.  A step whose dense
 output provably stays clear of the target (`_step_clears`) skips the scan.
 The proof bounds the distance's change per unit of the integration
 coordinates by L: 1 where the target reads them, the chart's jacobian bound
@@ -189,7 +191,6 @@ class AdjointTrajectory:
     times: np.ndarray
     psis: np.ndarray
     seed_time: float
-    seed: np.ndarray
     normalization: float
 
     def norm_at_end(self) -> float:
@@ -459,7 +460,8 @@ def integrate_forward(
         return chart.pull_velocity(s, v) if m else v
 
     def gap_and_rate(s, v, m):
-        """(distance, d/dt distance) to the inflated target, chart-aware."""
+        """(distance, d/dt distance, speed) to the inflated target, chart-aware:
+        the speed is |dz/dt| in the coordinates the target reads."""
         if chart is not None and not m:
             z = chart.to_chart(s)
             zdot = chart.push_velocity(s, v)
@@ -467,9 +469,7 @@ def integrate_forward(
             z, zdot = s, v
         gap = z - tgt.project(z)
         gn = _norm(gap)
-        if gn == 0.0:
-            return 0.0, 0.0
-        return gn, float(gap @ zdot) / gn
+        return gn, float(gap @ zdot) / gn if gn != 0.0 else 0.0, _norm(zdot)
 
     rhs = None  # the closure of the leg at hand
 
@@ -580,10 +580,13 @@ def integrate_forward(
                     pass
             emit(tau, s_tau, f_tau, mode)
             if kind == "hit":
+                # extrapolate the distance to zero at its rate of decay, read at
+                # the event point only: a grazing approach (rate below half the
+                # speed, over 60 degrees off the exit normal) counts as half the speed
                 d_ev = distance_of(s_tau, mode)
-                _, rate = gap_and_rate(s_tau, f_tau, mode)
-                extra = d_ev / max(-rate, 1e-300) if rate < 0.0 else 0.0
-                status, hit_time, terminal_distance = HIT_TARGET, tau + min(extra, h_try), d_ev
+                _, rate, speed = gap_and_rate(s_tau, f_tau, mode)
+                extra = d_ev / max(-rate, 0.5 * speed) if rate < 0.0 else 0.0
+                status, hit_time, terminal_distance = HIT_TARGET, tau + extra, d_ev
             elif kind == "diverged":
                 status, hit_time, terminal_distance = DIVERGED, tau, distance_of(s_tau, mode)
             else:
@@ -714,7 +717,7 @@ def integrate_adjoint(
         psis = psis * factor
         sweeps.append(
             AdjointTrajectory(
-                times=np.array(samples[c]), psis=psis, seed_time=t_c, seed=seeds[c], normalization=factor
+                times=np.array(samples[c]), psis=psis, seed_time=t_c, normalization=factor
             )
         )
     return sweeps if family else sweeps[0]

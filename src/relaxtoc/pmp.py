@@ -23,7 +23,7 @@ of pre-terminal times T - delta and the report carries the decay trend of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -205,10 +205,11 @@ class PmpReport:
 
 
 def _unpack_triple(triple):
+    """(trajectory, schedule) of a (w, trajectory, schedule) triple or a SolveResult."""
     if hasattr(triple, "trajectory"):
-        return float(triple.w), triple.trajectory, triple.schedule
-    w, traj, schedule = triple
-    return float(w), traj, schedule
+        return triple.trajectory, triple.schedule
+    _, traj, schedule = triple
+    return traj, schedule
 
 
 def verify(
@@ -233,12 +234,12 @@ def verify(
     horizon comes back as lambda.  H is read from the affine structure
     exactly as bang_polish reads it (see max_hamiltonian).
     """
-    w, traj, schedule = _unpack_triple(triple)
+    traj, schedule = _unpack_triple(triple)
     if traj.hit is None or traj.hit.status != HIT_TARGET:
         raise errors.NotHit("maximum-principle verification needs a hitting trajectory")
-    # the reported hit time extrapolates past the last stored sample; the
-    # adjoint can only be seeded on the sampled range
-    t_bar = min(float(traj.hit.time), float(traj.times[-1]))
+    # the reported hit time extrapolates past the last stored sample (the
+    # event), and the adjoint can only be seeded on the sampled range
+    t_bar = float(traj.times[-1])
     decay = None
     if tgt.seeds_preterminal or sys.chart is not None:
         adjoint, norms = _preterminal_sweeps(sys, tgt, traj, schedule, t_bar, opts)
@@ -403,7 +404,7 @@ def bang_polish(
     w, sched, traj = certified
     n_cells = sched.weights.shape[0]
     for _ in range(POLISH_ROUNDS):
-        t_end = min(w, float(traj.times[-1]))
+        t_end = float(traj.times[-1])
         seed = exit_covector(sys, tgt, traj, t_end)
         try:
             adj = integrate_adjoint(sys, traj, sched, seed, t_end=t_end, opts=opts.search)
@@ -478,13 +479,13 @@ def quenching_conclusions(
     inflation), since both conclusions concern the singular limit; one
     backward pass serves every pre-terminal time T - delta * T.
     """
-    w, traj, schedule = _unpack_triple(triple)
+    traj, schedule = _unpack_triple(triple)
     if sys.kind != "quenching":
         raise errors.NotQuenchingSystem(f"system kind is {sys.kind!r}, not 'quenching'")
     if traj.hit is None or traj.hit.status != HIT_TARGET:
         raise errors.NotHit("conclusions need a trajectory that reaches the singular line")
 
-    t_bar = min(float(traj.hit.time), float(traj.times[-1]))
+    t_bar = float(traj.times[-1])
     y_end = traj.states[-1]
     y2_terminal = float(y_end[1])
     scale = 1.0 + float(np.linalg.norm(y_end))
@@ -505,3 +506,18 @@ def quenching_conclusions(
         decay_ratios=ratios,
         decay_ok=bool(decay_ok),
     )
+
+
+def continue_to_singular_line(
+    sys: ControlSystem, tgt: TargetSet, schedule, y0, w: float, opts: Optional[IntegratorOptions] = None
+) -> Trajectory:
+    """Run a schedule that won on an inflated target on to the true one,
+    tgt.with_alpha(0), for up to 1.5 w + 0.1: the quenching conclusions
+    concern the singular limit, so they read this pass.
+
+    The pass resolves the hit to no less than 1e-6: the approach to the
+    singular line is sqrt-like, which caps the hit band it can resolve.
+    """
+    opts = opts or IntegratorOptions()
+    cont_opts = replace(opts, hit_tol=max(opts.hit_tol, 1e-6))
+    return integrate_forward(sys, schedule, y0, tgt=tgt.with_alpha(0.0), t_max=1.5 * w + 0.1, opts=cont_opts)

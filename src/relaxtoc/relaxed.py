@@ -75,14 +75,6 @@ class RelaxedSchedule:
         return self.atoms.shape[0]
 
     @property
-    def n_atoms(self) -> int:
-        return self.atoms.shape[1]
-
-    @property
-    def dim_control(self) -> int:
-        return self.atoms.shape[2]
-
-    @property
     def knots(self):
         return tuple(float(t) for t in self.grid[1:-1])
 

@@ -265,7 +265,3 @@ class Point(Ball):
 
     def __init__(self, location=None, alpha: float = 0.0):
         super().__init__(alpha=alpha, center=location, radius=0.0)
-
-    @property
-    def location(self) -> np.ndarray:
-        return self.center

@@ -1,4 +1,5 @@
 """Source hygiene: every name a package module imports is used in it, every
+method and property of a package class is read outside the tests, every
 error class is raised somewhere, only the module that owns a control-set or
 target class branches on it, one function holds the adaptive step loop, the
 solver reads the maximum condition from pmp, and `import relaxtoc` loads no
@@ -14,6 +15,10 @@ from typing import get_args
 from relaxtoc import dynamics, target
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relaxtoc"
+SCRIPTS = SRC.parents[1] / "scripts"
+# members kept for a path the ROADMAP gives them: with_grid re-expresses a
+# schedule on a refined grid (item 7)
+UNREAD_BY_DESIGN = {"with_grid"}
 
 
 def test_no_unused_imports():
@@ -34,6 +39,31 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def test_every_class_member_has_a_reader():
+    # a method or property that only tests read is code no user path reaches.
+    # Readers are matched by attribute name, so a member that shares its name
+    # with another object's attribute passes unseen; dataclass fields are not
+    # checked at all
+    members, reads = [], {}
+    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and path.parent == SRC:
+                members += [
+                    (f"{path.name}:{node.name}.{f.name}", f.name, path, f.lineno, f.end_lineno)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")
+                ]
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    unread = [
+        key
+        for key, name, path, first, last in members
+        if name not in UNREAD_BY_DESIGN
+        and all(p == path and first <= line <= last for p, line in reads.get(name, []))
+    ]
+    assert not unread, unread
+
+
 def test_every_error_class_is_raised():
     errors = ast.parse((SRC / "errors.py").read_text())
     declared = {n.name for n in errors.body if isinstance(n, ast.ClassDef)} - {"Error"}
@@ -47,7 +77,7 @@ def test_every_error_class_is_raised():
 
 
 def test_only_the_owning_module_branches_on_set_and_target_types():
-    # control sets own their argmax, scale and gain (dynamics.py), targets
+    # control sets own their argmax and gain (dynamics.py), targets
     # their normal cone and signed gap (target.py): an isinstance against one
     # of them anywhere else is their geometry in the wrong place
     owner = {cls.__name__: "dynamics.py" for cls in get_args(dynamics.ControlSet)}

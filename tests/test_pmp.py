@@ -343,7 +343,7 @@ def test_search_sweep_proposes_the_tight_argmax(case, quench_sys, quench_target,
     res = solve_alpha(sys_, tgt, y0, alpha, opts=opts)
     tight = _proposed_atoms(sys_, res, IntegratorOptions(rtol=1e-13, atol=1e-15))
     search = _proposed_atoms(sys_, res, opts.final.search)
-    assert np.abs(search - tight).max() <= 1e-5 * sys_.control_set.scale
+    assert np.abs(search - tight).max() <= 1e-5 * sys_.control_set.radius
 
 
 def _chart_verify_solve(monkeypatch, n):
@@ -426,7 +426,7 @@ def test_polish_predicts_the_exit_displacement(monkeypatch, quench_sys, quench_t
         atoms, shift = propose(sys_, adj, sched, grid, t_end)
         # a bound on |integral of psi^T B u| over the horizon (B = I here)
         psi_max = float(np.max(np.linalg.norm(adj.psis, axis=1)))
-        scale = sys_.control_set.scale * t_end * psi_max / adj.normalization
+        scale = sys_.control_set.radius * t_end * psi_max / adj.normalization
         rounds[-1].update(D=shift, scale=scale)
         return atoms, shift
 
@@ -454,7 +454,6 @@ def test_cell_switching_vector_reads_b_inside_each_interval():
         times=np.array([0.0, 0.3, 0.5]),
         psis=np.tile(psi, (3, 1)),
         seed_time=0.5,
-        seed=psi,
         normalization=1.0,
     )
     (q,) = pmp._piece_integrals(make_quenching_system(B=B), adj, np.array([0.0, 0.5]))
@@ -468,7 +467,7 @@ def test_piece_integrals_match_the_loop_per_piece_and_per_cell():
     B = PiecewiseConstant([0.0, 0.3], [np.array([[1.0, 0.5], [0.0, 2.0]]), np.diag([0.5, -1.0])])
     times = np.array([0.0, 0.1, 0.3, 0.45, 0.6])
     psis = np.stack([np.cos(3.0 * times), 1.0 + times**2], axis=1)
-    adj = AdjointTrajectory(times=times, psis=psis, seed_time=0.6, seed=psis[-1], normalization=1.0)
+    adj = AdjointTrajectory(times=times, psis=psis, seed_time=0.6, normalization=1.0)
     cuts = np.array([0.0, 0.2, 0.3, 0.52, 0.6])
     pieces = pmp._piece_integrals(make_quenching_system(B=B), adj, cuts)
     assert pieces.shape == (4, 2)

@@ -43,7 +43,7 @@ def test_classical_is_one_dirac_atom_per_cell():
     assert classical.atoms.shape == (2, 1, 2)
     assert np.array_equal(classical.weights, np.ones((2, 1)))
     assert np.array_equal(classical.values, values)
-    assert (classical.cells, classical.n_atoms, classical.dim_control) == (2, 1, 2)
+    assert (classical.cells, classical.atoms.shape[1], classical.atoms.shape[2]) == (2, 1, 2)
     assert classical.knots == (0.4,)
     # a knot belongs to the cell that ends there
     for t, j in ((0.1, 0), (0.4, 0), (0.9, 1)):
