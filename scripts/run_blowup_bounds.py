@@ -66,7 +66,7 @@ scalar = make_blowup_system(n=1, p=2.0, gamma=1.0)
 t1 = build_barrier_table(2.0, input_bound(scalar.affine.input_matrix, scalar.control_set))
 alpha, y0 = 0.05, 4.0
 res = solve_alpha(scalar, Point(location=[0.0]), [y0], alpha,
-                  opts=SolveOptions(n_cells=4, n_atoms=2, seed=seed))
+                  opts=SolveOptions(n_cells=4, seed=seed))
 fast = xi_upper_time(t1, y0) - xi_upper_time(t1, 1.0 / alpha)
 slow = xi_lower_time(t1, y0) - xi_lower_time(t1, 1.0 / alpha)
 inside = fast <= res.w <= slow

@@ -20,7 +20,7 @@ seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
 sys_ = make_quenching_system()
 tgt = Hyperplane(axis=0, level=1.0)
 y0 = np.array([0.0, 0.5])
-opts = SolveOptions(n_cells=8, n_atoms=2, seed=seed)
+opts = SolveOptions(n_cells=8, seed=seed)
 
 trace = alpha_ladder(sys_, tgt, y0, alpha0=0.2, ratio=0.5, k_max=5, opts=opts)
 print(f"{'k':>2}  {'alpha':>10}  {'w':>14}")

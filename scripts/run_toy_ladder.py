@@ -13,7 +13,7 @@ from relaxtoc.target import Point
 seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
 sys_ = make_integrator_system(1)
 tgt = Point(location=[1.0])
-opts = SolveOptions(n_cells=4, n_atoms=2, seed=seed)
+opts = SolveOptions(n_cells=4, seed=seed)
 
 trace = alpha_ladder(sys_, tgt, [0.0], alpha0=0.5, ratio=0.5, k_max=6, opts=opts)
 print(f"{'k':>2}  {'alpha':>12}  {'w':>18}  {'w - (1-alpha)':>14}")

@@ -210,8 +210,8 @@ def build_solve_options(cfg, path, seed, integrator):
         )
     return SolveOptions(
         n_cells=_int(cfg, "n_cells", path, 12, lo=1),
+        # n_atoms and multi_starts: validated, without effect (SolveOptions)
         n_atoms=_int(cfg, "n_atoms", path, 3, lo=1),
-        # validated and without effect: the solver has one route and one start
         multi_starts=_int(cfg, "multi_starts", path, 8, lo=1),
         w_max=_num(cfg, "w_max", path, 50.0, gt=0.0),
         seed=seed,
@@ -458,7 +458,7 @@ EXAMPLES = {
             "seed": 0,
             "system": {"example": "toy-integrator", "n": 1},
             "alpha": 0.0,
-            "solver": {"n_cells": 4, "n_atoms": 2},
+            "solver": {"n_cells": 4},
         },
     },
     "quenching-ex1": {

@@ -40,7 +40,7 @@ from .integrate import (
     integrate_adjoint,
     integrate_forward,
 )
-from .relaxed import RelaxedSchedule
+from .relaxed import ClassicalSchedule
 from .target import TargetSet
 
 # relative pre-terminal offsets T - delta * T of the adjoint seed family
@@ -330,20 +330,20 @@ def _piece_integrals(sys, adj, cuts):
 def _propose(sys, adj, sched, grid, t_end):
     """One polish round's proposal and the exit displacement it predicts.
 
-    The proposal is a copy of sched's atoms with every atom of each cell of
-    grid set to the argmax of the cell's switching vector, read up to t_end;
-    a cell whose argmax is degenerate (every control maximizes) keeps its
-    atoms.  Cutting [0, t_end] at the knots of grid and of sched gives
-    pieces that each lie in one cell of either, and a cell's switching
-    vector is the sum of its pieces'.  The displacement is the first-order
-    change of psi(T) . y(T) that the proposal makes,
+    The proposal holds one control per cell of grid: the argmax of the
+    cell's switching vector, read up to t_end.  A cell whose argmax is
+    degenerate (every control maximizes) keeps the mean control of sched's
+    cell of the same index.  Cutting [0, t_end] at the knots of grid and of
+    sched gives pieces that each lie in one cell of either, and a cell's
+    switching vector is the sum of its pieces'.  The displacement is the
+    first-order change of psi(T) . y(T) that the proposal makes,
     D = sum over pieces of q . (u_new - u_old) in the raw scale of the seed
     (q the piece's integral of B^T psi, u the cell's mean control): with
     the target's unit exit normal as the seed, the distance the exit point
     moves along it.  D >= 0 up to roundoff, since each cell takes its
     argmax, and D = 0 for a proposal that reproduces sched.
 
-    Returns (atoms, D).
+    Returns (u_new, D), u_new of shape (cells, m).
     """
     knots = np.concatenate((grid, sched.grid))
     cuts = np.union1d(knots[(knots > 0.0) & (knots < t_end)], [0.0, t_end])
@@ -354,18 +354,17 @@ def _propose(sys, adj, sched, grid, t_end):
     old = np.clip(np.searchsorted(sched.grid, cuts[1:], side="left") - 1, 0, sched.cells - 1)
     q_cell = np.zeros((len(grid) - 1, q.shape[1]))
     np.add.at(q_cell, new, q)
-    atoms = np.array(sched.atoms, dtype=float, copy=True)
+    u_old = (sched.weights[:, None, :] @ sched.atoms)[:, 0]
+    u_new = u_old.copy()
     for i in range(len(grid) - 1):
         a, b = float(grid[i]), min(float(grid[i + 1]), t_end)
         if b <= a:
             continue
         u_i, _, degenerate = sys.control_set.argmax(q_cell[i], 1e-14 * (b - a))
         if not degenerate:
-            atoms[i, :, :] = u_i
-    u_new = (sched.weights[:, None, :] @ atoms)[:, 0]
-    u_old = (sched.weights[:, None, :] @ sched.atoms)[:, 0]
+            u_new[i] = u_i
     shift = float(np.sum(q * (u_new[new] - u_old[old]))) / adj.normalization
-    return atoms, shift
+    return u_new, shift
 
 
 def bang_polish(
@@ -380,8 +379,8 @@ def bang_polish(
     Each round runs a backward costate sweep seeded in the target's normal
     cone at the exit of the best trajectory so far, replaces each cell's
     control by the argmax of the cell-averaged switching vector B^T psi (a
-    cell whose argmax is degenerate keeps its control), and integrates the
-    new schedule forward.  The sweep runs at opts.search, since its argmax is
+    cell whose argmax is degenerate keeps its mean), and integrates the new
+    schedule forward.  The sweep runs at opts.search, since its argmax is
     only a proposal, and the forward pass at opts, which certifies the
     proposal's hit time.  Gradient methods stall on this last stretch (the
     hit time is flat in the control to first order at the optimum), while
@@ -402,7 +401,7 @@ def bang_polish(
     opts = opts or IntegratorOptions()
     best = certified
     w, sched, traj = certified
-    n_cells = sched.weights.shape[0]
+    n_cells = sched.cells
     for _ in range(POLISH_ROUNDS):
         t_end = float(traj.times[-1])
         seed = exit_covector(sys, tgt, traj, t_end)
@@ -411,10 +410,10 @@ def bang_polish(
         except errors.Error:
             break
         grid = np.linspace(0.0, w, n_cells + 1)
-        atoms, shift = _propose(sys, adj, sched, grid, t_end)
+        u_new, shift = _propose(sys, adj, sched, grid, t_end)
         if shift <= opts.hit_tol:
             break
-        sched = RelaxedSchedule(grid=grid, atoms=atoms, weights=np.array(sched.weights, copy=True))
+        sched = ClassicalSchedule(grid, u_new)
         t_max = best[0] * 1.2 + 100.0 * opts.hit_tol
         try:
             traj = integrate_forward(sys, sched, y0, tgt=tgt, t_max=t_max, opts=opts)

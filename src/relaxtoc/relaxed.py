@@ -3,11 +3,11 @@
 A relaxed schedule stores, per grid cell, K atoms in the control set and a
 probability weight vector over them.  The Caratheodory bound K <= n + 2 for
 an n-dimensional state suffices to realize any relaxed velocity, but nothing
-enforces it: a schedule takes any K >= 1, and the solver's K is
-SolveOptions.n_atoms.  On a control-affine field the velocity reads only
-the weighted mean of the atoms.  Weights are clipped and renormalized on
-construction so the simplex invariant holds exactly.  A classical schedule
-is the relaxed one with one Dirac atom per cell.
+enforces it: a schedule takes any K >= 1.  On a control-affine field the
+velocity reads only the weighted mean of the atoms, so the solver carries
+one mean per cell: a classical schedule, the relaxed one with one Dirac
+atom per cell.  Weights are clipped and renormalized on construction so the
+simplex invariant holds exactly.
 """
 
 from __future__ import annotations

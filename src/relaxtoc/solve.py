@@ -1,9 +1,9 @@
-"""Minimum-time solver over relaxed schedules.
+"""Minimum-time solver over relaxed controls, carried as cell means.
 
-A relaxed schedule holds per-cell atoms and weights on a fixed time grid,
-and the state follows y' = f(t, y, sigma(t)).  The returned w is always the
-hit time of a tight re-integration of the winning schedule, never an
-iterate's estimate.
+Every system is control-affine, so a relaxed control acts on a cell only
+through its mean (g + B u_mean): the unknown is one control per cell, a
+ClassicalSchedule.  The returned w is always the hit time of a tight
+re-integration of the winning schedule, never an iterate's estimate.
 
 The route is seed -> certify -> polish.  The greedy seed is the maximum
 condition at t = 0 with the costate frozen at the target's exit normal (one
@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -50,9 +49,9 @@ PROBE_MARGIN = 1e3
 @dataclass(frozen=True)
 class SolveOptions:
     n_cells: int = 12
+    # validated and without effect, kept because the benchmark passes them:
+    # the solver carries one mean per cell, and its route has one start
     n_atoms: int = 3
-    # accepted for compatibility and without effect: the seed -> polish route
-    # has one start
     multi_starts: int = 8
     w_max: float = 50.0
     seed: int = 0
@@ -69,12 +68,12 @@ class SolveOptions:
 
 @dataclass(eq=False)
 class SolveResult:
-    """A certified answer.  alpha, terminal_distance and classical are read
-    from target, trajectory and schedule, so a copy that replaces those
-    (a ladder repair) cannot keep a stale one."""
+    """A certified answer of one mean control per cell.  alpha and
+    terminal_distance are read from target and trajectory, so a copy that
+    replaces those (a ladder repair) cannot keep a stale one."""
 
     w: float
-    schedule: RelaxedSchedule
+    schedule: ClassicalSchedule
     trajectory: Trajectory
     reason: str
     system: ControlSystem
@@ -88,12 +87,6 @@ class SolveResult:
     def terminal_distance(self) -> float:
         return self.trajectory.hit.terminal_distance
 
-    @cached_property
-    def classical(self) -> Optional[ClassicalSchedule]:
-        """The per-cell barycenter (classicalize), or None on a non-convex
-        control set."""
-        return classicalize(self) if self.system.control_set.is_convex else None
-
     def to_json_dict(self):
         return {
             "w": float(self.w),
@@ -101,7 +94,6 @@ class SolveResult:
             "reason": self.reason,
             "terminal_distance": float(self.terminal_distance),
             "schedule": self.schedule.to_json_dict(),
-            "classical": None if self.classical is None else self.classical.to_json_dict(),
         }
 
 
@@ -161,14 +153,9 @@ def _greedy_atom(sys, tgt_a, y0, opts):
     return h.control
 
 
-def _constant(atom, grid, n_atoms) -> RelaxedSchedule:
-    """The atom held on every cell of grid, in n_atoms slots of weight 1 / n_atoms."""
-    cells = len(grid) - 1
-    return RelaxedSchedule(
-        grid=grid,
-        atoms=np.tile(atom, (cells, n_atoms, 1)),
-        weights=np.full((cells, n_atoms), 1.0 / n_atoms),
-    )
+def _constant(atom, grid) -> ClassicalSchedule:
+    """The atom held on every cell of grid."""
+    return ClassicalSchedule(grid, np.tile(atom, (len(grid) - 1, 1)))
 
 
 def _certify(sys, tgt_a, y0, sched_phys, opts):
@@ -185,14 +172,24 @@ def _certify(sys, tgt_a, y0, sched_phys, opts):
 
 
 def classicalize(result: SolveResult) -> ClassicalSchedule:
-    """Per-cell barycenter of the relaxed schedule: the one control with the
-    cell's relaxed velocity, since B(t) applied to the mean of the atoms is
-    the mean of B(t) applied to them.  A barycenter may leave a non-convex
-    control set, so those are refused."""
-    if not result.system.control_set.is_convex:
-        raise errors.NonConvexControlSet("barycenter may leave a non-convex control set")
-    sched = result.schedule
-    values = [w @ a for a, w in zip(sched.atoms, sched.weights)]
+    """Cell means of result.schedule on result.system's control set."""
+    return _cell_means(result.schedule, result.system.control_set)
+
+
+def _cell_means(sched: RelaxedSchedule, control_set) -> ClassicalSchedule:
+    """Per-cell barycenter: the one control with the cell's relaxed velocity,
+    since B(t) applied to the mean of the atoms is the mean of B(t) applied
+    to them.  A ClassicalSchedule is its own; a cell on one point takes it
+    exactly, and one mixing points of a non-convex set is refused."""
+    if isinstance(sched, ClassicalSchedule):
+        return sched
+    values = []
+    for atoms, weights in zip(sched.atoms, sched.weights):
+        support = atoms[weights > 0.0]
+        one_point = np.all(support == support[0])
+        if not (one_point or control_set.is_convex):
+            raise errors.NonConvexControlSet("the mean of distinct points may leave a non-convex control set")
+        values.append(support[0] if one_point else weights @ atoms)
     return ClassicalSchedule(grid=sched.grid.copy(), values=np.stack(values))
 
 
@@ -224,12 +221,12 @@ def _seed_candidates(sys, tgt_a, y0, init, opts):
     if outcomes and outcomes[0] is not None:
         t_max = min(t_max, outcomes[0][0] * (1.0 + PROBE_MARGIN * opts.final.search.rtol))
     atom = _greedy_atom(sys, tgt_a, y0, opts)
-    probe = _constant(atom, np.array([0.0, opts.w_max]), opts.n_atoms)
+    probe = _constant(atom, np.array([0.0, opts.w_max]))
     tr = integrate_forward(sys, probe, y0, tgt=tgt_a, t_max=t_max, opts=opts.final.search)
     if tr.hit.status == HIT_TARGET:
         w = min(tr.hit.time, opts.w_max)
         grid = np.linspace(0.0, 1.0, opts.n_cells + 1) * w
-        outcomes.append(_certify(sys, tgt_a, y0, _constant(atom, grid, opts.n_atoms), opts))
+        outcomes.append(_certify(sys, tgt_a, y0, _constant(atom, grid), opts))
     return outcomes
 
 
@@ -243,15 +240,16 @@ def solve_alpha(
 ) -> SolveResult:
     """Minimize the hit time of the alpha-inflated target over relaxed controls.
 
-    The warm start init (a schedule in physical time; a ClassicalSchedule is
-    one), when given, and the greedy seed are certified by tight
-    re-integration; the earliest certified hit is polished by the maximum
-    condition (pmp.bang_polish).  The result's reason names the certifying
-    path: "seed" or "seed+polish".
+    The warm start init (a schedule in physical time), when given, is
+    reduced to its cell means (classicalize); it and the greedy seed are
+    certified by tight re-integration, and the earliest certified hit is
+    polished by the maximum condition (pmp.bang_polish).  The result's
+    reason names the certifying path: "seed" or "seed+polish".
     Raises AlphaOutOfRange when the start lies within the hit tolerance of
     the inflated target, ValueError when an atom of init lies outside the
-    control set, and Infeasible when no seed yields a certified hit within
-    opts.w_max.
+    control set, NonConvexControlSet when a cell of init mixes points of a
+    non-convex set, and Infeasible when no seed yields a certified hit
+    within opts.w_max.
     """
     opts = opts or SolveOptions()
     y0 = np.asarray(y0, dtype=float)
@@ -264,6 +262,7 @@ def solve_alpha(
     tgt_a = tgt.with_alpha(alpha)
     if init is not None:
         init.validate_in(sys.control_set)
+        init = _cell_means(init, sys.control_set)
 
     best = _best_candidate(_seed_candidates(sys, tgt_a, y0, init, opts))
     if best is None:

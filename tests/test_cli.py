@@ -333,7 +333,7 @@ def test_piecewise_b_verify_certifies_the_per_cell_hit_time(tmp_path):
     cfg["solver"] = {"n_cells": 4}
     assert cli.run(cfg, out_dir=tmp_path) == 0
     res = json.loads((tmp_path / "solve_result.json").read_text())
-    w, grid, u = res["w"], np.array(res["classical"]["grid"]), np.array(res["classical"]["values"])
+    w, grid, u = res["w"], np.array(res["schedule"]["grid"]), np.array(res["schedule"]["values"])
     edges = np.unique(np.concatenate([grid[grid < w], [0.3, w]]))
     mids = 0.5 * (edges[:-1] + edges[1:])
 

@@ -1,9 +1,9 @@
 """Source hygiene: every name a package module imports is used in it, every
-method and property of a package class is read outside the tests, every
-error class is raised somewhere, only the module that owns a control-set or
-target class branches on it, one function holds the adaptive step loop, the
-solver reads the maximum condition from pmp, and `import relaxtoc` loads no
-SciPy."""
+method and property of a package class is read outside the tests, no module
+reads the solver options kept without effect, every error class is raised
+somewhere, only the module that owns a control-set or target class branches
+on it, one function holds the adaptive step loop, the solver reads the
+maximum condition from pmp, and `import relaxtoc` loads no SciPy."""
 
 import ast
 import os
@@ -62,6 +62,32 @@ def test_every_class_member_has_a_reader():
         and all(p == path and first <= line <= last for p, line in reads.get(name, []))
     ]
     assert not unread, unread
+
+
+def test_nothing_reads_the_inert_solver_options():
+    # SolveOptions keeps n_atoms and multi_starts only because the benchmark's
+    # workloads pass them: the solver carries one mean control per cell and
+    # has one start.  Outside the options' own validation no module reads
+    # them, so neither can regain an effect
+    inert = {"n_atoms", "multi_starts"}
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        checks = [
+            (f.lineno, f.end_lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "SolveOptions"
+            for f in node.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+        ]
+        reads += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in inert
+            and not any(first <= node.lineno <= last for first, last in checks)
+        ]
+    assert not reads, reads
 
 
 def test_every_error_class_is_raised():

@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,9 +82,9 @@ def test_ladder_repairs_a_rung_later_than_the_next(monkeypatch, toy_sys, toy_tar
 
 
 def test_ladder_repair_renews_the_classical_control(monkeypatch, quench_sys, quench_target, quench_y0):
-    # a repaired rung takes the later rung's schedule, so its classical
-    # control is that schedule's barycenter, not the discarded one's (which
-    # ended at 0.35558, the rung's own w, instead of 0.36875)
+    # a repaired rung takes the later rung's schedule, so its control is
+    # that schedule, not the discarded one (which ended at 0.35558, the
+    # rung's own w, instead of 0.36875)
     def late_first_rung(sys, tgt, y0, alpha, init=None, opts=None):
         res = solve_alpha(sys, tgt, y0, alpha, init=init, opts=opts)
         return replace(res, w=res.w + 0.5) if init is None else res
@@ -93,10 +94,8 @@ def test_ladder_repair_renews_the_classical_control(monkeypatch, quench_sys, que
     trace = alpha_ladder(quench_sys, quench_target, quench_y0, alpha0=0.2, ratio=0.5, k_max=3, opts=opts)
     repaired = trace.results[0]
     assert repaired.reason == "ladder-repair"
-    expected = classicalize(repaired)
-    assert np.array_equal(repaired.classical.grid, expected.grid)
-    assert np.array_equal(repaired.classical.values, expected.values)
-    assert repaired.classical.grid[-1] == repaired.schedule.grid[-1] > repaired.w
+    assert repaired.schedule is trace.results[1].schedule
+    assert repaired.schedule.grid[-1] > repaired.w
     assert repaired.alpha == trace.alphas[0] == 0.2
     assert repaired.terminal_distance == repaired.trajectory.hit.terminal_distance
 
@@ -156,8 +155,7 @@ def test_classicalize_reproduces_hit(quench_sys, quench_target, quench_y0, quenc
     # Filippov selection preserves the averaged field, hence the trajectory
     res, opts = quench_solution
     classical = classicalize(res)
-    assert res.classical is not None
-    assert np.array_equal(classical.values, res.classical.values)
+    assert np.array_equal(classical.values, res.schedule.values)
     traj = integrate_forward(
         quench_sys,
         classical,
@@ -217,7 +215,7 @@ def test_polish_starts_from_the_certified_hit(monkeypatch, quench_sys, quench_ta
     assert res.reason == "seed+polish"
     assert res.w == 0.36874818541994064
     digest = hashlib.sha256(res.schedule.hash_bytes()).hexdigest()
-    assert digest == "129e2d3dc3dff8512ce3635c778945afbb4b73c8142e8cfc7ac86cbd0262662b"
+    assert digest == "4825620f4ad5be1785ac8b8e4c2bf36d2ed7d19f7dc74075c37a1133ba331062"
 
 
 def test_seed_leaves_an_undriven_axis_alone():
@@ -251,7 +249,7 @@ def test_finite_set_argmax_finds_the_off_axis_point():
     assert res.reason.startswith("seed")
     assert np.all(res.schedule.atoms == 0.6)
     assert abs(res.w - (np.sqrt(2.0) - 0.1) / (0.6 * np.sqrt(2.0))) <= 1e-9
-    assert res.classical is None
+    assert np.all(res.schedule.values == [0.6, 0.6])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -291,12 +289,57 @@ def test_classical_warm_start_certifies(quench_sys, quench_target, quench_y0):
     # cell, so the solver's own classical answer is a warm start as it is
     opts = SolveOptions(n_cells=8, n_atoms=2, seed=0)
     res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
-    again = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, init=res.classical, opts=opts)
+    again = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, init=res.schedule, opts=opts)
     assert again.w == res.w and again.reason == "seed"
-    assert again.schedule is res.classical
+    assert again.schedule is res.schedule
     # solve_result.json then holds the classical schedule's own block
     block = again.to_json_dict()["schedule"]
-    assert block["kind"] == "classical" and block["values"] == res.classical.values.tolist()
+    assert block["kind"] == "classical" and block["values"] == res.schedule.values.tolist()
+
+
+def test_n_atoms_changes_no_answer(quench_sys, quench_target, quench_y0):
+    # the solver carries one mean control per cell, so n_atoms (validated
+    # and read nowhere) moves neither w nor a bit of the schedule; K
+    # identical atoms of weight 1 / K would round the mean at K = 3
+    runs = [
+        solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=SolveOptions(n_cells=8, n_atoms=k, seed=0))
+        for k in (1, 2, 3)
+    ]
+    assert len({r.w for r in runs}) == 1
+    assert len({r.schedule.hash_bytes() for r in runs}) == 1
+    for r in runs:
+        assert isinstance(r.schedule, ClassicalSchedule)
+        assert r.schedule.atoms.shape == (r.schedule.cells, 1, 2) and r.schedule.cells == 8
+        assert all(quench_sys.control_set.contains(u) for u in r.schedule.values)
+
+
+def test_a_mixed_warm_start_solves_as_its_cell_means(quench_sys, quench_target, quench_y0):
+    # on the ball a relaxed control acts only through its cell means, so a
+    # warm start mixing two atoms certifies the w of its classicalized
+    # means, and the solve reduces it to those means on entry
+    opts = SolveOptions(n_cells=8, seed=0)
+    atoms = np.tile([[[1.0, 0.0], [0.0, 1.0]]], (8, 1, 1))
+    mixed = RelaxedSchedule(grid=np.linspace(0.0, 0.6, 9), atoms=atoms, weights=np.tile([0.8, 0.2], (8, 1)))
+    means = classicalize(SimpleNamespace(system=quench_sys, schedule=mixed))
+    tgt_a = quench_target.with_alpha(0.1)
+    w_mixed = solve._certify(quench_sys, tgt_a, quench_y0, mixed, opts)[0]
+    assert w_mixed == solve._certify(quench_sys, tgt_a, quench_y0, means, opts)[0]
+    a = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, init=mixed, opts=opts)
+    b = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, init=means, opts=opts)
+    assert _result_bits(a) == _result_bits(b)
+
+
+def test_a_mixed_warm_start_on_a_finite_set_is_refused(toy_target):
+    # the mean of -1 and 1 is 0, which is not a point of the set; a cell that
+    # sits on one point, repeated, is that point
+    sys_ = make_integrator_system(1, control_set=FiniteSet(points=[[-1.0], [1.0]]))
+    grid = np.array([0.0, 0.5, 1.0])
+    mixed = RelaxedSchedule(grid=grid, atoms=[[[1.0], [1.0]], [[-1.0], [1.0]]], weights=[[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(errors.NonConvexControlSet):
+        solve_alpha(sys_, toy_target, [0.0], 0.25, init=mixed, opts=SMALL)
+    repeated = RelaxedSchedule(grid=grid, atoms=[[[1.0], [1.0]]] * 2, weights=[[0.5, 0.5]] * 2)
+    res = solve_alpha(sys_, toy_target, [0.0], 0.25, init=repeated, opts=SMALL)
+    assert abs(res.w - 0.75) <= 1e-9 and np.all(res.schedule.values == 1.0)
 
 
 def _solve_counting_passes(monkeypatch, sys_, tgt, y0, alpha, init, opts):
