@@ -13,7 +13,10 @@ on blowup-ex2 each, n = 1 and n = 2). Per workload it records
   (`by_caller`: bang_polish's proposal sweeps, verify, and
   quenching_conclusions), with the rtol of each pass;
 - forward passes inside bang_polish, and the solver's own forward passes
-  split into greedy probes and certifying passes (solve._certify);
+  split into greedy probes and certifying passes (solve._certify), with the
+  rtol of each probe (`probe_rtol`);
+- forward trials: DOPRI5 trial steps (calls of _rk.step) taken inside
+  integrate_forward, accepted or rejected, over every forward pass;
 - scanned steps: accepted forward steps whose event scan ran
   (calls of integrate._scan_step), the rest being cleared by its bound;
 - segment lookups (binary searches of Trajectory.segment_of over a
@@ -112,6 +115,7 @@ COUNTS = (
     "probe_passes",
     "certify_passes",
     "scanned_steps",
+    "forward_trials",
     "segment_lookups",
     "cell_lookups",
 )
@@ -129,6 +133,7 @@ def counted_pass(workloads, name, scratch):
 
     counts = dict.fromkeys(COUNTS, 0)
     by_caller = {}
+    probe_rtol = {}
     caller = "other"  # the by_caller row of the adjoint pass running now
 
     def tally(key, n=1):
@@ -175,8 +180,22 @@ def counted_pass(workloads, name, scratch):
 
     def counted_forward(*args, **kwargs):
         # solve runs forward passes in two functions: the greedy probe and _certify
-        tally("certify_passes" if sys._getframe(1).f_code.co_name == "_certify" else "probe_passes")
+        if sys._getframe(1).f_code.co_name == "_certify":
+            tally("certify_passes")
+        else:
+            tally("probe_passes")
+            rtol = repr(kwargs["opts"].rtol)
+            probe_rtol[rtol] = probe_rtol.get(rtol, 0) + 1
         return forward(*args, **kwargs)
+
+    step = _rk.step
+
+    def counted_step(*args):
+        # _rk.steps reads the module's step per trial; the generator's frame
+        # is resumed by the loop that iterates it
+        if sys._getframe(2).f_code.co_name == "integrate_forward":
+            tally("forward_trials")
+        return step(*args)
 
     # integrate_adjoint is the one caller of _rk.integrate_plain through the
     # module attribute; solve and barrier bind the name at import
@@ -187,6 +206,7 @@ def counted_pass(workloads, name, scratch):
 
     patches = {
         (_rk, "integrate_plain"): counted_plain,
+        (_rk, "step"): counted_step,
         (integrate.Trajectory, "segment_of"): counted("segment_lookups", integrate.Trajectory.segment_of),
         (relaxed, "_cell_index"): counted("cell_lookups", relaxed._cell_index),
         (pmp, "integrate_adjoint"): counted_adjoint,
@@ -206,7 +226,7 @@ def counted_pass(workloads, name, scratch):
     finally:
         for (owner, attr), value in originals.items():
             setattr(owner, attr, value)
-    return counts, by_caller, digest
+    return counts, by_caller, probe_rtol, digest
 
 
 def main(argv=None):
@@ -241,7 +261,7 @@ def main(argv=None):
                 digest, summary, cpu_per_op = run_ops(wl, ops)
                 cpu.append(cpu_per_op)
                 digests.add(digest)
-            counts, by_caller, counted_digest = counted_pass(workloads, name, scratch)
+            counts, by_caller, probe_rtol, counted_digest = counted_pass(workloads, name, scratch)
         digests.add(counted_digest)
         if len(digests) != 1:
             raise SystemExit(f"{name}: outputs differ between passes")
@@ -249,6 +269,7 @@ def main(argv=None):
             "ops": list(ops),
             "counts": counts,
             "by_caller": by_caller,
+            "probe_rtol": probe_rtol,
             "cpu_s_per_op_median": statistics.median(cpu),
             "cpu_s_per_op_quartiles": statistics.quantiles(cpu, n=4)[::2],
             "output_sha256": digest,
@@ -276,8 +297,8 @@ def main(argv=None):
             f"{name:14s} adjoint rhs {c['adjoint_rhs_evals']:6d}  jacobian {c['jacobian_evals']:6d}  "
             f"adjoint passes {c['adjoint_passes']:3d} ({c['adjoint_columns']:3d} columns)  "
             f"polish forwards {c['polish_forward_passes']:3d}  "
-            f"probes {c['probe_passes']:3d}  certifies {c['certify_passes']:3d}  "
-            f"scanned {c['scanned_steps']:5d}  "
+            f"probes {c['probe_passes']:3d} (rtol {row['probe_rtol']})  certifies {c['certify_passes']:3d}  "
+            f"scanned {c['scanned_steps']:5d}  forward trials {c['forward_trials']:5d}  "
             f"segment {c['segment_lookups']:6d}  cell {c['cell_lookups']:6d}  "
             f"cpu/op {row['cpu_s_per_op_median'] * 1e3:7.1f} ms  {row['output_sha256'][:12]}"
         )

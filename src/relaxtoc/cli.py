@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -112,9 +113,9 @@ def _vec(cfg, key, path, default=_MISSING, size=None):
     if val is default and default is not _MISSING:
         return val
     if not isinstance(val, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in val
     ):
-        raise errors.ConfigError(_join(path, key), "expected a list of numbers")
+        raise errors.ConfigError(_join(path, key), "expected a list of finite numbers")
     if size is not None and len(val) != size:
         raise errors.ConfigError(_join(path, key), f"expected {size} components, got {len(val)}")
     return np.asarray(val, dtype=float)

@@ -412,8 +412,6 @@ def make_blowup_system(
         m = B.shape[1]
     Bsig = _input_matrix(B, n, m)
 
-    eye = np.eye(n)
-
     def drift(t, y):
         r = math.sqrt(float(y @ y))
         return r ** (p - 1.0) * y if r > 0.0 else np.zeros_like(y)
@@ -422,8 +420,13 @@ def make_blowup_system(
         r = math.sqrt(float(y @ y))
         if r == 0.0:
             return np.zeros((n, n))
-        yhat = y / r
-        return r ** (p - 1.0) * (eye + (p - 1.0) * (yhat[:, None] * yhat[None, :]))
+        # c (I + (p - 1) yhat yhat^T) on floats, one array build: the textbook
+        # formula's operations in its order, so its bits, without its five arrays
+        c = r ** (p - 1.0)
+        yhat = [v / r for v in y.tolist()]
+        return np.array(
+            [[c * ((i == j) + (p - 1.0) * (a * b)) for j, b in enumerate(yhat)] for i, a in enumerate(yhat)]
+        )
 
     M = input_bound(Bsig, BallSet(radius=float(rho0), dim=m))
     chart = Compactification(gamma=gamma, base_radius=(p + M) / (p - 1.0), r1=r1)

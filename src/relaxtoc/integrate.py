@@ -621,10 +621,10 @@ def integrate_adjoint(
     """Integrate psi' = -jacobian(t, y(t)) psi backward from t_end to 0.
 
     The jacobian is in gradient layout so no transpose appears, and free of
-    u, since the field is affine in u: control only adds its knots to the
-    step breaks, so a relaxed schedule needs no averaging.  atol is
-    scaled by the seed magnitude, which makes the sweep exactly homogeneous:
-    scaling the seed scales every raw sample.
+    u, since the field is affine in u: control only adds its knots, the
+    times where it jumps, to the step breaks, so a relaxed schedule needs
+    no averaging.  atol is scaled by the seed magnitude, which makes the
+    sweep exactly homogeneous: scaling the seed scales every raw sample.
 
     terminal_psi may instead hold k seeds, one per row, with t_end a sequence
     of k seed times; the result is then a list of k AdjointTrajectory, one

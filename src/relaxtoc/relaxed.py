@@ -76,7 +76,12 @@ class RelaxedSchedule:
 
     @property
     def knots(self):
-        return tuple(float(t) for t in self.grid[1:-1])
+        """The interior grid points where the control jumps: a cell whose
+        atoms and weights equal its predecessor's continues its leg."""
+        same = np.all(self.atoms[1:] == self.atoms[:-1], axis=(1, 2)) & np.all(
+            self.weights[1:] == self.weights[:-1], axis=1
+        )
+        return tuple(float(t) for t in self.grid[1:-1][~same])
 
     def cell_at(self, t: float):
         """(atoms, weights) of the cell containing t (clamped outside the grid)."""

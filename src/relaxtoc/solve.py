@@ -2,15 +2,17 @@
 
 Every system is control-affine, so a relaxed control acts on a cell only
 through its mean (g + B u_mean): the unknown is one control per cell, a
-ClassicalSchedule.  The returned w is always the hit time of a tight
-re-integration of the winning schedule, never an iterate's estimate.
+ClassicalSchedule.  The returned w is always the hit time of a forward pass
+of the winning schedule at the final tolerances, never an iterate's estimate.
 
 The route is seed -> certify -> polish.  The greedy seed is the maximum
 condition at t = 0 with the costate frozen at the target's exit normal (one
 control atom, held constant; pmp.max_hamiltonian); a one-cell probe finds
-its hit time.  It and the warm start are certified by tight
-re-integration; a certified warm start bounds the probe's horizon, since a
-greedy seed that cannot hit by then cannot win.  The best of them is
+its hit time.  The warm start is certified by tight re-integration.  A
+certified warm start bounds the probe's horizon, since a greedy seed that
+cannot hit by then cannot win, and a probe hit is then certified; without
+one the probe runs at the final tolerances and is the certificate, since
+the seed, its atom on n_cells cells, jumps nowhere.  The best of them is
 finished by the maximum-condition fixed point of the verification module
 (pmp.bang_polish): each cell takes the argmax of its cell-integrated
 switching vector, and the result is kept only when the certified hit time
@@ -209,24 +211,27 @@ def _best_candidate(outcomes):
 
 
 def _seed_candidates(sys, tgt_a, y0, init, opts):
-    """Certify the seeds: the warm start at its own physical span, and the
-    greedy atom on n_cells cells up to the hit time of its probe, one cell
-    on [0, w_max] integrated at the search tolerances.
+    """The seeds as certified (w, schedule, trajectory), None without a hit:
+    the warm start at its own physical span, and the greedy atom on n_cells
+    cells up to the hit time of its probe, one cell on [0, w_max].
 
     A certified warm start w_init stops the probe at w_init (1 + PROBE_MARGIN
-    rtol), rtol the search tolerance: a seed without a hit by then could not
-    have won, and is not certified."""
+    rtol), rtol the search tolerance it then runs at: a seed without a hit
+    by then could not have won, and a hit is certified.  Without one the
+    probe runs at the final tolerances and is the seed's certificate: the
+    seed jumps nowhere, so its own pass would repeat the probe's."""
     outcomes = [] if init is None else [_certify(sys, tgt_a, y0, init, opts)]
-    t_max = opts.w_max
-    if outcomes and outcomes[0] is not None:
+    bounded = bool(outcomes) and outcomes[0] is not None
+    t_max, probe_opts = opts.w_max, opts.final
+    if bounded:
         t_max = min(t_max, outcomes[0][0] * (1.0 + PROBE_MARGIN * opts.final.search.rtol))
+        probe_opts = opts.final.search
     atom = _greedy_atom(sys, tgt_a, y0, opts)
     probe = _constant(atom, np.array([0.0, opts.w_max]))
-    tr = integrate_forward(sys, probe, y0, tgt=tgt_a, t_max=t_max, opts=opts.final.search)
+    tr = integrate_forward(sys, probe, y0, tgt=tgt_a, t_max=t_max, opts=probe_opts)
     if tr.hit.status == HIT_TARGET:
-        w = min(tr.hit.time, opts.w_max)
-        grid = np.linspace(0.0, 1.0, opts.n_cells + 1) * w
-        outcomes.append(_certify(sys, tgt_a, y0, _constant(atom, grid), opts))
+        seed = _constant(atom, np.linspace(0.0, 1.0, opts.n_cells + 1) * tr.hit.time)
+        outcomes.append(_certify(sys, tgt_a, y0, seed, opts) if bounded else (tr.hit.time, seed, tr))
     return outcomes
 
 

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -187,6 +188,52 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys):
         assert capsys.readouterr().err == f"config error: solver.w_max: must be finite, got {value}\n"
 
 
+def test_non_finite_list_entries_are_config_errors(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    quench = {"schema_version": 1, "task": "verify", "system": {"example": "quenching-ex1"}, "alpha": 0.25}
+    fields = {
+        "y0": ({}, ["y0"], [None, 0.5]),
+        "target.center": ({"target": {"type": "ball", "radius": 0.1}}, ["target", "center"], [None, 0.5]),
+        "target.normal": ({"target": {"type": "halfspace"}}, ["target", "normal"], [None, 0.5]),
+        "target.location": ({"target": {"type": "point"}}, ["target", "location"], [None, 0.5]),
+        "system.B.starts": (
+            {"system": {"example": "quenching-ex1", "B": {"values": [[[1, 0], [0, 1]]] * 2}}},
+            ["system", "B", "starts"],
+            [0.0, None],
+        ),
+    }
+    for name, (extra, keys, entries) in fields.items():
+        for value in (float("nan"), float("inf"), float("-inf")):
+            cfg = copy.deepcopy(quench)
+            cfg.update(copy.deepcopy(extra))
+            node = cfg
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = [value if x is None else x for x in entries]
+            path.write_text(json.dumps(cfg))
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"config error: {name}: expected a list of finite numbers\n"
+
+
+def test_a_solve_that_crosses_the_singular_line_is_infeasible(tmp_path, capsys):
+    # the greedy probe towards this ball runs at the final tolerances, where
+    # it stalls at the quench's singular line y1 = 1 (the search tolerances
+    # step across it and chatter there until the step budget is spent)
+    cfg = {
+        "schema_version": 1,
+        "task": "solve",
+        "system": {"example": "quenching-ex1"},
+        "target": {"type": "ball", "center": [1.5, 0.5], "radius": 0.2},
+        "alpha": 0.1,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    start = time.process_time()
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert time.process_time() - start < 1.0
+    assert capsys.readouterr().err.startswith("error [Infeasible]: ")
+
+
 # one small config per task family; the fuzz below changes one field at a time
 _FUZZ_BASES = {
     "toy-solve": {
@@ -231,6 +278,7 @@ _FUZZ_FIELDS = [
 # wrong type
 _FUZZ_VALUES = [
     -1.0, 0, 1e300, float("nan"), float("inf"), float("-inf"), "x", [1.0, 2.0, 3.0], [[1.0], [0.0]],
+    [float("nan"), 0.5],
 ]
 
 

@@ -217,12 +217,13 @@ def _trajectory_bits(traj):
 
 
 def test_chart_read_steps_skip_the_scan_bit_for_bit(monkeypatch):
-    # the greedy probe and the certifying pass of the chart-verify benchmark
-    # (seeds 5 and 11, operations 0-3: blowup-ex2 from its random start at
-    # radius 3-5, n = 1 and 2, towards the chart-read origin at alpha 0.05)
-    # run outside the chart, where the target is read through it; the chart's
-    # jacobian bound clears all but a few steps of their event scans and
-    # approach-cap rate reads, and every output stays the same to the bit
+    # the greedy probe of the chart-verify benchmark, which is its own
+    # certificate (seeds 5 and 11, operations 0-3: blowup-ex2 from its random
+    # start at radius 3-5, n = 1 and 2, towards the chart-read origin at
+    # alpha 0.05), runs outside the chart, where the target is read through
+    # it; the chart's jacobian bound clears all but a few steps of its event
+    # scans and approach-cap rate reads, and every output stays the same to
+    # the bit
     passes = []
     with monkeypatch.context() as m:
         m.setattr(solve, "integrate_forward", lambda *a, **kw: passes.append((a, kw)) or integrate_forward(*a, **kw))
@@ -237,7 +238,7 @@ def test_chart_read_steps_skip_the_scan_bit_for_bit(monkeypatch):
                 tgt = Point(location=np.zeros(n)).with_alpha(0.05)
                 opts = solve.SolveOptions(n_cells=4, n_atoms=2, seed=seed)
                 assert all(solve._seed_candidates(sys_, tgt, y0, None, opts))
-    assert len(passes) == 16
+    assert len(passes) == 8
 
     scans = []
     scan = integrate._scan_step
@@ -341,14 +342,21 @@ def test_search_tolerances_stall_at_the_singular_line(quench_sys):
     assert traj.hit.status == SINGULAR_STALL
 
 
+def _knotted(sys_, grid):
+    """sys_ with the interior points of grid as time knots: each restarts the
+    step loop, which a control that does not jump there would not do."""
+    return dataclasses.replace(sys_, time_knots=tuple(float(t) for t in grid[1:-1]))
+
+
 def test_hit_time_does_not_depend_on_the_knots(toy_sys):
     # y' = 1 from 0 towards the ball |y - 1| <= 0.25 hits at 0.75 exactly,
-    # whatever grid carries the constant control
+    # whatever grid carries the constant control and restarts the steps
     tgt = Point([1.0]).with_alpha(0.25)
     gaps = []
     for cells in (1, 3, 4, 7, 12):
-        control = ClassicalSchedule(np.linspace(0.0, 2.0, cells + 1), np.ones((cells, 1)))
-        traj = integrate_forward(toy_sys, control, np.zeros(1), tgt=tgt, t_max=2.0)
+        grid = np.linspace(0.0, 2.0, cells + 1)
+        control = ClassicalSchedule(grid, np.ones((cells, 1)))
+        traj = integrate_forward(_knotted(toy_sys, grid), control, np.zeros(1), tgt=tgt, t_max=2.0)
         assert traj.hit.status == HIT_TARGET
         gaps.append(abs(traj.hit.time - 0.75))
     assert max(gaps) <= 1e-12, gaps
@@ -365,8 +373,9 @@ def test_grazing_hit_time_does_not_depend_on_the_knots():
     y0 = np.array([0.0, 0.1 + 0.5 * hit_tol])
     hits = []
     for cells in (1, 3, 4, 7, 12):
-        control = ClassicalSchedule(np.linspace(0.0, 2.0, cells + 1), np.tile([1.0, 0.0], (cells, 1)))
-        traj = integrate_forward(sys_, control, y0, tgt=tgt, t_max=2.0)
+        grid = np.linspace(0.0, 2.0, cells + 1)
+        control = ClassicalSchedule(grid, np.tile([1.0, 0.0], (cells, 1)))
+        traj = integrate_forward(_knotted(sys_, grid), control, y0, tgt=tgt, t_max=2.0)
         assert traj.hit.status == HIT_TARGET
         assert 0.0 <= traj.hit.time - traj.times[-1] <= 2.0 * hit_tol
         hits.append(traj.hit.time)

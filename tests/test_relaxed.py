@@ -55,6 +55,17 @@ def test_classical_is_one_dirac_atom_per_cell():
         ClassicalSchedule(grid=grid, values=values[:1])
 
 
+def test_knots_are_where_the_control_jumps():
+    grid = np.linspace(0.0, 1.0, 5)
+    a, b = [0.1, 0.2], [-0.3, 0.4]
+    assert ClassicalSchedule(grid, [a, a, b, b]).knots == (float(grid[2]),)
+    assert ClassicalSchedule(grid, np.tile(a, (4, 1))).knots == ()
+    # an equal relaxed mixture in the next cell adds no knot, new weights do
+    atoms = np.array([[[0.0, 0.0], [1.0, 1.0]]] * 3)
+    mixed = _schedule([[0.3, 0.7], [0.3, 0.7], [0.5, 0.5]], atoms=atoms)
+    assert mixed.knots == (float(mixed.grid[2]),)
+
+
 def test_classicalize_matches_the_relaxed_velocity(quench_sys, rng):
     # on an affine field the barycenter of a cell's atoms has the cell's
     # averaged velocity, one field evaluation per atom

@@ -213,9 +213,9 @@ def test_polish_starts_from_the_certified_hit(monkeypatch, quench_sys, quench_ta
     res = solve_alpha(quench_sys, quench_target, quench_y0, 0.1, opts=opts)
     assert len(forwards) == 3
     assert res.reason == "seed+polish"
-    assert res.w == 0.36874818541994064
+    assert res.w == 0.3687481854201667
     digest = hashlib.sha256(res.schedule.hash_bytes()).hexdigest()
-    assert digest == "4825620f4ad5be1785ac8b8e4c2bf36d2ed7d19f7dc74075c37a1133ba331062"
+    assert digest == "d178581a3dfa5245d075fc151b360ef7cac35808d613ee62d40c78174068e0ab"
 
 
 def test_seed_leaves_an_undriven_axis_alone():
@@ -351,10 +351,13 @@ def _solve_counting_passes(monkeypatch, sys_, tgt, y0, alpha, init, opts):
         return solve_alpha(sys_, tgt, y0, alpha, init=init, opts=opts), t_maxes
 
 
-def _result_bits(res):
-    traj = res.trajectory
+def _trajectory_bits(traj):
     arrays = (traj.times, traj.states, traj.derivs, traj.start_derivs, traj.in_chart)
-    return res.w, hashlib.sha256(res.schedule.hash_bytes()).hexdigest(), [a.tobytes() for a in arrays]
+    return [a.tobytes() for a in arrays], traj.hit
+
+
+def _result_bits(res):
+    return res.w, hashlib.sha256(res.schedule.hash_bytes()).hexdigest(), _trajectory_bits(res.trajectory)
 
 
 def test_a_certified_warm_start_bounds_the_greedy_probe(monkeypatch, quench_sys, quench_target, quench_y0):
@@ -383,4 +386,27 @@ def test_a_slow_warm_start_leaves_the_greedy_seed_to_win(monkeypatch, quench_sys
     assert len(outcomes) == 2 and all(outcomes) and outcomes[1][0] < outcomes[0][0]
     res, t_maxes = _solve_counting_passes(monkeypatch, quench_sys, quench_target, quench_y0, 0.1, slow, opts)
     assert len(t_maxes) == 3 and t_maxes[1] < opts.w_max
-    assert res.w == 0.36874818541994064
+    assert res.w == 0.3687481854201637
+
+
+def test_without_a_warm_start_the_greedy_probe_is_its_own_certificate(
+    monkeypatch, quench_sys, quench_target, quench_y0, blowup_sys_g1
+):
+    # with no certified warm start to bound it, the probe runs at the final
+    # tolerances; the seed tiles its atom on n_cells cells, a control without
+    # jumps and so without knots, so the seed's certifying pass would repeat
+    # the probe to the bit, and solve_alpha runs one forward pass of its own
+    cases = (
+        (quench_sys, quench_target, quench_y0, 0.1),
+        (blowup_sys_g1, Point(location=[0.0]), np.array([3.0]), 0.05),
+    )
+    for sys_, tgt, y0, alpha in cases:
+        opts = SolveOptions(n_cells=8)
+        _, t_maxes = _solve_counting_passes(monkeypatch, sys_, tgt, y0, alpha, None, opts)
+        assert t_maxes == [opts.w_max]
+        tgt_a = tgt.with_alpha(alpha)
+        ((w, seed, traj),) = solve._seed_candidates(sys_, tgt_a, y0, None, opts)
+        assert seed.cells == 8 and seed.knots == ()
+        w_cert, _, traj_cert = solve._certify(sys_, tgt_a, y0, seed, opts)
+        assert w == w_cert == traj.hit.time
+        assert _trajectory_bits(traj) == _trajectory_bits(traj_cert)
